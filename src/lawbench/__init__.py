@@ -21,7 +21,6 @@ from .behaviour import (
     RATIONAL_OUTPUTS,
     OutputAlgebra,
     Step,
-    relation_lift,
     words_upto,
 )
 from .cfg import (

@@ -113,9 +113,6 @@ class OutputAlgebra:
             return value
         return Poly.const(value)
 
-    def const(self, value) -> Any:
-        return self.coerce(value)
-
     def atom(self, name: str) -> Any:
         return BoolFunc.atom(name) if self.kind == "bool" else Poly.atom(name)
 
@@ -171,7 +168,11 @@ RATIONAL_OUTPUTS = OutputAlgebra("rational")
 
 
 def output_algebra(kind: str) -> OutputAlgebra:
-    return BOOL_OUTPUTS if kind == "bool" else OutputAlgebra(kind)
+    """The shared algebra of one output kind."""
+    try:
+        return {"bool": BOOL_OUTPUTS, "rational": RATIONAL_OUTPUTS}[kind]
+    except KeyError:
+        raise ValueError(f"unknown output kind {kind!r}") from None
 
 
 @dataclass(frozen=True)
@@ -198,27 +199,6 @@ class Step:
             if name == letter:
                 return succ
         raise AlphabetMismatch(f"step has no successor for letter {letter!r}")
-
-    def map_next(self, fn: Callable[[Any], Any]) -> "Step":
-        return Step(self.output, tuple((l, fn(s)) for l, s in self.moves))
-
-
-def copair(state, step: Step) -> tuple[Any, Step]:
-    """Pair a state with its observation; the copointed view of a step."""
-    return (state, step)
-
-
-def relation_lift(alg: OutputAlgebra, rel: Callable[[Any, Any], bool],
-                  left: Step, right: Step) -> bool:
-    """Lift a relation on successors to steps: outputs must be equal in
-    the output algebra and successors related letterwise."""
-    if left.letters != right.letters:
-        raise AlphabetMismatch(
-            f"steps observe different alphabets: {left.letters} vs {right.letters}"
-        )
-    if not alg.equal(left.output, right.output):
-        return False
-    return all(rel(left.next(l), right.next(l)) for l in left.letters)
 
 
 def words_upto(alphabet: tuple[str, ...], maxlen: int) -> Iterator[tuple[str, ...]]:

@@ -24,7 +24,7 @@ from .errors import InvalidGrammar
 from .gsos import GSOS, ArgObs, CaseSplit, DistLaw, GsosSpec, OutApp, OutAtom, OutConst, Plain, Rule
 from .solver import CorecSystem, operational_model, unfold
 from .terms import App, Signature, Term, Var, variables
-from .theories import LangForm, Theory, idempotent_semiring
+from .theories import LangForm, Theory, _right_nested, idempotent_semiring
 
 Body = tuple[str, ...]
 
@@ -117,24 +117,6 @@ class GnfGrammar:
                 raise InvalidGrammar(f"start expression mentions undeclared {token!r}")
 
 
-def _product(body: Body) -> Term:
-    if not body:
-        return App("1")
-    term: Term = Var(body[-1])
-    for sym in reversed(body[:-1]):
-        term = App("*", (Var(sym), term))
-    return term
-
-
-def _sum(parts: list[Term]) -> Term:
-    if not parts:
-        return App("0")
-    term = parts[-1]
-    for part in reversed(parts[:-1]):
-        term = App("+", (part, term))
-    return term
-
-
 def to_corec(g: GnfGrammar) -> CorecSystem:
     """One equation per nonterminal: the empty-word bit is the output and
     each letter maps to the sum of products of the production bodies,
@@ -144,7 +126,9 @@ def to_corec(g: GnfGrammar) -> CorecSystem:
         moves = {}
         for a in g.alphabet:
             bodies = sorted(g.prods[x][a], key=lambda b: (len(b), b))
-            moves[a] = _sum([_product(b) for b in bodies])
+            products = [_right_nested("*", [Var(s) for s in b], App("1"))
+                        for b in bodies]
+            moves[a] = _right_nested("+", products, App("0"))
         phi[x] = Step.of(g.empty[x], moves)
     return CorecSystem(g.nonterminals, phi, cfg_law(g.alphabet), cfg_theory())
 

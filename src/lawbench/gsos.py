@@ -77,7 +77,7 @@ def eval_out(expr: OutExpr, alg: OutputAlgebra, env: Mapping[str, Any]):
                 f"output expression uses undeclared placeholder {expr.name!r}"
             ) from None
     if isinstance(expr, OutConst):
-        return alg.const(expr.value)
+        return alg.coerce(expr.value)
     return alg.apply(expr.op, [eval_out(a, alg, env) for a in expr.args])
 
 
@@ -421,7 +421,7 @@ def quotient_lambda(th: Theory, law: DistLaw, nf: NormalForm,
     result = Step.of(step.output,
                      {l: th.normalize(s) for l, s in step.moves})
 
-    if certified is False and th.kind == "generic":
+    if certified is False and th.semiring is None:
         for other in th.class_members(rep, limit=2):
             if other == rep:
                 continue

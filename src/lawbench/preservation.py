@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -185,9 +184,6 @@ class PreservationReport:
         lines.append(f"overall: {self.verdict.value}")
         return "\n".join(lines)
 
-    def fingerprint(self) -> str:
-        return json.dumps(self.to_json(trace=True), sort_keys=True)
-
 
 def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
                 branch: Branch | None) -> SchemeCheck:
@@ -197,7 +193,7 @@ def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
     if branch is not None:
         assigned = dict(branch)
         env = {
-            v: (state, Step(alg.const(assigned[f"b_{v}"]), step.moves))
+            v: (state, Step(alg.coerce(assigned[f"b_{v}"]), step.moves))
             for v, (state, step) in env.items()
         }
 

@@ -16,16 +16,18 @@ routes that must agree whenever the law preserves the theory:
     normalisation gives the same outputs and congruent final states;
 
   * ``induced_algebra_check``: the behaviour of a composite state equals
-    the semantic composition of its leaves' behaviours (truncated
-    convolution sums for rational streams, union and concatenation of
-    truncated languages for Boolean outputs).
+    the semantic composition of its leaves' behaviours, computed by
+    folding the composite's normal form into a truncated semiring
+    (convolution of stream prefixes for polynomials, union and
+    concatenation of truncated languages for finite languages).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .behaviour import Step
 from .errors import AlphabetMismatch, LawbenchError, UnboundVariable
@@ -39,7 +41,7 @@ from .terms import (
     substitute,
     variables,
 )
-from .theories import COMMUTATIVE, IDEMPOTENT, Equiv, LangForm, PolyForm, Theory
+from .theories import LANGUAGES, POLYNOMIALS, Equiv, Semiring, Theory, fold
 
 
 @dataclass
@@ -208,13 +210,6 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
     return CommuteReport(checked, violations)
 
 
-def _convolve(left: list[Fraction], right: list[Fraction]) -> list[Fraction]:
-    n = min(len(left), len(right))
-    return [sum((left[i] * right[k - i] for i in range(k + 1)),
-                start=Fraction(0))
-            for k in range(n)]
-
-
 @dataclass
 class AlgebraReport:
     ok: bool
@@ -222,68 +217,93 @@ class AlgebraReport:
     induced: object
 
 
-def _atom_states(sys: CorecSystem, atoms, leaf_env: Mapping[str, Term]):
-    states = {}
-    for atom in atoms:
-        if atom in leaf_env:
-            states[atom] = leaf_env[atom]
-        elif atom in sys.variables:
-            states[atom] = Var(atom)
-        elif sys.law.signature.has_op(atom, 0):
-            states[atom] = App(atom)
-        else:
-            raise UnboundVariable(f"no state for leaf {atom!r}")
-    return states
+def _series(horizon: int, atom: Callable[[str], list]) -> Semiring:
+    """Rational streams cut at the horizon, under pointwise sum and
+    convolution: where polynomial normal forms behave."""
+
+    def scalar(value) -> list[Fraction]:
+        return [Fraction(value) if k == 0 else Fraction(0)
+                for k in range(horizon)]
+
+    def convolve(left: list, right: list) -> list[Fraction]:
+        return [sum((left[i] * right[k - i] for i in range(k + 1)),
+                    start=Fraction(0))
+                for k in range(horizon)]
+
+    return Semiring("truncated series", scalar(0), scalar(1),
+                    lambda left, right: [a + b for a, b in zip(left, right)],
+                    convolve, atom, scalar)
+
+
+def _languages(horizon: int, atom: Callable[[str], frozenset]) -> Semiring:
+    """Languages cut at words of the horizon's length, under union and
+    concatenation: where finite-language normal forms behave."""
+
+    def concat(left: frozenset, right: frozenset) -> frozenset:
+        return frozenset(u + v for u in left for v in right
+                         if len(u) + len(v) <= horizon)
+
+    return Semiring("truncated languages", frozenset(), frozenset({()}),
+                    operator.or_, concat, atom)
+
+
+def _accepted(sys: CorecSystem, term: Term, horizon: int) -> frozenset:
+    table = behaviour_table(sys, term, horizon)
+    return frozenset(w for w, out in table.items() if out == 1)
+
+
+# Per normal-form semiring: its truncation, how a state is observed in
+# it, and how an observation is reported.  ``stream_prefix`` is looked up
+# when called, so a wrapper re-bound on this module (bench/spans.py)
+# sees these calls too.
+_TRUNCATIONS = {
+    POLYNOMIALS: (_series,
+                  lambda sys, term, horizon: stream_prefix(sys, term, horizon),
+                  list),
+    LANGUAGES: (_languages, _accepted, sorted),
+}
+
+
+def _atom_state(sys: CorecSystem, atom: str,
+                leaf_env: Mapping[str, Term]) -> Term:
+    if atom in leaf_env:
+        return leaf_env[atom]
+    if atom in sys.variables:
+        return Var(atom)
+    if sys.law.signature.has_op(atom, 0):
+        return App(atom)
+    raise UnboundVariable(f"no state for leaf {atom!r}")
 
 
 def induced_algebra_check(sys: CorecSystem, outer: Term,
                           leaf_env: Mapping[str, Term] | None = None,
                           horizon: int = 5) -> AlgebraReport:
     """Behaviour of the flattened composite versus the induced algebra on
-    the leaves' behaviours, both truncated at the horizon."""
+    the leaves' behaviours, both truncated at the horizon: the normal
+    form of the outer term, folded into the truncated semiring with each
+    atom read as its leaf's behaviour."""
     th = sys.theory
     if th is None:
         raise LawbenchError("the induced algebra needs a theory")
+    if th.semiring not in _TRUNCATIONS:
+        raise LawbenchError(
+            "the induced algebra is only computed for the builtin theories"
+        )
+    truncate, observe, report = _TRUNCATIONS[th.semiring]
     leaf_env = dict(leaf_env or {})
     for token in variables(outer):
         leaf_env.setdefault(token, Var(token))
-    flat = substitute(outer, leaf_env)
-    nf = th.normalize(outer)
+    rep = th.representative(th.normalize(outer))
+    operational = observe(sys, substitute(outer, leaf_env), horizon)
 
-    if th.kind == COMMUTATIVE:
-        assert isinstance(nf, PolyForm)
-        operational = stream_prefix(sys, flat, horizon)
-        states = _atom_states(sys, nf.poly.atoms(), leaf_env)
-        prefixes = {a: stream_prefix(sys, s, horizon)
-                    for a, s in states.items()}
-        induced = [Fraction(0)] * horizon
-        for mono, coeff in nf.poly.terms:
-            part = [coeff] + [Fraction(0)] * (horizon - 1)
-            for atom, power in mono:
-                for _ in range(power):
-                    part = _convolve(part, prefixes[atom])
-            induced = [a + b for a, b in zip(induced, part)]
-        return AlgebraReport(operational == induced, operational, induced)
+    leaves: dict[str, object] = {}
 
-    if th.kind == IDEMPOTENT:
-        assert isinstance(nf, LangForm)
-        table = behaviour_table(sys, flat, horizon)
-        operational = {w for w, out in table.items() if out == 1}
-        states = _atom_states(sys, {a for w in nf.words for a in w}, leaf_env)
-        langs = {}
-        for atom, state in states.items():
-            atom_table = behaviour_table(sys, state, horizon)
-            langs[atom] = {w for w, out in atom_table.items() if out == 1}
-        induced: set[tuple[str, ...]] = set()
-        for word in nf.words:
-            acc = {()}
-            for atom in word:
-                acc = {u + v for u in acc for v in langs[atom]
-                       if len(u) + len(v) <= horizon}
-            induced |= acc
-        return AlgebraReport(operational == induced,
-                             sorted(operational), sorted(induced))
+    def leaf(atom: str):
+        if atom not in leaves:
+            state = _atom_state(sys, atom, leaf_env)
+            leaves[atom] = observe(sys, state, horizon)
+        return leaves[atom]
 
-    raise LawbenchError(
-        "the induced algebra is only computed for the builtin theories"
-    )
+    induced = fold(rep, truncate(horizon, leaf), th.generators, th.family)
+    operational, induced = report(operational), report(induced)
+    return AlgebraReport(operational == induced, operational, induced)

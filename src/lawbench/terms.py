@@ -185,15 +185,6 @@ def index_atoms(term: Term) -> frozenset[str]:
     return frozenset()
 
 
-def map_const_indices(term: Term, env: Mapping[str, Fraction]) -> Term:
-    """Evaluate every symbolic index at the given parameter values."""
-    if isinstance(term, Const) and isinstance(term.index, Poly):
-        return Const(term.family, term.index.evaluate(env))
-    if isinstance(term, App):
-        return App(term.symbol, tuple(map_const_indices(a, env) for a in term.args))
-    return term
-
-
 def positions(term: Term) -> Iterator[tuple[int, ...]]:
     yield ()
     if isinstance(term, App):

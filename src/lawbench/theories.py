@@ -8,16 +8,19 @@ equivalence classes; instead each theory provides
   ``representative``  normal form -> term (a section of ``normalize``),
   ``equiv``           decides or bounds the congruence on two terms.
 
-Two theories are built in with complete normalizers:
+Two theories are built in with complete normalizers.  The quotient of
+each is a free semiring, so normalising is one ``fold`` of ``+ * 0 1``,
+atoms and constants into that semiring, and a representative is one
+right-nested sum of right-nested products:
 
   * commutative semiring over the rationals, with one indexed constant
-    family and optional extra nullary generators: normal forms are
-    polynomials with rational coefficients over the variables and
-    generators (``[2] * (v + v)`` normalises to the polynomial ``4*v``);
+    family and optional extra nullary generators: ``POLYNOMIALS``, with
+    rational coefficients over the variables and generators
+    (``[2] * (v + v)`` normalises to the polynomial ``4*v``);
 
-  * idempotent semiring with constants 0 and 1: normal forms are finite
-    sets of words over the variables and generators, i.e. finite
-    languages (``1 + x * (y + x)`` normalises to ``{eps, xy, xx}``).
+  * idempotent semiring with constants 0 and 1: ``LANGUAGES``, finite
+    sets of words over the variables and generators
+    (``1 + x * (y + x)`` normalises to ``{eps, xy, xx}``).
 
 Everything else goes through the generic kind: a bounded bidirectional
 rewrite search over the schemes.  Its ``equiv`` answers Equal when the
@@ -30,9 +33,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 from .errors import (
     NotInTheorySignature,
@@ -100,9 +103,20 @@ def instantiate_scheme(scheme: EquationScheme,
             substitute(scheme.rhs, assignment))
 
 
+def _shortlex(word: tuple[str, ...]):
+    return (len(word), word)
+
+
 @dataclass(frozen=True)
 class PolyForm:
     poly: Poly
+
+    def summands(self):
+        """(scalar, atoms) per monomial, in the polynomial's order; the
+        scalar is None where it is a 1 that multiplies some atom."""
+        for mono, coeff in self.poly.terms:
+            atoms = [a for a, p in mono for _ in range(p)]
+            yield (None if coeff == 1 and atoms else coeff), atoms
 
     def __str__(self) -> str:
         return str(self.poly)
@@ -115,13 +129,16 @@ class LangForm:
     def __post_init__(self):
         object.__setattr__(self, "words", frozenset(tuple(w) for w in self.words))
 
+    def summands(self):
+        """(None, word) per word, shortest first."""
+        for word in sorted(self.words, key=_shortlex):
+            yield None, word
+
     def __str__(self) -> str:
         if not self.words:
             return "{}"
-        body = ", ".join(
-            "".join(w) if w else "eps"
-            for w in sorted(self.words, key=lambda w: (len(w), w))
-        )
+        body = ", ".join("".join(w) if w else "eps"
+                         for w in sorted(self.words, key=_shortlex))
         return "{" + body + "}"
 
 
@@ -166,9 +183,91 @@ class FiniteModel:
         return fn(*(self.evaluate(a, assignment) for a in term.args))
 
 
+@dataclass(frozen=True)
+class Semiring:
+    """A target for ``fold``: the units, the two operations, the image of
+    an atom (a variable or a nullary generator) and the image of a
+    constant's index.  A semiring without ``const`` has no scalar family;
+    its units are named by the nullary symbols 0 and 1 instead."""
+
+    name: str
+    zero: Any
+    one: Any
+    add: Callable[[Any, Any], Any]
+    mul: Callable[[Any, Any], Any]
+    atom: Callable[[str], Any]
+    const: Callable[[Any], Any] | None = None
+
+
+def _poly_const(index) -> Poly:
+    return index if isinstance(index, Poly) else Poly.const(index)
+
+
+def _concat(left: frozenset, right: frozenset) -> frozenset:
+    return frozenset(u + v for u in left for v in right)
+
+
+POLYNOMIALS = Semiring("commutative-semiring", Poly(), Poly.const(1),
+                       operator.add, operator.mul, Poly.atom, _poly_const)
+LANGUAGES = Semiring("idempotent-semiring", frozenset(), frozenset({()}),
+                     operator.or_, _concat,
+                     lambda name: frozenset({(name,)}))
+
+
+def fold(term: Term, semiring: Semiring, generators: tuple[str, ...],
+         family: str | None):
+    """Interpret a term in a semiring: ``+`` and ``*`` are its operations,
+    variables and the nullary ``generators`` are atoms, and constants of
+    ``family`` are scalars.  Operational unfoldings share subterms heavily
+    and nest deeply, so the walk keeps an explicit stack and memoises on
+    object identity: it is linear in the dag and never recurses."""
+    memo: dict[int, Any] = {}
+    stack: list[tuple[Term, bool]] = [(term, False)]
+    while stack:
+        t, children_done = stack.pop()
+        if id(t) in memo:
+            continue
+        if children_done:
+            left, right = t.args
+            op = semiring.add if t.symbol == "+" else semiring.mul
+            memo[id(t)] = op(memo[id(left)], memo[id(right)])
+        elif isinstance(t, Var):
+            memo[id(t)] = semiring.atom(t.name)
+        elif isinstance(t, Const):
+            if semiring.const is None:
+                raise NotInTheorySignature(
+                    f"{semiring.name} terms cannot contain indexed constants"
+                )
+            if t.family != family:
+                raise NotInTheorySignature(
+                    f"family {t.family!r} not part of this theory"
+                )
+            memo[id(t)] = semiring.const(t.index)
+        elif t.symbol in ("+", "*") and len(t.args) == 2:
+            # Left child on top, so errors surface in left-to-right order.
+            stack += ((t, True), (t.args[1], False), (t.args[0], False))
+        elif not t.args and t.symbol in generators:
+            memo[id(t)] = semiring.atom(t.symbol)
+        elif not t.args and semiring.const is None and t.symbol in ("0", "1"):
+            memo[id(t)] = semiring.zero if t.symbol == "0" else semiring.one
+        else:
+            raise NotInTheorySignature(
+                f"symbol {t.symbol!r} has no {semiring.name} meaning"
+            )
+    return memo[id(term)]
+
+
 COMMUTATIVE = "commutative-semiring"
 IDEMPOTENT = "idempotent-semiring"
 GENERIC = "generic"
+
+# Per kind: the semiring normal forms live in (None for the bounded
+# search) and the form that wraps them.
+_NORMAL_FORMS = {
+    COMMUTATIVE: (POLYNOMIALS, PolyForm),
+    IDEMPOTENT: (LANGUAGES, LangForm),
+    GENERIC: (None, TermForm),
+}
 
 _V, _U, _W = Var("v"), Var("u"), Var("w")
 
@@ -197,41 +296,50 @@ class Theory:
                  schemes: tuple[EquationScheme, ...],
                  model: FiniteModel | None = None,
                  max_depth: int = 5, max_visited: int = 10_000):
+        if kind not in _NORMAL_FORMS:
+            raise ValueError(f"unknown theory kind {kind!r}")
         self.kind = kind
+        self.semiring, self._form = _NORMAL_FORMS[kind]
         self.signature = signature
         self.schemes = tuple(schemes)
         self.model = model
         self.max_depth = max_depth
         self.max_visited = max_visited
         self._explore_cache: dict[Term, tuple[frozenset, bool]] = {}
-        if kind == COMMUTATIVE:
-            self._setup_commutative()
-        elif kind == IDEMPOTENT:
-            self._setup_idempotent()
-        elif kind != GENERIC:
-            raise ValueError(f"unknown theory kind {kind!r}")
+        self.family: str | None = None
+        self.generators: tuple[str, ...] = ()
+        if self.semiring is not None:
+            self._check_signature()
 
-    # -- builtin signature plumbing --------------------------------------
-
-    def _setup_commutative(self) -> None:
-        sig = self.signature
-        if not (sig.has_op("+", 2) and sig.has_op("*", 2)):
+    def _check_signature(self) -> None:
+        """Binary ``+`` and ``*``, the units (exactly one constant family
+        when the semiring has scalars, the nullary 0 and 1 otherwise), and
+        any number of nullary generators besides."""
+        sig, name = self.signature, self.kind
+        scalars = self.semiring.const is not None
+        needed = {"+": 2, "*": 2}
+        if not scalars:
+            needed.update({"0": 0, "1": 0})
+        for sym, k in needed.items():
+            if not sig.has_op(sym, k):
+                raise NotInTheorySignature(
+                    f"{name} needs {sym!r} with arity {k}"
+                )
+        if scalars and len(sig.families) != 1:
             raise NotInTheorySignature(
-                "commutative-semiring needs binary '+' and '*'"
+                f"{name} needs exactly one constant family"
             )
-        if len(sig.families) != 1:
+        if not scalars and sig.families:
             raise NotInTheorySignature(
-                "commutative-semiring needs exactly one constant family"
+                f"{name} does not admit constant families"
             )
-        self.family = sig.families[0].name
         gens = []
         for sym, k in sig.ops:
-            if sym in ("+", "*"):
+            if sym in needed:
                 continue
             if k != 0:
                 raise NotInTheorySignature(
-                    f"commutative-semiring admits only nullary extras, "
-                    f"got {sym!r}/{k}"
+                    f"{name} admits only nullary extras, got {sym!r}/{k}"
                 )
             if sym in ("0", "1"):
                 raise NotInTheorySignature(
@@ -239,143 +347,41 @@ class Theory:
                     f"[{sym}] instead"
                 )
             gens.append(sym)
-        self.generators = tuple(gens)
-
-    def _setup_idempotent(self) -> None:
-        sig = self.signature
-        needed = [("+", 2), ("*", 2), ("0", 0), ("1", 0)]
-        for sym, k in needed:
-            if not sig.has_op(sym, k):
-                raise NotInTheorySignature(
-                    f"idempotent-semiring needs {sym!r} with arity {k}"
-                )
-        if sig.families:
-            raise NotInTheorySignature(
-                "idempotent-semiring does not admit constant families"
-            )
-        gens = []
-        for sym, k in sig.ops:
-            if sym in ("+", "*", "0", "1"):
-                continue
-            if k != 0:
-                raise NotInTheorySignature(
-                    f"idempotent-semiring admits only nullary extras, "
-                    f"got {sym!r}/{k}"
-                )
-            gens.append(sym)
+        self.family = sig.families[0].name if scalars else None
         self.generators = tuple(gens)
 
     # -- normal forms ------------------------------------------------------
 
     def normalize(self, term: Term) -> NormalForm:
-        if self.kind == COMMUTATIVE:
-            return PolyForm(self._poly_of(term))
-        if self.kind == IDEMPOTENT:
-            return LangForm(self._lang_of(term))
-        cls, _ = self._explore(term)
-        return TermForm(min(cls, key=term_sort_key))
-
-    def _poly_of(self, term: Term) -> Poly:
-        # Operational unfoldings share subterms heavily; memoise on object
-        # identity so the walk is linear in the dag, not the tree.
-        memo: dict[int, Poly] = {}
-
-        def go(t: Term) -> Poly:
-            found = memo.get(id(t))
-            if found is not None:
-                return found
-            if isinstance(t, Var):
-                out = Poly.atom(t.name)
-            elif isinstance(t, Const):
-                if t.family != self.family:
-                    raise NotInTheorySignature(
-                        f"family {t.family!r} not part of this theory"
-                    )
-                index = t.index
-                out = index if isinstance(index, Poly) else Poly.const(index)
-            elif t.symbol == "+" and len(t.args) == 2:
-                out = go(t.args[0]) + go(t.args[1])
-            elif t.symbol == "*" and len(t.args) == 2:
-                out = go(t.args[0]) * go(t.args[1])
-            elif t.symbol in self.generators and not t.args:
-                out = Poly.atom(t.symbol)
-            else:
-                raise NotInTheorySignature(
-                    f"symbol {t.symbol!r} has no commutative-semiring meaning"
-                )
-            memo[id(t)] = out
-            return out
-
-        return go(term)
-
-    def _lang_of(self, term: Term) -> frozenset[tuple[str, ...]]:
-        memo: dict[int, frozenset[tuple[str, ...]]] = {}
-
-        def go(t: Term) -> frozenset[tuple[str, ...]]:
-            found = memo.get(id(t))
-            if found is not None:
-                return found
-            if isinstance(t, Var):
-                out = frozenset({(t.name,)})
-            elif isinstance(t, Const):
-                raise NotInTheorySignature(
-                    "idempotent-semiring terms cannot contain indexed constants"
-                )
-            elif t.symbol == "+" and len(t.args) == 2:
-                out = go(t.args[0]) | go(t.args[1])
-            elif t.symbol == "*" and len(t.args) == 2:
-                left, right = go(t.args[0]), go(t.args[1])
-                out = frozenset(u + v for u in left for v in right)
-            elif t.symbol == "0" and not t.args:
-                out = frozenset()
-            elif t.symbol == "1" and not t.args:
-                out = frozenset({()})
-            elif t.symbol in self.generators and not t.args:
-                out = frozenset({(t.symbol,)})
-            else:
-                raise NotInTheorySignature(
-                    f"symbol {t.symbol!r} has no idempotent-semiring meaning"
-                )
-            memo[id(t)] = out
-            return out
-
-        return go(term)
-
-    # -- representatives ----------------------------------------------------
+        if self.semiring is None:
+            cls, _ = self._explore(term)
+            return TermForm(min(cls, key=term_sort_key))
+        return self._form(fold(term, self.semiring, self.generators,
+                               self.family))
 
     def representative(self, nf: NormalForm) -> Term:
-        """A term that normalises back to ``nf``; the canonical section."""
+        """A term that normalises back to ``nf``; the canonical section:
+        each summand is its scalar, if any, times its atoms."""
         if isinstance(nf, TermForm):
             return nf.term
-        if isinstance(nf, PolyForm):
-            return self._rep_poly(nf.poly)
-        return self._rep_lang(nf.words)
+        products = []
+        for scalar, atoms in nf.summands():
+            factors = [self._atom_term(a) for a in atoms]
+            if scalar is not None:
+                factors.insert(0, Const(self.family, scalar))
+            products.append(_right_nested("*", factors, App("1")))
+        zero = App("0") if self.family is None else Const(self.family, 0)
+        return _right_nested("+", products, zero)
 
     def _atom_term(self, atom: str) -> Term:
         if self.signature.has_op(atom, 0):
             return App(atom)
         return Var(atom)
 
-    def _rep_poly(self, poly: Poly) -> Term:
-        monomial_terms = []
-        for mono, coeff in poly.terms:
-            factors = [self._atom_term(a) for a, p in mono for _ in range(p)]
-            if coeff != 1 or not factors:
-                factors = [Const(self.family, coeff)] + factors
-            monomial_terms.append(_right_nested("*", factors, App("1")))
-        return _right_nested("+", monomial_terms, Const(self.family, 0))
-
-    def _rep_lang(self, words: frozenset[tuple[str, ...]]) -> Term:
-        word_terms = []
-        for word in sorted(words, key=lambda w: (len(w), w)):
-            letters = [self._atom_term(x) for x in word]
-            word_terms.append(_right_nested("*", letters, App("1")))
-        return _right_nested("+", word_terms, App("0"))
-
     # -- the congruence ------------------------------------------------------
 
     def equiv(self, left: Term, right: Term) -> Equiv:
-        if self.kind in (COMMUTATIVE, IDEMPOTENT):
+        if self.semiring is not None:
             return Equiv.EQUAL if self.normalize(left) == self.normalize(right) \
                 else Equiv.DISTINCT
         if left == right:

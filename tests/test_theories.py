@@ -108,6 +108,19 @@ def test_polynomial_normal_form_frozen_example():
 def test_normalize_of_variable_is_the_unit():
     assert CTH.normalize(Var("v")) == CTH.unit("v") == PolyForm(Poly.atom("v"))
     assert ITH.normalize(Var("v")) == ITH.unit("v") == LangForm(frozenset({("v",)}))
+
+
+def test_normalize_of_a_deep_right_nested_sum():
+    depth = 10_000
+    for th, other, expected in (
+        (CTH, App("X"), PolyForm(Poly.const(depth // 2)
+                                 * (Poly.atom("v") + Poly.atom("X")))),
+        (ITH, Var("u"), LangForm(frozenset({("v",), ("u",)}))),
+    ):
+        term = other
+        for i in range(depth - 1):
+            term = App("+", (Var("v") if i % 2 == 0 else other, term))
+        assert th.normalize(term) == expected
     fth = free_theory(CSIG)
     assert fth.normalize(Var("v")) == TermForm(Var("v"))
 
