@@ -2,9 +2,9 @@
 
 Every command reads one workbench file and exits 0 when the check passes,
 1 on a failed check or counterexample, 2 when a verdict is Unknown, and 3
-on usage or load errors.  ``--json`` replaces the human-readable output
-with a structured report; the shape of every report is pinned by the
-bundled ``schema/report.schema.json``.
+on usage or load errors, a bound out of range among them.  ``--json``
+replaces the human-readable output with a structured report; the shape of
+every report is pinned by the bundled ``schema/report.schema.json``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lawbench",
                      description="distributive-law workbench")
@@ -61,7 +75,7 @@ def _build_parser() -> _Parser:
 
     p = cmd("stream", help="the first n outputs of a one-letter system")
     p.add_argument("--state", required=True)
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_at_least(0), default=10)
 
     p = cmd("cfg-member", help="does the grammar generate the word?")
     p.add_argument("--word", default="")
@@ -69,17 +83,18 @@ def _build_parser() -> _Parser:
     p = cmd("cfg-equiv", help="bounded equivalence of two expressions")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--maxlen", type=int, default=6)
+    p.add_argument("--maxlen", type=_at_least(0), default=6)
 
     p = cmd("quotient-commute",
             help="plain and normalised unfolding must agree")
-    p.add_argument("--max-size", type=int, default=4, dest="max_size")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--max-size", type=_at_least(1), default=4,
+                   dest="max_size")
+    p.add_argument("--depth", type=_at_least(0), default=4)
 
     p = cmd("algebra-check",
             help="behaviour of a composite against composed behaviours")
     p.add_argument("--outer", required=True)
-    p.add_argument("--horizon", type=int, default=5)
+    p.add_argument("--horizon", type=_at_least(0), default=5)
 
     return parser
 

@@ -55,6 +55,7 @@ from .theories import (
     EquationScheme,
     IDEMPOTENT,
     Theory,
+    _right_nested,
     commutative_semiring,
     free_theory,
     generic_theory,
@@ -186,17 +187,17 @@ class _TermCtx:
 
 
 def _parse_term(c: _Cursor, ctx: _TermCtx) -> Term:
-    left = _parse_factor(c, ctx)
-    if c.take("punct", "+"):
-        return App("+", (left, _parse_term(c, ctx)))
-    return left
+    parts = [_parse_factor(c, ctx)]
+    while c.take("punct", "+"):
+        parts.append(_parse_factor(c, ctx))
+    return _right_nested("+", parts)
 
 
 def _parse_factor(c: _Cursor, ctx: _TermCtx) -> Term:
-    left = _parse_atom(c, ctx)
-    if c.take("punct", "*"):
-        return App("*", (left, _parse_factor(c, ctx)))
-    return left
+    parts = [_parse_atom(c, ctx)]
+    while c.take("punct", "*"):
+        parts.append(_parse_atom(c, ctx))
+    return _right_nested("*", parts)
 
 
 def _parse_atom(c: _Cursor, ctx: _TermCtx) -> Term:

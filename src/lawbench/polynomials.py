@@ -3,8 +3,20 @@
 A polynomial is stored as a sorted tuple of (monomial, coefficient) pairs
 with all zero coefficients dropped, so structural equality coincides with
 polynomial identity.  A monomial is a sorted tuple of (atom, power) pairs
-over string atoms.  Monomials are ordered graded-lexicographically: first
-by total degree, then by the expanded atom sequence.
+over string atoms, with every power positive; every coefficient is a
+``Fraction``.  Monomials are ordered graded-lexicographically: first by
+total degree, then by the expanded atom sequence (``x^2`` is ``x, x``).
+The sort key ``(degree, ((atom, -power), ...))`` gives that order without
+expanding powers: at equal degree the first differing pair decides, and a
+smaller atom, or else a higher power of the same atom, comes first.
+
+The public constructor canonicalises whatever it is given: it coerces
+coefficients, merges repeated atoms and sorts each monomial, and merges
+repeated monomials.  Arithmetic builds its results through
+``Poly._canonical`` instead, which takes a dict from canonical monomials
+to ``Fraction`` coefficients, drops the zero coefficients and sorts the
+terms, and does nothing else; so ``+`` merges two term dicts and ``*``
+accumulates the products of terms in one dict.
 
 These polynomials do double duty: they are the canonical forms of the
 commutative-semiring theory, the symbolic values of rational outputs, and
@@ -19,17 +31,33 @@ from fractions import Fraction
 Monomial = tuple[tuple[str, int], ...]
 
 _UNIT: Monomial = ()
+_ONE = Fraction(1)
 
 
 def _mono_key(mono: Monomial):
-    expanded = tuple(atom for atom, power in mono for _ in range(power))
-    return (len(expanded), expanded)
+    degree = 0
+    pairs = []
+    for atom, power in mono:
+        degree += power
+        pairs.append((atom, -power))
+    return (degree, tuple(pairs))
+
+
+def _term_key(term: tuple[Monomial, Fraction]):
+    return _mono_key(term[0])
+
+
+def _sorted_terms(acc: dict[Monomial, Fraction]):
+    return tuple(sorted(((mono, coeff) for mono, coeff in acc.items() if coeff),
+                        key=_term_key))
 
 
 def _mono_mul(left: Monomial, right: Monomial) -> Monomial:
-    powers: dict[str, int] = {}
-    for atom, power in left:
-        powers[atom] = powers.get(atom, 0) + power
+    if not left:
+        return right
+    if not right:
+        return left
+    powers = dict(left)
     for atom, power in right:
         powers[atom] = powers.get(atom, 0) + power
     return tuple(sorted(powers.items()))
@@ -50,23 +78,28 @@ class Poly:
         acc: dict[Monomial, Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for mono, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                mono = tuple(sorted((a, p) for a, p in mono if p))
-                total = acc.get(mono, Fraction(0)) + coeff
-                if total:
-                    acc[mono] = total
-                elif mono in acc:
-                    del acc[mono]
-        self._terms = tuple(sorted(acc.items(), key=lambda kv: _mono_key(kv[0])))
+            powers: dict[str, int] = {}
+            for atom, power in mono:
+                powers[atom] = powers.get(atom, 0) + power
+            mono = tuple(sorted((a, p) for a, p in powers.items() if p))
+            acc[mono] = acc.get(mono, 0) + Fraction(coeff)
+        self._terms = _sorted_terms(acc)
+
+    @classmethod
+    def _canonical(cls, acc: dict[Monomial, Fraction]) -> "Poly":
+        """The polynomial of canonical monomials with ``Fraction``
+        coefficients: zeros are dropped and the terms sorted, nothing else."""
+        poly = object.__new__(cls)
+        poly._terms = _sorted_terms(acc)
+        return poly
 
     @staticmethod
     def const(value) -> "Poly":
-        return Poly(((_UNIT, Fraction(value)),))
+        return Poly._canonical({_UNIT: Fraction(value)})
 
     @staticmethod
     def atom(name: str) -> "Poly":
-        return Poly(((((name, 1),), Fraction(1)),))
+        return Poly._canonical({((name, 1),): _ONE})
 
     @property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
@@ -88,7 +121,14 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
-        return Poly(list(self._terms) + list(other._terms))
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        acc = dict(self._terms)
+        for mono, coeff in other._terms:
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
+        return Poly._canonical(acc)
 
     __radd__ = __add__
 
@@ -98,8 +138,9 @@ class Poly:
         for m1, c1 in self._terms:
             for m2, c2 in other._terms:
                 mono = _mono_mul(m1, m2)
-                acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2
-        return Poly(acc)
+                coeff = c1 * c2
+                acc[mono] = acc[mono] + coeff if mono in acc else coeff
+        return Poly._canonical(acc)
 
     __rmul__ = __mul__
 

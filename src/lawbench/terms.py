@@ -263,7 +263,6 @@ def enumerate_terms(signature: Signature, variables: frozenset[str] | set[str] |
 
 
 _INFIX = {"+": 1, "*": 2}
-_ATOM_PREC = 3
 
 
 def _format_index(index) -> str:
@@ -273,18 +272,33 @@ def _format_index(index) -> str:
 def format_term(term: Term) -> str:
     """Render a term with infix ``+`` and ``*``; canonical right nesting
     prints without parentheses."""
-
-    def go(t: Term, context: int) -> str:
+    out: list[str] = []
+    # Pieces still to print, last first: a (term, context precedence)
+    # pair, or literal text.
+    todo: list = [(term, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, context = item
         if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Const):
-            return f"[{_format_index(t.index)}]"
-        if t.symbol in _INFIX and len(t.args) == 2:
+            out.append(t.name)
+        elif isinstance(t, Const):
+            out.append(f"[{_format_index(t.index)}]")
+        elif t.symbol in _INFIX and len(t.args) == 2:
             prec = _INFIX[t.symbol]
-            text = f"{go(t.args[0], prec + 1)} {t.symbol} {go(t.args[1], prec)}"
-            return f"({text})" if prec < context else text
-        if not t.args:
-            return t.symbol
-        return f"{t.symbol}({', '.join(go(a, 0) for a in t.args)})"
-
-    return go(term, 0)
+            parens = prec < context
+            if parens:
+                todo.append(")")
+            todo += [(t.args[1], prec), f" {t.symbol} ", (t.args[0], prec + 1)]
+            if parens:
+                todo.append("(")
+        elif not t.args:
+            out.append(t.symbol)
+        else:
+            todo.append(")")
+            for i in range(len(t.args) - 1, 0, -1):
+                todo += [(t.args[i], 0), ", "]
+            todo += [(t.args[0], 0), f"{t.symbol}("]
+    return "".join(out)

@@ -280,7 +280,8 @@ def _times(x: Term, y: Term) -> Term:
     return App("*", (x, y))
 
 
-def _right_nested(op: str, parts: list[Term], empty: Term) -> Term:
+def _right_nested(op: str, parts: list[Term],
+                  empty: Term | None = None) -> Term:
     if not parts:
         return empty
     acc = parts[-1]

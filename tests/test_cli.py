@@ -121,6 +121,23 @@ def test_usage_and_load_errors(capsys):
         assert captured.out == "", argv
 
 
+@pytest.mark.parametrize("argv", (
+    ["stream", example("stream.dsl"), "--state", "ones", "--n", "-3"],
+    ["quotient-commute", example("stream.dsl"), "--max-size", "0"],
+    ["quotient-commute", example("stream.dsl"), "--depth", "-1"],
+    ["algebra-check", example("stream.dsl"), "--outer", "ones",
+     "--horizon", "-2"],
+    ["cfg-equiv", example("cfg.dsl"), "--left", "S", "--right", "S",
+     "--maxlen", "-1"],
+), ids=("stream-n", "max-size", "depth", "horizon", "maxlen"))
+def test_out_of_range_bounds_are_usage_errors(capsys, argv):
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: argument --")
+    assert "must be at least" in captured.err
+    assert captured.out == ""
+
+
 SCHEMA = json.loads(schema_path().read_text())
 
 JSON_INVOCATIONS = (

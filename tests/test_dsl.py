@@ -7,7 +7,7 @@ import pytest
 
 from lawbench.dsl import load, loads, term_from_string
 from lawbench.errors import ArityMismatch, ParseError
-from lawbench.terms import App, Const, Var
+from lawbench.terms import App, Const, Var, format_term
 
 from conftest import EXAMPLES, example
 
@@ -165,3 +165,23 @@ def test_term_from_string():
         term_from_string("(v", sig, ("v",))
     with pytest.raises(ParseError):
         term_from_string("v v", sig, ("v",))
+
+def test_deep_terms_print_and_parse():
+    depth = 10_000
+    sig = load(example("stream.dsl")).signature
+    for op in ("+", "*"):
+        text = f" {op} ".join(["v", "X"] * (depth // 2))
+        term = term_from_string(text, sig, ("v",))
+        links, t = 0, term  # the chain parses right-nested
+        while isinstance(t, App) and t.symbol == op:
+            assert t.args[0] == (Var("v") if links % 2 == 0 else App("X"))
+            links, t = links + 1, t.args[1]
+        assert (links, t) == (depth - 1, App("X"))
+        assert format_term(term) == text
+    mixed = " + ".join(["v * X"] * depth)
+    assert format_term(term_from_string(mixed, sig, ("v",))) == mixed
+    left = Var("v")
+    for _ in range(depth - 1):
+        left = App("+", (left, Var("v")))
+    assert format_term(left) == \
+        "(" * (depth - 2) + "v + v" + ") + v" * (depth - 2)

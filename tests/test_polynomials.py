@@ -1,6 +1,7 @@
 """Polynomial canonical forms: identity of forms must coincide with
 identity of the functions they denote."""
 
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -92,6 +93,14 @@ def test_canonical_form_drops_zero_coefficients():
     assert str(p) == "0"
 
 
+def test_constructor_merges_repeated_atoms():
+    p = Poly([((("x", 1), ("y", 1), ("x", 1)), 1), ((("x", 2),), 2)])
+    x, y = Poly.atom("x"), Poly.atom("y")
+    assert p == x * x * y + Poly.const(2) * x * x
+    assert p.terms == (((("x", 2),), Fraction(2)),
+                       ((("x", 2), ("y", 1)), Fraction(1)))
+
+
 def test_monomials_are_graded_lexicographic():
     p = (Poly.atom("y") * Poly.atom("y")
          + Poly.atom("x") + Poly.const(5)
@@ -156,3 +165,103 @@ def test_formatting():
     p = Poly.atom("a") * Poly.atom("b") + Poly.const(2) * Poly.atom("a") + Poly.const(1)
     assert str(p) == "1 + 2*a + a*b"
     assert str(Poly.const(Fraction(-1, 2)) * Poly.atom("x")) == "-1/2*x"
+
+
+# ------------------------------------------- the kernel against the reference
+
+# ``+``, ``*`` and ``substitute`` build their results from canonical terms;
+# the public constructor canonicalises from scratch and is the reference.
+# Monomials of the naive product are multisets of atoms, counted here
+# without any Poly code.
+
+
+def old_mono_key(mono):
+    """Graded lex on the expanded atom sequence, ``x^2`` read as ``x, x``."""
+    expanded = tuple(atom for atom, power in mono for _ in range(power))
+    return (len(expanded), expanded)
+
+
+def naive_product(left, right):
+    """Every product of a term of ``left`` with one of ``right``, unmerged."""
+    out = []
+    for m1, c1 in left:
+        for m2, c2 in right:
+            powers = Counter(dict(m1))
+            powers.update(dict(m2))
+            out.append((tuple(sorted(powers.items())), c1 * c2))
+    return out
+
+
+def assert_canonical(poly):
+    monos = [mono for mono, _ in poly.terms]
+    keys = [old_mono_key(mono) for mono in monos]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for mono, coeff in poly.terms:
+        assert type(coeff) is Fraction and coeff != 0
+        assert list(mono) == sorted(mono)
+        assert all(type(power) is int and power > 0 for _, power in mono)
+
+
+@given(exprs, exprs)
+def test_sum_and_product_match_the_reference_constructor(e1, e2):
+    p, q = poly_of_expr(e1), poly_of_expr(e2)
+    total, product = p + q, p * q
+    assert total.terms == Poly(list(p.terms) + list(q.terms)).terms
+    assert product.terms == Poly(naive_product(p.terms, q.terms)).terms
+    for poly in (p, q, total, product):
+        assert_canonical(poly)
+
+
+@given(exprs)
+def test_substitute_matches_the_reference_constructor(expr):
+    poly = poly_of_expr(expr)
+    image = {"x": Poly.atom("y") + Poly.const(1),
+             "y": Poly.const(2) * Poly.atom("z")}
+    expected = []
+    for mono, coeff in poly.terms:
+        part = Poly.const(coeff)
+        for atom, power in mono:
+            base = image.get(atom, Poly.atom(atom))
+            for _ in range(power):
+                part = Poly(naive_product(part.terms, base.terms))
+        expected.extend(part.terms)
+    substituted = poly.substitute(image)
+    assert substituted.terms == Poly(expected).terms
+    assert_canonical(substituted)
+
+
+@given(exprs, st.integers(min_value=-3, max_value=3))
+def test_integer_operands_give_fraction_coefficients(expr, n):
+    poly = poly_of_expr(expr)
+    for result in (poly + n, n + poly, poly * n, n * poly,
+                   Poly.const(n), Poly.atom("x") * n):
+        assert_canonical(result)
+
+
+def test_higher_powers_follow_the_expanded_order():
+    x, y, a, b = (Poly.atom(name) for name in "xyab")
+    assert [m for m, _ in (x * y + x * x).terms] == \
+        [(("x", 2),), (("x", 1), ("y", 1))]
+    assert [m for m, _ in (a * a * b + a * a * a).terms] == \
+        [(("a", 3),), (("a", 2), ("b", 1))]
+    assert [m for m, _ in (y * y * y + x * y * y + x * x * x).terms] == \
+        [(("x", 3),), (("x", 1), ("y", 2)), (("y", 3),)]
+    assert str(x * y + x * x) == "x*x + x*y"
+
+
+monomials = st.dictionaries(st.sampled_from("abcd"),
+                            st.integers(min_value=1, max_value=4), max_size=4)
+
+
+@given(st.lists(monomials, max_size=8))
+def test_terms_follow_the_expanded_order(monos):
+    terms = [(tuple(mono.items()), Fraction(1)) for mono in monos]
+    assert_canonical(Poly(terms))
+    product = Poly.const(1)
+    for mono in monos:
+        factor = Poly.const(1)
+        for atom, power in mono.items():
+            for _ in range(power):
+                factor = factor * Poly.atom(atom)
+        product = product * (factor + Poly.const(1))
+    assert_canonical(product)
