@@ -46,6 +46,7 @@ from .gsos import (
     OutAtom,
     OutConst,
     Plain,
+    QuotientStepper,
     Rule,
     apply_rule,
     extend_lambda,
@@ -66,6 +67,7 @@ from .solver import (
     induced_algebra_check,
     operational_model,
     quotient_commute_check,
+    quotient_model,
     stream_prefix,
     unfold,
 )

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from .behaviour import BOOL_OUTPUTS, Step
 from .errors import InvalidGrammar
 from .gsos import GSOS, ArgObs, CaseSplit, DistLaw, GsosSpec, OutApp, OutAtom, OutConst, Plain, Rule
-from .solver import CorecSystem, operational_model, unfold
+from .solver import CorecSystem, quotient_model, unfold
 from .terms import App, Signature, Term, Var, variables
 from .theories import LangForm, Theory, _right_nested, idempotent_semiring
 
@@ -203,8 +203,9 @@ class EquivResult:
 
 def equiv_upto(g: GnfGrammar, t1: Term, t2: Term, maxlen: int) -> EquivResult:
     """Breadth-first joint unfolding of two language expressions up to the
-    length bound, memoized on pairs of normalised states; the returned
-    counterexample is length-lexicographically least."""
+    length bound, on pairs of normal forms stepped by the quotient law and
+    memoized; the returned counterexample is length-lexicographically
+    least."""
     sys = to_corec(g)
     th = sys.theory
     for t in (t1, t2):
@@ -213,20 +214,15 @@ def equiv_upto(g: GnfGrammar, t1: Term, t2: Term, maxlen: int) -> EquivResult:
             if token not in g.nonterminals:
                 raise InvalidGrammar(f"term mentions undeclared {token!r}")
 
-    def key(term: Term):
-        nf = th.normalize(term)
-        assert isinstance(nf, LangForm)
-        return nf.words
-
-    start = (th.representative(th.normalize(t1)),
-             th.representative(th.normalize(t2)))
-    queue = deque([((), start[0], start[1])])
-    seen = {(key(t1), key(t2))}
+    quotient = quotient_model(sys)
+    start = (th.normalize(t1), th.normalize(t2))
+    queue = deque([((), *start)])
+    seen = {(start[0].words, start[1].words)}
     alg = sys.law.outputs
     while queue:
         word, left, right = queue.popleft()
-        left_step = operational_model(sys, left)
-        right_step = operational_model(sys, right)
+        left_step = quotient.step(left)
+        right_step = quotient.step(right)
         if alg.concrete(left_step.output) != alg.concrete(right_step.output):
             return EquivResult(False, word)
         if len(word) == maxlen:
@@ -234,11 +230,9 @@ def equiv_upto(g: GnfGrammar, t1: Term, t2: Term, maxlen: int) -> EquivResult:
         for letter in sorted(sys.law.alphabet):
             l_next = left_step.next(letter)
             r_next = right_step.next(letter)
-            pair = (key(l_next), key(r_next))
+            pair = (l_next.words, r_next.words)
             if pair in seen:
                 continue
             seen.add(pair)
-            queue.append((word + (letter,),
-                          th.representative(th.normalize(l_next)),
-                          th.representative(th.normalize(r_next))))
+            queue.append((word + (letter,), l_next, r_next))
     return EquivResult(True)

@@ -186,26 +186,74 @@ class _TermCtx:
     seen_index_atoms: list[str] = field(default_factory=list)
 
 
+@dataclass
+class _Open:
+    """A term still being parsed: its finished summands, the factors of
+    the summand in progress and, inside an argument list, the operation
+    token and its finished arguments (``op`` is None inside a
+    parenthesis)."""
+
+    summands: list[Term] = field(default_factory=list)
+    factors: list[Term] = field(default_factory=list)
+    op: Token | None = None
+    args: list[Term] | None = None
+
+
 def _parse_term(c: _Cursor, ctx: _TermCtx) -> Term:
-    parts = [_parse_factor(c, ctx)]
-    while c.take("punct", "+"):
-        parts.append(_parse_factor(c, ctx))
-    return _right_nested("+", parts)
+    """term := factor ('+' factor)*, factor := operand ('*' operand)*,
+    both chains right-nested.  A parenthesis or an argument list opens a
+    frame on an explicit stack instead of a recursive call, so nesting
+    depth is not bounded by Python's stack."""
+    frames = [_Open()]
+    while True:
+        operand = _parse_operand(c, ctx)
+        if isinstance(operand, _Open):
+            frames.append(operand)
+            continue
+        # The operand is complete: extend the product in progress, or
+        # finish the innermost term and hand it to its frame's owner.
+        while True:
+            top = frames[-1]
+            top.factors.append(operand)
+            if c.take("punct", "*"):
+                break
+            top.summands.append(_right_nested("*", top.factors))
+            top.factors = []
+            if c.take("punct", "+"):
+                break
+            term = _right_nested("+", top.summands)
+            top.summands = []
+            if len(frames) == 1:
+                return term
+            if top.op is None:
+                c.expect("punct", ")")
+                frames.pop()
+                operand = term
+                continue
+            top.args.append(term)
+            if c.take("punct", ","):
+                break
+            c.expect("punct", ")")
+            frames.pop()
+            operand = _application(ctx, top.op, top.args)
 
 
-def _parse_factor(c: _Cursor, ctx: _TermCtx) -> Term:
-    parts = [_parse_atom(c, ctx)]
-    while c.take("punct", "*"):
-        parts.append(_parse_atom(c, ctx))
-    return _right_nested("*", parts)
+def _application(ctx: _TermCtx, name_tok: Token, args: list[Term]) -> Term:
+    name = str(name_tok.value)
+    arity = ctx.signature.arity(name)
+    if len(args) != arity:
+        raise ArityMismatch(
+            f"{name!r} declared with arity {arity}, applied to "
+            f"{len(args)} arguments", name_tok.line, name_tok.col)
+    return App(name, tuple(args))
 
 
-def _parse_atom(c: _Cursor, ctx: _TermCtx) -> Term:
+def _parse_operand(c: _Cursor, ctx: _TermCtx) -> Term | _Open:
+    """One operand of a sum of products, or the frame it opens: ``(``
+    opens a parenthesised term, ``name(`` the argument list of ``name``."""
     tok = c.peek()
     if c.take("punct", "("):
-        term = _parse_term(c, ctx)
-        c.expect("punct", ")")
-        return term
+        return _Open()
     if c.at("punct", "["):
         return _parse_const(c, ctx, None, tok)
     if tok.kind == "number":
@@ -229,17 +277,9 @@ def _parse_atom(c: _Cursor, ctx: _TermCtx) -> Term:
     if name in ctx.allowed:
         return Var(name)
     if ctx.signature.has_op(name):
-        arity = ctx.signature.arity(name)
         if c.take("punct", "("):
-            args = [_parse_term(c, ctx)]
-            while c.take("punct", ","):
-                args.append(_parse_term(c, ctx))
-            c.expect("punct", ")")
-            if len(args) != arity:
-                raise ArityMismatch(
-                    f"{name!r} declared with arity {arity}, applied to "
-                    f"{len(args)} arguments", name_tok.line, name_tok.col)
-            return App(name, tuple(args))
+            return _Open(op=name_tok, args=[])
+        arity = ctx.signature.arity(name)
         if arity != 0:
             raise ArityMismatch(
                 f"{name!r} declared with arity {arity}, applied to "

@@ -17,6 +17,13 @@ inside constant indices, which is how a rule like
 table: it is the unique structural extension of the rules, and the pair
 it returns (the term with leaves replaced by their states, plus the
 composite step) is the distributive-law component at that term.
+
+``QuotientStepper`` is the law on the quotient by a theory: it steps
+normal forms.  For the builtin theories it applies the same rules to the
+canonical representative's nodes but reads each successor template
+straight into the theory's semiring (``apply_rule`` with a folded
+reading instead of the term reading), so no successor term is built;
+``quotient_lambda`` is one step of it.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 from .behaviour import OutputAlgebra, Step
 from .errors import (
@@ -37,7 +44,7 @@ from .errors import (
 )
 from .polynomials import Poly
 from .terms import App, Const, Signature, Term, Var, format_term, variables
-from .theories import NormalForm, Theory
+from .theories import NormalForm, Semiring, Theory, fold
 
 SIMPLE = "simple"
 GSOS = "gsos"
@@ -301,9 +308,14 @@ class DistLaw:
 
 LeafObs = tuple[Term, Step]
 
+# How a successor template is read, given the terms or values bound to its
+# placeholders and the output values its constant indices may mention.
+Reader = Callable[[Term, Mapping[str, Any], Mapping[str, Poly]], Any]
+
 
 def _instantiate_template(template: Term, term_env: Mapping[str, Term],
                           poly_env: Mapping[str, Poly]) -> Term:
+    """The term reading: placeholders become their bound terms."""
     if isinstance(template, Var):
         return term_env[template.name]
     if isinstance(template, Const):
@@ -316,10 +328,13 @@ def _instantiate_template(template: Term, term_env: Mapping[str, Term],
                      for a in template.args))
 
 
-def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Term, Any, dict]],
-               family: bool = False, index=None) -> Step:
+def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Any, dict]],
+               family: bool = False, index=None,
+               read: Reader = _instantiate_template) -> Step:
     """Instantiate one rule: ``args`` holds, per argument position, the
-    argument itself, its output value and its successors per letter."""
+    argument itself, its output value and its successors per letter.
+    ``read`` turns each successor template into a successor; by default
+    it builds a term, and the quotient stepper folds it instead."""
     rule = law.spec.rule_for(symbol, family)
     alg = law.outputs
     out_env: dict[str, Any] = {}
@@ -342,19 +357,18 @@ def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Term, Any, dict]],
                 f"rule for {symbol!r} splits on {template.scrutinee!r} = "
                 f"{alg.format(scrutinee)}, which is not concrete"
             ) from None
+        body = template.if_one if bit else template.if_zero
+    else:
+        body = template.term
 
     moves = {}
     for letter in law.alphabet:
-        if isinstance(template, CaseSplit):
-            body = template.if_one if bit else template.if_zero
-        else:
-            body = template.term
-        term_env: dict[str, Term] = {}
+        bound: dict[str, Any] = {}
         for spec_arg, (state, _, deriv) in zip(rule.args, args):
-            term_env[spec_arg.deriv] = deriv[letter]
+            bound[spec_arg.deriv] = deriv[letter]
             if spec_arg.name is not None:
-                term_env[spec_arg.name] = state
-        moves[letter] = _instantiate_template(body, term_env, poly_env)
+                bound[spec_arg.name] = state
+        moves[letter] = read(body, bound, poly_env)
     return Step.of(output, moves)
 
 
@@ -367,15 +381,16 @@ def extend_lambda(law: DistLaw, term: Term,
     result pairs the input with every leaf replaced by its state (the
     copointed first component) with the composite observation.
     """
-
     # Successor templates reuse argument subterms, so iterated steps build
-    # dags; memoise on identity to visit each shared node once.
+    # dags; memoise on identity to visit each shared node once.  The walk
+    # is post-order on an explicit stack, left argument first, so deep
+    # terms never recurse and errors surface in left-to-right order.
     memo: dict[int, tuple[Term, Step]] = {}
-
-    def go(t: Term) -> tuple[Term, Step]:
-        found = memo.get(id(t))
-        if found is not None:
-            return found
+    stack: list[tuple[Term, bool]] = [(term, False)]
+    while stack:
+        t, children_done = stack.pop()
+        if id(t) in memo:
+            continue
         if isinstance(t, Var):
             try:
                 result = env[t.name]
@@ -386,29 +401,228 @@ def extend_lambda(law: DistLaw, term: Term,
         elif isinstance(t, Const):
             step = apply_rule(law, t.family, [], family=True, index=t.index)
             result = (t, step)
+        elif t.args and not children_done:
+            stack.append((t, True))
+            stack.extend((a, False) for a in reversed(t.args))
+            continue
         else:
-            pieces = [go(a) for a in t.args]
+            pieces = [memo[id(a)] for a in t.args]
             args = [(state, step.output, step.next_map)
                     for state, step in pieces]
             step = apply_rule(law, t.symbol, args)
-            result = (App(t.symbol, tuple(state for state, _ in pieces)), step)
+            result = (App(t.symbol, tuple(state for state, _ in pieces)),
+                      step)
         memo[id(t)] = result
-        return result
+    return memo[id(term)]
 
-    return go(term)
+
+# A folded observation: the state's value, its output and its successors'
+# values per letter; the shape ``apply_rule`` takes per argument.
+_Folded = tuple[Any, Any, dict]
+
+# Most parts a deferred sum collects before it is added up.
+_MAX_PARTS = 32
+
+
+class _Sum:
+    """A sum of semiring values not yet carried out.  Each node of a
+    representative's sum spine adds one product's successor to the whole
+    suffix's, so adding eagerly would copy the growing side once per
+    summand; a ``_Sum`` keeps the parts instead and adds them up once,
+    when a product needs the value, when it holds more than
+    ``_MAX_PARTS`` of them, or when the step is done."""
+
+    __slots__ = ("parts", "value")
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+        self.value = None
+
+
+class QuotientStepper:
+    """The law on the quotient of the free monad by ``th``, with the
+    leaves observed by ``env``: ``step`` maps a normal form to its output
+    and the normal form of each successor.
+
+    For a builtin theory no term is built.  A normal form's canonical
+    representative is a sum of products of leaves; the stepper applies
+    the rule table to it node by node as ``extend_lambda`` would, but
+    reads every successor template straight into the theory's semiring
+    (``fold``), with placeholders bound to the arguments' folded values.
+    ``fold`` is a semiring homomorphism, so the result equals normalising
+    ``extend_lambda`` at the representative for every rule table,
+    certified or not.  The step of each product suffix is cached under
+    its tuple of factors (atoms, behind a leading scalar if any), so a
+    summand costs one rule application per factor not seen before; the
+    cache lives as long as the stepper, one run of a caller.
+
+    A generic theory takes the term path: representative, extension,
+    normalisation."""
+
+    def __init__(self, th: Theory, law: DistLaw,
+                 env: Mapping[str, LeafObs]):
+        self.th, self.law, self.env = th, law, env
+        self._leaves: dict[Term, _Folded] = {}
+        self._products: dict[tuple, _Folded] = {}
+        self._zero: _Folded | None = None
+        # States matter only to gsos rules that name an argument; a sum's
+        # state is its products' states added up, so it is kept only when
+        # the ``+`` rule needs it.
+        named = {rule.symbol for rule in law.spec.rules
+                 if any(arg.name is not None for arg in rule.args)}
+        self._sum_states = "+" in named
+        self._product_states = "*" in named or self._sum_states
+
+    def step(self, nf: NormalForm) -> Step:
+        th = self.th
+        if th.semiring is None:
+            _, step = extend_lambda(self.law, th.representative(nf), self.env)
+            return Step.of(step.output,
+                           {l: th.normalize(s) for l, s in step.moves})
+        products = [self._product(atoms if scalar is None
+                                  else (scalar, *atoms))
+                    for scalar, atoms in nf.summands()]
+        if products:
+            acc = products[-1]
+            for product in reversed(products[:-1]):
+                acc = self._apply("+", product, acc, self._sum_states)
+        else:
+            # The representative of the empty sum is a single leaf.
+            if self._zero is None:
+                self._zero = self._leaf(th.representative(nf))
+            acc = self._zero
+        _, output, moves = acc
+        return Step.of(output, {l: th.form(self._value(v))
+                                for l, v in moves.items()})
+
+    # -- the folded reading of successor templates -------------------------
+
+    def _read(self, template: Term, bound: Mapping[str, Any],
+              poly_env: Mapping[str, Poly]):
+        """Fold a template into the theory's semiring, each placeholder
+        read as its bound value; the ``read`` given to ``apply_rule``."""
+        ring = self.th.semiring
+
+        def atom(name: str):
+            return bound[name] if name in bound else ring.atom(name)
+
+        def const(index):
+            if isinstance(index, Poly) and index.atoms():
+                index = index.substitute(poly_env)
+            return ring.const(index)
+
+        target = Semiring(ring.name, ring.zero, ring.one, self._add,
+                          self._mul, atom,
+                          const if ring.const is not None else None)
+        return fold(template, target, self.th.generators, self.th.family)
+
+    def _add(self, left, right):
+        parts = _parts(left) + _parts(right)
+        if len(parts) > _MAX_PARTS:
+            return self._total(parts)
+        return _Sum(parts)
+
+    def _mul(self, left, right):
+        return self.th.semiring.mul(self._value(left), self._value(right))
+
+    def _value(self, value):
+        if isinstance(value, _Sum):
+            if value.value is None:
+                value.value = self._total(value.parts)
+                value.parts = None
+            return value.value
+        return value
+
+    def _total(self, parts: tuple):
+        # Spine parts come newest first, so the large suffix is added last.
+        add = self.th.semiring.add
+        acc = parts[0]
+        for part in parts[1:]:
+            acc = add(acc, part)
+        return acc
+
+    # -- steps of the representative's nodes ---------------------------------
+
+    def _apply(self, symbol: str, left: _Folded, right: _Folded,
+               keep_state: bool) -> _Folded:
+        step = apply_rule(self.law, symbol, [left, right], read=self._read)
+        state = None
+        if keep_state:
+            op = self._add if symbol == "+" else self._mul
+            state = op(left[0], right[0])
+        return state, step.output, step.next_map
+
+    def _product(self, factors: tuple) -> _Folded:
+        cache = self._products
+        found = cache.get(factors)
+        if found is not None:
+            return found
+        if not factors:
+            found = cache[factors] = self._leaf(App("1"))
+            return found
+        # Every suffix of a cached product is cached too: start from the
+        # longest one and add the missing factors in front.
+        start = 1
+        while start < len(factors) and factors[start:] not in cache:
+            start += 1
+        acc = cache[factors[start:]] if start < len(factors) else None
+        for i in range(start - 1, -1, -1):
+            factor = factors[i]
+            leaf = self._leaf(self.th.leaf(factor) if isinstance(factor, str)
+                              else Const(self.th.family, factor))
+            acc = leaf if acc is None else \
+                self._apply("*", leaf, acc, self._product_states)
+            cache[factors[i:]] = acc
+        return acc
+
+    def _leaf(self, t: Term) -> _Folded:
+        found = self._leaves.get(t)
+        if found is not None:
+            return found
+        th = self.th
+
+        def value(term: Term):
+            return fold(term, th.semiring, th.generators, th.family)
+
+        if isinstance(t, Var):
+            try:
+                state, step = self.env[t.name]
+            except KeyError:
+                raise UnboundVariable(
+                    f"no observation for leaf {t.name!r}"
+                ) from None
+            found = (value(state), step.output,
+                     {l: value(s) for l, s in step.moves})
+        else:
+            if isinstance(t, Const):
+                step = apply_rule(self.law, t.family, [], family=True,
+                                  index=t.index, read=self._read)
+            else:
+                step = apply_rule(self.law, t.symbol, [], read=self._read)
+            found = (value(t), step.output, step.next_map)
+        self._leaves[t] = found
+        return found
+
+
+def _parts(value) -> tuple:
+    if isinstance(value, _Sum):
+        return value.parts if value.value is None else (value.value,)
+    return (value,)
 
 
 def quotient_lambda(th: Theory, law: DistLaw, nf: NormalForm,
                     env: Mapping[str, LeafObs],
                     certified: bool | None = None,
                     strict: bool = False) -> Step:
-    """The induced one-step map on normal forms: pick a representative,
-    extend the law over it, and normalise the successors.
+    """The induced one-step map on normal forms: the step of the
+    canonical representative, with normalised successors
+    (``QuotientStepper``).
 
     The result is representative-independent exactly when the law
     preserves the theory's equations; callers that know certification
     failed should say so, which downgrades to a warning (or an error when
-    strict) plus a spot check over alternative representatives."""
+    strict) plus, for a generic theory, a spot check over alternative
+    representatives."""
     if certified is False:
         message = ("law is not certified to preserve the theory; "
                    "quotient-level steps may depend on the representative")
@@ -416,12 +630,10 @@ def quotient_lambda(th: Theory, law: DistLaw, nf: NormalForm,
             raise PreservationNotCertified(message)
         warnings.warn(message, PreservationNotCertified, stacklevel=2)
 
-    rep = th.representative(nf)
-    _, step = extend_lambda(law, rep, env)
-    result = Step.of(step.output,
-                     {l: th.normalize(s) for l, s in step.moves})
+    result = QuotientStepper(th, law, env).step(nf)
 
     if certified is False and th.semiring is None:
+        rep = th.representative(nf)
         for other in th.class_members(rep, limit=2):
             if other == rep:
                 continue

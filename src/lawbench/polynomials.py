@@ -145,16 +145,36 @@ class Poly:
     __rmul__ = __mul__
 
     def substitute(self, mapping) -> "Poly":
-        """Replace atoms by polynomials; atoms absent from the mapping stay."""
-        result = Poly()
+        """Replace atoms by polynomials; atoms absent from the mapping stay.
+
+        Each term is built in one pass: atoms that stay go into its
+        monomial, atoms mapped to constants into its coefficient, and
+        only atoms mapped to other polynomials are multiplied out."""
+        acc: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms:
-            part = Poly.const(coeff)
+            kept = []
+            spread = []
             for atom, power in mono:
-                base = _coerce(mapping[atom]) if atom in mapping else Poly.atom(atom)
-                for _ in range(power):
-                    part = part * base
-            result = result + part
-        return result
+                if atom not in mapping:
+                    kept.append((atom, power))
+                    continue
+                base = _coerce(mapping[atom])
+                if base.is_constant:
+                    coeff = coeff * base.constant_value() ** power
+                else:
+                    spread += [base._terms] * power
+            part = {tuple(kept): coeff}
+            for terms in spread:
+                grown: dict[Monomial, Fraction] = {}
+                for m1, c1 in part.items():
+                    for m2, c2 in terms:
+                        m = _mono_mul(m1, m2)
+                        c = c1 * c2
+                        grown[m] = grown[m] + c if m in grown else c
+                part = grown
+            for m, c in part.items():
+                acc[m] = acc[m] + c if m in acc else c
+        return Poly._canonical(acc)
 
     def evaluate(self, env) -> Fraction:
         total = Fraction(0)

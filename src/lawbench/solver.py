@@ -7,13 +7,19 @@ through the rule table, exactly the structural recursion that makes the
 term algebra a model of the rules.  By construction the model solves the
 system: the model of a variable is its defining step.
 
-``unfold`` iterates the model along an input word; with a theory attached
-the state is renormalised after every step, which keeps states small and
-realises the quotient-level unfolding.  Two consistency checks compare
-routes that must agree whenever the law preserves the theory:
+``unfold`` iterates the model along an input word.  With a theory
+attached the run takes place on the quotient: the start term takes one
+step through the rule table, its successors are normalised, and from then
+on every state is a normal form, stepped by the quotient law
+(``gsos.QuotientStepper``, whose cache lasts for the run).  That step is
+the rule table's step at the normal form's canonical representative,
+normalised, for every rule table, so the states stay small without
+changing any answer.  Two consistency checks compare routes that must
+agree whenever the law preserves the theory:
 
-  * ``quotient_commute_check``: unfolding with and without intermediate
-    normalisation gives the same outputs and congruent final states;
+  * ``quotient_commute_check``: unfolding terms without a theory and
+    normal forms under the quotient law gives the same outputs and
+    congruent states;
 
   * ``induced_algebra_check``: the behaviour of a composite state equals
     the semantic composition of its leaves' behaviours, computed by
@@ -27,13 +33,14 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Union
 
 from .behaviour import Step
 from .errors import AlphabetMismatch, LawbenchError, UnboundVariable
-from .gsos import DistLaw, extend_lambda
+from .gsos import DistLaw, QuotientStepper, extend_lambda
 from .terms import (
     App,
+    Const,
     Term,
     Var,
     enumerate_terms,
@@ -41,7 +48,19 @@ from .terms import (
     substitute,
     variables,
 )
-from .theories import LANGUAGES, POLYNOMIALS, Equiv, Semiring, Theory, fold
+from .theories import (
+    LANGUAGES,
+    POLYNOMIALS,
+    Equiv,
+    NormalForm,
+    Semiring,
+    Theory,
+    fold,
+)
+
+# A state of a run: the start term, or a normal form after it.
+State = Union[Term, NormalForm]
+_TERMS = (Var, App, Const)
 
 
 @dataclass
@@ -94,39 +113,66 @@ def operational_model(sys: CorecSystem, term: Term) -> Step:
     return step
 
 
-def _normal_rep(sys: CorecSystem, term: Term) -> Term:
-    return sys.theory.representative(sys.theory.normalize(term))
+def quotient_model(sys: CorecSystem) -> QuotientStepper:
+    """The model on normal forms of the system's theory: the quotient law
+    with every variable observed through its defining step."""
+    env = {x: (Var(x), sys.phi[x]) for x in sys.variables}
+    return QuotientStepper(sys.theory, sys.law, env)
+
+
+def _stepper(sys: CorecSystem) -> Callable[[State], Step]:
+    """One step of the model, for one run.  Without a theory a state is a
+    term.  With one, a term (the start state) goes through the rule table
+    and its successors are normalised; a normal form is stepped by the
+    quotient law, whose cache lasts for the run."""
+    if sys.theory is None:
+        return lambda state: operational_model(sys, state)
+    th = sys.theory
+    quotient = quotient_model(sys)
+
+    def step(state: State) -> Step:
+        if isinstance(state, _TERMS):
+            first = operational_model(sys, state)
+            return Step.of(first.output,
+                           {l: th.normalize(s) for l, s in first.moves})
+        return quotient.step(state)
+
+    return step
+
+
+def _as_term(sys: CorecSystem, state: State) -> Term:
+    if isinstance(state, _TERMS):
+        return state
+    return sys.theory.representative(state)
 
 
 def unfold(sys: CorecSystem, term: Term, word: Iterable[str]):
     """Run the model along a word; returns the final output and state.
-    With a theory attached the state is normalised after every step."""
+    With a theory attached the state is a normal form after the first
+    step, and the final state is returned as its representative."""
+    step = _stepper(sys)
     state = term
     for letter in word:
         if letter not in sys.law.alphabet:
             raise AlphabetMismatch(f"letter {letter!r} not in the alphabet")
-        state = operational_model(sys, state).next(letter)
-        if sys.theory is not None:
-            state = _normal_rep(sys, state)
-    output = operational_model(sys, state).output
-    return sys.law.outputs.concrete(output), state
+        state = step(state).next(letter)
+    output = step(state).output
+    return sys.law.outputs.concrete(output), _as_term(sys, state)
 
 
 def behaviour_table(sys: CorecSystem, term: Term,
                     maxlen: int) -> dict[tuple[str, ...], object]:
     """Outputs at every word of length at most ``maxlen``."""
     alg = sys.law.outputs
+    step_of = _stepper(sys)
     table: dict[tuple[str, ...], object] = {}
 
-    def walk(state: Term, word: tuple[str, ...]) -> None:
-        step = operational_model(sys, state)
+    def walk(state: State, word: tuple[str, ...]) -> None:
+        step = step_of(state)
         table[word] = alg.concrete(step.output)
         if len(word) < maxlen:
             for letter in sys.law.alphabet:
-                succ = step.next(letter)
-                if sys.theory is not None:
-                    succ = _normal_rep(sys, succ)
-                walk(succ, word + (letter,))
+                walk(step.next(letter), word + (letter,))
 
     walk(term, ())
     return table
@@ -138,15 +184,14 @@ def stream_prefix(sys: CorecSystem, term: Term, n: int) -> list[Fraction]:
     if len(sys.law.alphabet) != 1:
         raise AlphabetMismatch("stream prefixes need a one-letter alphabet")
     letter = sys.law.alphabet[0]
+    step_of = _stepper(sys)
     out: list[Fraction] = []
     state = term
     alg = sys.law.outputs
     for _ in range(n):
-        step = operational_model(sys, state)
+        step = step_of(state)
         out.append(alg.concrete(step.output))
         state = step.next(letter)
-        if sys.theory is not None:
-            state = _normal_rep(sys, state)
     return out
 
 
@@ -183,26 +228,29 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
     # Walk the word tree once per seed so each prefix is unfolded a single
     # time; the plain state grows with every step, so re-running it from
     # scratch for every word would repeat the expensive deep unfoldings.
+    step_quot_of = _stepper(sys)
+
     def walk(label: str, word: tuple[str, ...],
-             state_plain: Term, state_quot: Term) -> None:
+             state_plain: Term, state_quot: State) -> None:
         nonlocal checked
         checked += 1
         step_plain = operational_model(plain, state_plain)
-        step_quot = operational_model(sys, state_quot)
+        step_quot = step_quot_of(state_quot)
         out_plain = alg.concrete(step_plain.output)
         out_quot = alg.concrete(step_quot.output)
+        term_quot = _as_term(sys, state_quot)
         if out_plain != out_quot:
             violations.append(CommuteViolation(
                 label, "".join(word), "output",
                 str(out_plain), str(out_quot)))
-        elif sys.theory.equiv(state_plain, state_quot) is not Equiv.EQUAL:
+        elif sys.theory.equiv(state_plain, term_quot) is not Equiv.EQUAL:
             violations.append(CommuteViolation(
                 label, "".join(word), "state",
-                format_term(state_plain), format_term(state_quot)))
+                format_term(state_plain), format_term(term_quot)))
         if len(word) < depth:
             for letter in step_plain.letters:
                 walk(label, word + (letter,), step_plain.next(letter),
-                     _normal_rep(sys, step_quot.next(letter)))
+                     step_quot.next(letter))
 
     for term in enumerate_terms(sys.law.signature, set(sys.variables),
                                 max_term_size):

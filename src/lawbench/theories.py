@@ -115,7 +115,7 @@ class PolyForm:
         """(scalar, atoms) per monomial, in the polynomial's order; the
         scalar is None where it is a 1 that multiplies some atom."""
         for mono, coeff in self.poly.terms:
-            atoms = [a for a, p in mono for _ in range(p)]
+            atoms = tuple(a for a, p in mono for _ in range(p))
             yield (None if coeff == 1 and atoms else coeff), atoms
 
     def __str__(self) -> str:
@@ -300,7 +300,7 @@ class Theory:
         if kind not in _NORMAL_FORMS:
             raise ValueError(f"unknown theory kind {kind!r}")
         self.kind = kind
-        self.semiring, self._form = _NORMAL_FORMS[kind]
+        self.semiring, self.form = _NORMAL_FORMS[kind]
         self.signature = signature
         self.schemes = tuple(schemes)
         self.model = model
@@ -357,8 +357,8 @@ class Theory:
         if self.semiring is None:
             cls, _ = self._explore(term)
             return TermForm(min(cls, key=term_sort_key))
-        return self._form(fold(term, self.semiring, self.generators,
-                               self.family))
+        return self.form(fold(term, self.semiring, self.generators,
+                              self.family))
 
     def representative(self, nf: NormalForm) -> Term:
         """A term that normalises back to ``nf``; the canonical section:
@@ -367,14 +367,16 @@ class Theory:
             return nf.term
         products = []
         for scalar, atoms in nf.summands():
-            factors = [self._atom_term(a) for a in atoms]
+            factors = [self.leaf(a) for a in atoms]
             if scalar is not None:
                 factors.insert(0, Const(self.family, scalar))
             products.append(_right_nested("*", factors, App("1")))
         zero = App("0") if self.family is None else Const(self.family, 0)
         return _right_nested("+", products, zero)
 
-    def _atom_term(self, atom: str) -> Term:
+    def leaf(self, atom: str) -> Term:
+        """The representative's leaf for an atom: a nullary generator, or
+        else a variable."""
         if self.signature.has_op(atom, 0):
             return App(atom)
         return Var(atom)

@@ -189,3 +189,18 @@ def test_grammar_validation():
         GnfGrammar(("A",), ("a",), {}, {"A": {"a": frozenset({("B",)})}})
     with pytest.raises(InvalidGrammar):
         GnfGrammar(("A",), ("a",), {}, ok_prods, start=Var("Z"))
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_membership_with_large_states(k):
+    # Every a doubles the sentential forms, so the state after a^k holds
+    # 2^(k+1) of them; the term path recursed over such states.
+    g = GnfGrammar(
+        nonterminals=("S", "A", "B"),
+        alphabet=("a", "b"),
+        empty={},
+        prods={"S": {"a": {("A", "B"), ("B", "A"), ("A", "A"), ("B", "B")}},
+               "A": {"a": {("A", "B"), ("B", "A")}, "b": {()}},
+               "B": {"a": {("A", "A"), ("B", "B")}, "b": {()}}},
+    )
+    word = "a" * k + "b" * (k + 1)
+    assert member(g, word) == derivative_member(g, word) == 1

@@ -7,7 +7,7 @@ import pytest
 
 from lawbench.dsl import load, loads, term_from_string
 from lawbench.errors import ArityMismatch, ParseError
-from lawbench.terms import App, Const, Var, format_term
+from lawbench.terms import App, Const, Signature, Var, format_term
 
 from conftest import EXAMPLES, example
 
@@ -185,3 +185,27 @@ def test_deep_terms_print_and_parse():
         left = App("+", (left, Var("v")))
     assert format_term(left) == \
         "(" * (depth - 2) + "v + v" + ") + v" * (depth - 2)
+
+
+def test_deep_nesting_prints_and_parses_back():
+    # Parentheses and argument lists nest without recursion.  Terms this
+    # deep are compared by their printed text: dataclass equality on them
+    # still recurses (ROADMAP 5(c)).
+    leaves = 3001
+    sig = load(example("stream.dsl")).signature
+    left = Var("v")
+    for i in range(leaves - 1):
+        left = App("+", (left, App("X") if i % 2 else Var("v")))
+    text = format_term(left)
+    assert text.count("(") == leaves - 2
+    assert format_term(term_from_string(text, sig, ("v",))) == text
+
+    ops = Signature((("g", 1), ("h", 2), ("a", 0), ("+", 2), ("*", 2)))
+    nested = Var("v")
+    for _ in range(leaves):
+        nested = App("g", (App("+", (nested, App("a"))),))
+    text = format_term(nested)
+    assert format_term(term_from_string(text, ops, ("v",))) == text
+    text = "h(a + v, v * (a + v)) + g(h(v, a * a))"
+    assert format_term(term_from_string(text, ops, ("v",))) == text
+

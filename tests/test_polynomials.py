@@ -265,3 +265,32 @@ def test_terms_follow_the_expanded_order(monos):
                 factor = factor * Poly.atom(atom)
         product = product * (factor + Poly.const(1))
     assert_canonical(product)
+
+
+images = st.dictionaries(st.sampled_from(["x", "y", "z"]), exprs, max_size=3)
+
+
+@given(exprs, images)
+def test_substitute_matches_repeated_multiplication(expr, image_exprs):
+    # The reference starts each term from its coefficient and multiplies
+    # in one factor at a time; images are often constants, zero included.
+    poly = poly_of_expr(expr)
+    image = {atom: poly_of_expr(e) for atom, e in image_exprs.items()}
+    expected = Poly()
+    for mono, coeff in poly.terms:
+        part = Poly.const(coeff)
+        for atom, power in mono:
+            base = image.get(atom, Poly.atom(atom))
+            for _ in range(power):
+                part = part * base
+        expected = expected + part
+    substituted = poly.substitute(image)
+    assert substituted.terms == expected.terms
+    assert_canonical(substituted)
+
+
+def test_substitute_takes_plain_numbers():
+    x, y = Poly.atom("x"), Poly.atom("y")
+    p = Poly.const(3) * x * x * y + y
+    assert p.substitute({"x": 2}) == Poly.const(13) * y
+    assert p.substitute({"x": Fraction(1, 2), "y": 0}) == Poly()

@@ -234,3 +234,14 @@ def test_runtime_errors():
         quotient_commute_check(plain)
     with pytest.raises(LawbenchError):
         induced_algebra_check(plain, ONES)
+
+def test_plain_unfolding_of_a_deep_term():
+    # A left-nested sum of 10^4 leaves, stepped twice without a theory:
+    # the rule table is extended over the term and then over its
+    # successor dag, both 10^4 deep.
+    sys = replace(STREAM.system, theory=None)
+    deep = ONES
+    for i in range(10_000 - 1):
+        deep = App("+", (deep, X if i % 2 else ONES))
+    ones, xs = 5001, 4999  # X is (0, 1, 0, ...)
+    assert stream_prefix(sys, deep, 3) == [ones, ones + xs, ones]
