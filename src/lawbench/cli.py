@@ -1,10 +1,13 @@
 """Command-line entry points.
 
 Every command reads one workbench file and exits 0 when the check passes,
-1 on a failed check or counterexample, 2 when a verdict is Unknown, and 3
-on usage or load errors, a bound out of range among them.  ``--json``
-replaces the human-readable output with a structured report; the shape of
-every report is pinned by the bundled ``schema/report.schema.json``.
+1 on a failed check or counterexample, 2 when a verdict is Unknown, 3 on
+usage or load errors, a bound out of range among them, and 4 on an
+internal error: an exception that is not a ``LawbenchError``, whose
+traceback goes to stderr followed by ``internal error: <type>:
+<message>``.  ``--json`` replaces the human-readable output with a
+structured report; the shape of every report is pinned by the bundled
+``schema/report.schema.json``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from importlib import resources
 
 from .cfg import equiv_upto, member
@@ -274,6 +278,10 @@ def run(argv=None) -> int:
     except LawbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     if ns.as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

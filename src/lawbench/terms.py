@@ -16,11 +16,21 @@ denotes, so ``Const(f, 2)`` and ``Const(f, Poly.const(2))`` are equal.
 
 Substitution treats terms as the free monad over the signature: ``Var`` is
 the unit and ``substitute`` is the multiplication.
+
+Hashing and equality are structural, and fixed when a node is built: each
+node computes its hash from its children's stored hashes, and records its
+size, so ``hash`` and ``term_size`` are O(1).  ``==`` answers at once on
+identity or on differing hashes; otherwise it compares the two trees on an
+explicit stack, skipping shared subterms.  No global intern table is
+kept, so equal terms need not be the same object.  Nodes are immutable.
+``substitute``, ``variables``, ``Signature.validate``, ``term_sort_key``
+and ``format_term`` keep explicit stacks too, so terms of any depth can be
+built, compared, hashed, ordered, substituted into, validated and printed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
@@ -78,47 +88,146 @@ class Signature:
         raise UnknownSymbol(f"constant family {name!r} is not declared")
 
     def validate(self, term: "Term") -> None:
-        if isinstance(term, Var):
-            return
-        if isinstance(term, Const):
-            self.family(term.family)
-            return
-        arity = self.arity(term.symbol)
-        if arity != len(term.args):
-            raise ArityMismatch(
-                f"{term.symbol!r} declared with arity {arity}, applied to "
-                f"{len(term.args)} arguments"
-            )
-        for arg in term.args:
-            self.validate(arg)
+        """Every symbol and family declared, every arity respected; the
+        first offence in left-to-right order is raised."""
+        seen: set[int] = set()
+        stack = [term]
+        while stack:
+            t = stack.pop()
+            if id(t) in seen or isinstance(t, Var):
+                continue
+            seen.add(id(t))
+            if isinstance(t, Const):
+                self.family(t.family)
+                continue
+            arity = self.arity(t.symbol)
+            if arity != len(t.args):
+                raise ArityMismatch(
+                    f"{t.symbol!r} declared with arity {arity}, applied to "
+                    f"{len(t.args)} arguments"
+                )
+            stack.extend(reversed(t.args))
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Node:
+    """Shared behaviour of the three node kinds: a hash fixed when the node
+    is built, structural equality without recursion, and immutability.
+    Fields are assigned once, through the slots' own setters, because a
+    frozen dataclass's ``object.__setattr__`` calls make building a node,
+    the commonest thing the term path does, markedly slower."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and _same(self, other)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__match_args__)
 
 
-@dataclass(frozen=True)
-class App:
-    symbol: str
-    args: tuple["Term", ...] = ()
+class Var(_Node):
+    __slots__ = __match_args__ = ("name",)
+    _size = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_hash(self, hash(name))
 
 
-@dataclass(frozen=True)
-class Const:
-    family: str
-    index: Union[Fraction, Poly] = field(default=Fraction(0))
+class App(_Node):
+    __slots__ = ("symbol", "args", "_size")
+    __match_args__ = ("symbol", "args")
 
-    def __post_init__(self):
-        index = self.index
+    def __init__(self, symbol: str, args: tuple["Term", ...] = ()):
+        if args.__class__ is not tuple:
+            args = tuple(args)
+        _set_symbol(self, symbol)
+        _set_args(self, args)
+        arity = len(args)
+        if arity == 2:
+            left, right = args
+            _set_hash(self, hash((symbol, left._hash, right._hash)))
+            _set_size(self, 1 + left._size + right._size)
+        elif not arity:
+            _set_hash(self, hash((symbol,)))
+            _set_size(self, 1)
+        elif arity == 1:
+            child = args[0]
+            _set_hash(self, hash((symbol, child._hash)))
+            _set_size(self, 1 + child._size)
+        else:
+            _set_hash(self, hash((symbol, *[a._hash for a in args])))
+            _set_size(self, 1 + sum([a._size for a in args]))
+
+
+class Const(_Node):
+    __slots__ = __match_args__ = ("family", "index")
+    _size = 1
+
+    def __init__(self, family: str,
+                 index: Union[Fraction, Poly] = Fraction(0)):
         if isinstance(index, Poly) and index.is_constant:
             index = index.constant_value()
         elif isinstance(index, int):
             index = Fraction(index)
-        object.__setattr__(self, "index", index)
+        _set_family(self, family)
+        _set_index(self, index)
+        # Fraction.__hash__ is written in Python and would cost more than
+        # the rest of building the node; equal fractions agree in lowest
+        # terms.
+        if isinstance(index, Fraction):
+            _set_hash(self, hash((family, index.numerator, index.denominator)))
+        else:
+            _set_hash(self, hash((family, index)))
+
+
+_set_hash = _Node._hash.__set__
+_set_name = Var.name.__set__
+_set_symbol, _set_args, _set_size = (App.symbol.__set__, App.args.__set__,
+                                     App._size.__set__)
+_set_family, _set_index = Const.family.__set__, Const.index.__set__
+
+
+def _same(s: "Term", t: "Term") -> bool:
+    """Structural equality of two nodes of one kind and one hash, on an
+    explicit stack.  Shared subterms are skipped by identity, and a pair
+    of children whose kinds or hashes differ ends the walk at once."""
+    stack = [(s, t)]
+    while stack:
+        s, t = stack.pop()
+        if s.__class__ is App:
+            if s.symbol != t.symbol or len(s.args) != len(t.args):
+                return False
+            for x, y in zip(s.args, t.args):
+                if x is not y:
+                    if x.__class__ is not y.__class__ or x._hash != y._hash:
+                        return False
+                    stack.append((x, y))
+        elif s.__class__ is Var:
+            if s.name != t.name:
+                return False
+        elif s.family != t.family or s.index != t.index:
+            return False
+    return True
 
 
 Term = Union[Var, App, Const]
@@ -130,20 +239,28 @@ def substitute(term: Term, mapping: Mapping[str, Term],
 
     Every variable of ``term`` must be in the mapping.  When a signature is
     supplied the result is validated against it and a failure is reported
-    as ``SignatureMismatch``.
+    as ``SignatureMismatch``.  The walk keeps an explicit stack and builds
+    each shared node once.
     """
-
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
+    done: dict[int, Term] = {}
+    stack: list[tuple[Term, bool]] = [(term, False)]
+    while stack:
+        t, children_done = stack.pop()
+        if id(t) in done:
+            continue
+        if children_done:
+            done[id(t)] = App(t.symbol, tuple([done[id(a)] for a in t.args]))
+        elif isinstance(t, Var):
             try:
-                return mapping[t.name]
+                done[id(t)] = mapping[t.name]
             except KeyError:
                 raise UnboundVariable(f"no binding for variable {t.name!r}") from None
-        if isinstance(t, App):
-            return App(t.symbol, tuple(go(a) for a in t.args))
-        return t
-
-    result = go(term)
+        elif isinstance(t, App) and t.args:
+            stack.append((t, True))
+            stack.extend((a, False) for a in reversed(t.args))
+        else:
+            done[id(t)] = t
+    result = done[id(term)]
     if signature is not None:
         try:
             signature.validate(result)
@@ -155,22 +272,21 @@ def substitute(term: Term, mapping: Mapping[str, Term],
 def variables(term: Term) -> tuple[str, ...]:
     """Leaf tokens in first-occurrence order, without duplicates."""
     seen: dict[str, None] = {}
-
-    def go(t: Term) -> None:
+    visited: set[int] = set()
+    stack = [term]
+    while stack:
+        t = stack.pop()
         if isinstance(t, Var):
             seen.setdefault(t.name)
-        elif isinstance(t, App):
-            for a in t.args:
-                go(a)
-
-    go(term)
+        elif isinstance(t, App) and id(t) not in visited:
+            visited.add(id(t))
+            stack.extend(reversed(t.args))
     return tuple(seen)
 
 
 def term_size(term: Term) -> int:
-    if isinstance(term, App):
-        return 1 + sum(term_size(a) for a in term.args)
-    return 1
+    """Node count of the term as a tree, recorded when it was built."""
+    return term._size
 
 
 def index_atoms(term: Term) -> frozenset[str]:
@@ -207,17 +323,31 @@ def replace_at(term: Term, pos: tuple[int, ...], new: Term) -> Term:
     return App(term.symbol, tuple(args))
 
 
-def _node_key(term: Term):
-    if isinstance(term, Var):
-        return (0, term.name)
-    if isinstance(term, Const):
-        return (1, term.family, str(term.index))
-    return (2, term.symbol, tuple(_node_key(a) for a in term.args))
+# Closes an application's labels; sorts before every label.
+_CLOSE = (-1,)
 
 
 def term_sort_key(term: Term):
-    """A total order on terms: size first, then structure."""
-    return (term_size(term), _node_key(term))
+    """A total order on terms: size first, then structure.  The structure
+    is the pre-order sequence of node labels with each application closed
+    by a marker that sorts first, which orders terms as their nested
+    structure would; the key is flat, so neither building nor comparing it
+    recurses."""
+    labels = []
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if t is _CLOSE:
+            labels.append(_CLOSE)
+        elif isinstance(t, Var):
+            labels.append((0, t.name))
+        elif isinstance(t, Const):
+            labels.append((1, t.family, str(t.index)))
+        else:
+            labels.append((2, t.symbol))
+            stack.append(_CLOSE)
+            stack.extend(reversed(t.args))
+    return term._size, tuple(labels)
 
 
 def enumerate_terms(signature: Signature, variables: frozenset[str] | set[str] | tuple,

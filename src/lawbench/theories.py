@@ -35,6 +35,7 @@ import enum
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping, Union
 
 from .errors import (
@@ -50,10 +51,8 @@ from .terms import (
     Term,
     Var,
     index_atoms,
-    positions,
-    replace_at,
     substitute,
-    subterm_at,
+    term_size,
     term_sort_key,
     variables,
 )
@@ -356,7 +355,9 @@ class Theory:
     def normalize(self, term: Term) -> NormalForm:
         if self.semiring is None:
             cls, _ = self._explore(term)
-            return TermForm(min(cls, key=term_sort_key))
+            least = min(map(term_size, cls))
+            return TermForm(min((t for t in cls if term_size(t) == least),
+                                key=term_sort_key))
         return self.form(fold(term, self.semiring, self.generators,
                               self.family))
 
@@ -407,31 +408,75 @@ class Theory:
                 return True
         return False
 
-    def _one_step(self, term: Term) -> tuple[set[Term], bool]:
-        """Rewrites reachable in one step, plus whether they are all of
-        them.  A direction whose target mentions metavariables the pattern
-        does not bind (such as expanding [0] to [0]*v) has infinitely many
-        instances; it is skipped and the step set flagged incomplete."""
-        out: set[Term] = set()
+    @cached_property
+    def _rewrites(self):
+        """Each scheme read both ways, as (pattern, target, closed) in
+        scheme order, lhs-to-rhs first; ``closed`` says the pattern binds
+        every metavariable of the target.  Grouped by the root a subterm
+        needs for the pattern to match: an application's symbol, or the
+        class ``Const``; a bare metavariable matches every root, so it is
+        in every group, and ``wildcards`` is the group of any other root.
+        Built on the first search: the builtin kinds fold, and never
+        need it."""
+        both = []
+        for scheme in self.schemes:
+            for pattern, target in ((scheme.lhs, scheme.rhs),
+                                    (scheme.rhs, scheme.lhs)):
+                closed = set(variables(target)) <= set(variables(pattern))
+                root = (pattern.symbol if isinstance(pattern, App)
+                        else None if isinstance(pattern, Var) else Const)
+                both.append((root, (pattern, target, closed)))
+        by_root = {key: tuple(d for root, d in both if root in (None, key))
+                   for key, _ in both if key is not None}
+        wildcards = tuple(d for root, d in both if root is None)
+        return by_root, wildcards
+
+    def _one_step(self, term: Term) -> tuple[dict[Term, None], bool]:
+        """Rewrites reachable in one step, in the order they are generated
+        (positions in pre-order, then schemes, then lhs-to-rhs before
+        rhs-to-lhs), plus whether they are all of them.  A direction whose
+        target mentions metavariables the pattern does not bind (such as
+        expanding [0] to [0]*v) has infinitely many instances; it is
+        skipped and the step set flagged incomplete.
+
+        The term is walked once; each position carries a link to its
+        parent, and a rewrite rebuilds only the spine above it."""
+        out: dict[Term, None] = {}
         complete = True
-        for pos in positions(term):
-            sub = subterm_at(term, pos)
-            for scheme in self.schemes:
-                for pat, other in ((scheme.lhs, scheme.rhs),
-                                   (scheme.rhs, scheme.lhs)):
-                    binding = _match(pat, sub, set(scheme.metavars))
-                    if binding is None:
-                        continue
-                    if not set(variables(other)) <= set(binding):
-                        complete = False
-                        continue
-                    out.add(replace_at(term, pos, substitute(other, binding)))
-        out.discard(term)
+        by_root, wildcards = self._rewrites
+        # A position: (subterm, link), link = (parent link, parent, index).
+        stack: list = [(term, None)]
+        while stack:
+            sub, link = stack.pop()
+            if isinstance(sub, App):
+                directions = by_root.get(sub.symbol, wildcards)
+                args = sub.args
+                for i in range(len(args) - 1, -1, -1):
+                    stack.append((args[i], (link, sub, i)))
+            else:
+                directions = by_root.get(sub.__class__, wildcards)
+            for pattern, target, closed in directions:
+                binding = _match(pattern, sub, {})
+                if binding is None:
+                    continue
+                if not closed:
+                    complete = False
+                    continue
+                new = _instantiate(target, binding)
+                up = link
+                while up is not None:
+                    up, parent, i = up
+                    args = parent.args
+                    new = App(parent.symbol, args[:i] + (new,) + args[i + 1:])
+                out[new] = None
+        out.pop(term, None)
         return out, complete
 
     def _explore(self, term: Term) -> tuple[frozenset, bool]:
         """The equivalence class reachable within the search bounds and
-        whether it was exhausted (making negative answers sound)."""
+        whether it was exhausted (making negative answers sound).  The
+        frontier is walked in generation order, so a class cut off at
+        ``max_visited`` depends on the term alone, not on hash values."""
         if term in self._explore_cache:
             return self._explore_cache[term]
         seen = {term}
@@ -489,29 +534,38 @@ class Theory:
         return f"Theory({self.kind!r}, {len(self.schemes)} schemes)"
 
 
-def _match(pattern: Term, term: Term, metavars: set[str],
-           binding: dict[str, Term] | None = None) -> dict[str, Term] | None:
-    if binding is None:
-        binding = {}
-    if isinstance(pattern, Var) and pattern.name in metavars:
+def _match(pattern: Term, term: Term,
+           binding: dict[str, Term]) -> dict[str, Term] | None:
+    """Extend ``binding`` so that the pattern instantiates to ``term``;
+    every variable of a scheme is a metavariable.  Patterns are scheme
+    sides, so the recursion is as deep as a scheme side."""
+    if isinstance(pattern, Var):
         bound = binding.get(pattern.name)
         if bound is None:
-            binding = dict(binding)
             binding[pattern.name] = term
             return binding
         return binding if bound == term else None
-    if isinstance(pattern, Var):
-        return binding if pattern == term else None
     if isinstance(pattern, Const):
         return binding if pattern == term else None
     if not isinstance(term, App) or term.symbol != pattern.symbol \
             or len(term.args) != len(pattern.args):
         return None
     for p, t in zip(pattern.args, term.args):
-        binding = _match(p, t, metavars, binding)
-        if binding is None:
+        if _match(p, t, binding) is None:
             return None
     return binding
+
+
+def _instantiate(target: Term, binding: dict[str, Term]) -> Term:
+    """``substitute`` for a scheme side, whose depth bounds the recursion;
+    ``_one_step`` calls it once per rewrite, where the general walk's
+    stack and memo cost more than the side has nodes."""
+    if isinstance(target, Var):
+        return binding[target.name]
+    if isinstance(target, App) and target.args:
+        return App(target.symbol,
+                   tuple([_instantiate(a, binding) for a in target.args]))
+    return target
 
 
 def commutative_semiring(signature: Signature) -> Theory:

@@ -1,7 +1,7 @@
 """The command-line interface, run in process.
 
 Exit code contract: 0 pass, 1 failed check or counterexample, 2 unknown
-verdict, 3 usage and load errors.  Every ``--json`` payload must validate
+verdict, 3 usage and load errors, 4 internal errors.  Every ``--json`` payload must validate
 against the bundled report schema.
 """
 
@@ -10,6 +10,7 @@ import json
 import jsonschema
 import pytest
 
+from lawbench import cli
 from lawbench.cli import run, schema_path
 
 from conftest import example
@@ -135,6 +136,18 @@ def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: argument --")
     assert "must be at least" in captured.err
+    assert captured.out == ""
+
+
+def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch):
+    def broken(wb, ns):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "stream", broken)
+    assert run(["stream", example("stream.dsl"), "--state", "ones"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("Traceback")
+    assert captured.err.splitlines()[-1] == "internal error: RuntimeError: boom"
     assert captured.out == ""
 
 

@@ -1,11 +1,13 @@
 """Free terms: substitution is a monad, enumeration is complete."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from lawbench.errors import ArityMismatch, SignatureMismatch, UnboundVariable
 from lawbench.polynomials import Poly
@@ -22,6 +24,7 @@ from lawbench.terms import (
     substitute,
     subterm_at,
     term_size,
+    term_sort_key,
     variables,
 )
 
@@ -176,3 +179,163 @@ def test_format_term_minimal_parentheses():
     t3 = App("*", (Var("v"), App("+", (Var("u"), Var("w")))))
     assert format_term(t3) == "v * (u + w)"
     assert format_term(Const("c", Fraction(1, 2))) == "[1/2]"
+
+
+# ------------------------------------------- deep terms, hashing, equality
+
+DEEP = 10_000
+
+
+def left_nested_sum(depth, last="v"):
+    """((((v + X) + v) + X) ...) with ``depth`` additions; the deepest,
+    leftmost leaf is ``Var(last)``."""
+    t = Var(last)
+    for i in range(depth):
+        t = App("+", (t, App("X") if i % 2 else Var("v")))
+    return t
+
+
+def test_variables_of_a_deep_term():
+    assert variables(left_nested_sum(DEEP, last="u")) == ("u", "v")
+    assert term_size(left_nested_sum(DEEP)) == 2 * DEEP + 1
+
+
+def test_validate_a_deep_term():
+    t = left_nested_sum(DEEP)
+    SIG.validate(t)
+    with pytest.raises(ArityMismatch):
+        SIG.validate(App("+", (t, App("+", (Var("v"),)))))
+
+
+def test_substitute_into_a_deep_term():
+    t = left_nested_sum(DEEP, last="u")
+    flat = substitute(t, {"u": Const("c", 1), "v": App("X")}, signature=SIG)
+    assert format_term(flat) == format_term(t).replace("u", "[1]").replace(
+        "v", "X")
+    with pytest.raises(UnboundVariable):
+        substitute(t, {"v": App("X")})
+
+
+def test_deep_terms_compare_and_hash():
+    t, s = left_nested_sum(DEEP), left_nested_sum(DEEP)
+    assert t is not s
+    assert t == s and hash(t) == hash(s)
+    assert s in {t} and {t: 1}[s] == 1
+    other = left_nested_sum(DEEP, last="u")
+    assert other != t and not (other == t)
+    assert other not in {t}
+
+
+def test_colliding_hashes_still_compare_structurally():
+    # CPython hashes -1 and -2 alike, so each pair below shares a hash.
+    pairs = ((Var(-1), Var(-2)),
+             (Const("c", -1), Const("c", -2)),
+             (App("+", (Var("v"), Const("c", -1))),
+              App("+", (Var("v"), Const("c", -2)))))
+    for s, t in pairs:
+        assert hash(s) == hash(t)
+        assert s != t and len({s, t}) == 2
+
+
+def structurally_equal(s, t):
+    """The oracle: field-by-field recursion, as the dataclasses did."""
+    if type(s) is not type(t):
+        return False
+    if isinstance(s, Var):
+        return s.name == t.name
+    if isinstance(s, Const):
+        return s.family == t.family and s.index == t.index
+    return (s.symbol == t.symbol and len(s.args) == len(t.args)
+            and all(structurally_equal(a, b) for a, b in zip(s.args, t.args)))
+
+
+def rebuilt(t):
+    """A copy of ``t`` that shares no node with it."""
+    if isinstance(t, Var):
+        return Var(str(t.name))
+    if isinstance(t, Const):
+        return Const(t.family, t.index)
+    return App(t.symbol, [rebuilt(a) for a in t.args])
+
+
+def tree_size(t):
+    return 1 + sum(tree_size(a) for a in getattr(t, "args", ()))
+
+
+# Indices equal in value but built differently: constant polynomials
+# collapse to the rational they denote.
+INDICES = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2, 4),
+           Poly.const(Fraction(1, 2)), Poly.const(0), Poly.atom("a"),
+           Poly.atom("a") + Poly.const(1), Poly.atom("a") * Poly.atom("a"))
+
+varied_terms = st.recursive(
+    st.one_of(
+        st.sampled_from([Var("v"), Var("u"), App("X"), App("Y")]),
+        st.builds(Const, st.sampled_from(["c", "d"]), st.sampled_from(INDICES)),
+    ),
+    lambda sub: st.one_of(
+        st.builds(App, st.sampled_from(["+", "*"]), st.tuples(sub, sub)),
+        st.builds(App, st.sampled_from(["f", "X"]), st.tuples(sub)),
+        st.builds(App, st.just("g"), st.tuples(sub, sub, sub)),
+    ),
+    max_leaves=8,
+)
+
+
+@given(varied_terms, varied_terms)
+def test_equality_matches_the_structural_oracle(s, t):
+    assert (s == t) == structurally_equal(s, t)
+    assert (s != t) == (not structurally_equal(s, t))
+    if s == t:
+        assert hash(s) == hash(t)
+    copy = rebuilt(s)
+    assert copy == s and hash(copy) == hash(s)
+    assert term_size(s) == tree_size(s)
+
+
+def test_terms_stay_immutable():
+    t = App("+", (Var("v"), Const("c", 1)))
+    for node, field in ((t, "symbol"), (t, "args"), (t.args[0], "name"),
+                        (t.args[1], "index")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+    assert repr(t) == ("App(symbol='+', args=(Var(name='v'), "
+                       "Const(family='c', index=Fraction(1, 1))))")
+    assert pickle.loads(pickle.dumps(t)) == t == copy.deepcopy(t)
+
+
+def nested_sort_key(t):
+    """The order as a nested key, the way it was first written."""
+    def node(t):
+        if isinstance(t, Var):
+            return (0, t.name)
+        if isinstance(t, Const):
+            return (1, t.family, str(t.index))
+        return (2, t.symbol, tuple(node(a) for a in t.args))
+    return (tree_size(t), node(t))
+
+
+named_terms = st.recursive(
+    st.one_of(
+        st.sampled_from([Var("v"), Var("u"), App("X"), App("Y")]),
+        st.builds(Const, st.just("c"), st.sampled_from(INDICES)),
+    ),
+    lambda sub: st.one_of(
+        st.builds(App, st.sampled_from(["+", "*", "X"]), st.tuples(sub, sub)),
+        st.builds(App, st.sampled_from(["f", "X"]), st.tuples(sub)),
+    ),
+    max_leaves=6,
+)
+
+
+@given(named_terms, named_terms)
+@example(App("X", (App("X"), Var("v"))), App("X", (App("X", (Var("v"),)),)))
+def test_sort_key_orders_as_the_nested_key(s, t):
+    assert (term_sort_key(s) < term_sort_key(t)) == \
+        (nested_sort_key(s) < nested_sort_key(t))
+    assert (term_sort_key(s) == term_sort_key(t)) == (s == t)
+
+
+def test_sort_key_of_deep_terms():
+    t, u = left_nested_sum(DEEP), left_nested_sum(DEEP, last="u")
+    assert sorted([t, u, t], key=term_sort_key) == [u, t, t]

@@ -10,7 +10,9 @@ builtin normalizers.
 import itertools
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from lawbench.errors import NotInTheorySignature
 from lawbench.polynomials import Poly
@@ -21,7 +23,12 @@ from lawbench.terms import (
     Signature,
     Var,
     enumerate_terms,
+    positions,
+    replace_at,
     substitute,
+    subterm_at,
+    term_sort_key,
+    variables,
 )
 from lawbench.theories import (
     EquationScheme,
@@ -245,6 +252,13 @@ def test_finite_model_separates_when_search_cannot():
     assert sighted.equiv(App("a"), App("f", (App("a"),))) is Equiv.DISTINCT
 
 
+def test_free_theory_normalizes_deep_terms():
+    deep = Var("v")
+    for _ in range(10_000):
+        deep = App("+", (deep, App("X")))
+    assert free_theory(CSIG).normalize(deep) == TermForm(deep)
+
+
 def test_free_theory_separates_all_distinct_terms():
     fth = free_theory(ISIG)
     assert fth.equiv(Var("v"), Var("u")) is Equiv.DISTINCT
@@ -279,3 +293,129 @@ def test_signature_requirements():
         ITH.normalize(Const("c", 1))
     with pytest.raises(NotInTheorySignature):
         CTH.normalize(App("f", (Var("v"),)))
+
+
+# --------------------------------- the generic search against its reference
+#
+# The reference search is written for clarity: every position is reached
+# from the root with positions, subterm_at and replace_at, each scheme is
+# matched afresh, and one-step results are a set.
+
+
+def reference_match(pattern, term, metavars, binding=None):
+    if binding is None:
+        binding = {}
+    if isinstance(pattern, Var) and pattern.name in metavars:
+        bound = binding.get(pattern.name)
+        if bound is None:
+            binding = dict(binding)
+            binding[pattern.name] = term
+            return binding
+        return binding if bound == term else None
+    if isinstance(pattern, Var):
+        return binding if pattern == term else None
+    if isinstance(pattern, Const):
+        return binding if pattern == term else None
+    if not isinstance(term, App) or term.symbol != pattern.symbol \
+            or len(term.args) != len(pattern.args):
+        return None
+    for p, t in zip(pattern.args, term.args):
+        binding = reference_match(p, t, metavars, binding)
+        if binding is None:
+            return None
+    return binding
+
+
+def reference_one_step(th, term):
+    out = set()
+    complete = True
+    for pos in positions(term):
+        sub = subterm_at(term, pos)
+        for scheme in th.schemes:
+            for pat, other in ((scheme.lhs, scheme.rhs),
+                               (scheme.rhs, scheme.lhs)):
+                binding = reference_match(pat, sub, set(scheme.metavars))
+                if binding is None:
+                    continue
+                if not set(variables(other)) <= set(binding):
+                    complete = False
+                    continue
+                out.add(replace_at(term, pos, substitute(other, binding)))
+    out.discard(term)
+    return out, complete
+
+
+def reference_explore(th, term):
+    seen = {term}
+    frontier = [term]
+    exhausted = True
+    for _ in range(th.max_depth):
+        if not frontier:
+            break
+        new = []
+        for t in frontier:
+            steps, complete = reference_one_step(th, t)
+            if not complete:
+                exhausted = False
+            for s in steps:
+                if s not in seen:
+                    seen.add(s)
+                    new.append(s)
+            if len(seen) > th.max_visited:
+                exhausted = False
+                new = []
+                break
+        frontier = new
+    if frontier:
+        exhausted = False
+    return frozenset(seen), exhausted
+
+
+small_cterms = list(enumerate_terms(CSIG, {"v", "u"}, 5))
+small_iterms = list(enumerate_terms(ISIG, {"v", "u"}, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(small_cterms + small_iterms))
+def test_one_step_matches_the_reference(term):
+    builtin = CTH if term in small_cterms else ITH
+    search = generic_theory(builtin.signature, builtin.schemes)
+    steps, complete = search._one_step(term)
+    assert (set(steps), complete) == reference_one_step(search, term)
+    assert len(steps) == len(set(steps))
+
+
+# The commutative axioms never exhaust a class (times-zero read backwards
+# is skipped); associativity and commutativity alone leave finite classes.
+AC_SCHEMES = tuple(s for s in CTH.schemes
+                   if s.name in ("plus-assoc", "plus-comm", "times-assoc",
+                                 "times-comm"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(small_cterms), st.sampled_from([CTH.schemes, AC_SCHEMES]),
+       st.integers(1, 3), st.sampled_from([20, 10_000]))
+def test_explore_matches_the_reference(term, schemes, depth, max_visited):
+    search = generic_theory(CSIG, schemes, max_depth=depth,
+                            max_visited=max_visited)
+    cls, exhausted = search._explore(term)
+    want_cls, want_exhausted = reference_explore(search, term)
+    assert exhausted == want_exhausted
+    if len(want_cls) <= max_visited:
+        assert cls == want_cls
+        assert search.normalize(term) == TermForm(min(want_cls,
+                                                      key=term_sort_key))
+    else:
+        # Cut off at max_visited: which members were reached depends on
+        # the order the frontier is walked, so only the bounds compare.
+        assert len(cls) > max_visited and not exhausted
+        unbounded = generic_theory(CSIG, schemes, max_depth=depth)
+        assert cls <= reference_explore(unbounded, term)[0]
+
+
+def test_explore_exhausts_finite_classes():
+    term = App("+", (Var("v"), App("*", (Var("u"), App("X")))))
+    search = generic_theory(CSIG, AC_SCHEMES, max_depth=5)
+    cls, exhausted = search._explore(term)
+    assert exhausted and len(cls) == 4
+    assert (cls, exhausted) == reference_explore(search, term)
