@@ -36,7 +36,7 @@ from .cfg import (
     to_corec,
 )
 from .dsl import Workbench, load, loads, term_from_string
-from .errors import LawbenchError, PreservationNotCertified
+from .errors import LawbenchError
 from .gsos import (
     ArgObs,
     CaseSplit,
@@ -51,7 +51,6 @@ from .gsos import (
     apply_rule,
     extend_lambda,
     morphism_square_check,
-    quotient_lambda,
 )
 from .polynomials import Poly
 from .preservation import (

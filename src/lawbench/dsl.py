@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .behaviour import Step, output_algebra
 from .cfg import GnfGrammar
-from .errors import ArityMismatch, MissingSection, ParseError
+from .errors import ArityMismatch, LawbenchError, MissingSection, ParseError
 from .gsos import (
     GSOS,
     SIMPLE,
@@ -897,11 +897,10 @@ class Workbench:
 
 
 def _pretty_term(term: Term, multi: bool) -> str:
-    text = format_term(term)
-    if not multi:
-        return text
-    raise NotImplementedError(
-        "pretty-printing with several constant families is not supported")
+    if multi:
+        raise LawbenchError(
+            "pretty-printing with several constant families is not supported")
+    return format_term(term)
 
 
 def _pretty_theory(theory: Theory, multi: bool) -> str:

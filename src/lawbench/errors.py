@@ -66,8 +66,3 @@ class ParseError(LawbenchError):
 
 class MissingSection(LawbenchError):
     """A command needs a workbench section that the file does not provide."""
-
-
-class PreservationNotCertified(UserWarning):
-    """Quotient-level operations were requested for a law that is not
-    known to preserve the theory's equations."""

@@ -19,16 +19,15 @@ it returns (the term with leaves replaced by their states, plus the
 composite step) is the distributive-law component at that term.
 
 ``QuotientStepper`` is the law on the quotient by a theory: it steps
-normal forms.  For the builtin theories it applies the same rules to the
-canonical representative's nodes but reads each successor template
-straight into the theory's semiring (``apply_rule`` with a folded
-reading instead of the term reading), so no successor term is built;
-``quotient_lambda`` is one step of it.
+normal forms.  For the builtin theories under a pointwise ``+`` rule it
+adds up the steps of a form's products, read straight into the theory's
+semiring (``apply_rule`` with a folded reading instead of the term
+reading), so no successor term is built; otherwise it normalises the
+step of the canonical representative.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Union
@@ -38,12 +37,11 @@ from .errors import (
     AlphabetMismatch,
     MissingRule,
     PlaceholderViolation,
-    PreservationNotCertified,
     SymbolicCaseSplit,
     UnboundVariable,
 )
 from .polynomials import Poly
-from .terms import App, Const, Signature, Term, Var, format_term, variables
+from .terms import App, Const, Signature, Term, Var, variables
 from .theories import NormalForm, Semiring, Theory, fold
 
 SIMPLE = "simple"
@@ -420,23 +418,26 @@ def extend_lambda(law: DistLaw, term: Term,
 # values per letter; the shape ``apply_rule`` takes per argument.
 _Folded = tuple[Any, Any, dict]
 
-# Most parts a deferred sum collects before it is added up.
-_MAX_PARTS = 32
 
-
-class _Sum:
-    """A sum of semiring values not yet carried out.  Each node of a
-    representative's sum spine adds one product's successor to the whole
-    suffix's, so adding eagerly would copy the growing side once per
-    summand; a ``_Sum`` keeps the parts instead and adds them up once,
-    when a product needs the value, when it holds more than
-    ``_MAX_PARTS`` of them, or when the step is done."""
-
-    __slots__ = ("parts", "value")
-
-    def __init__(self, parts: tuple):
-        self.parts = parts
-        self.value = None
+def pointwise_plus(law: DistLaw) -> str | None:
+    """The ``+`` rule's output operation if the rule is pointwise, as
+    ``QuotientStepper`` defines it, else None."""
+    rule = next((r for r in law.spec.rules
+                 if r.symbol == "+" and not r.is_family), None)
+    if rule is None or len(rule.args) != 2 \
+            or any(arg.name is not None for arg in rule.args) \
+            or not isinstance(rule.next, Plain):
+        return None
+    left, right = rule.args
+    outs = (OutAtom(left.out), OutAtom(right.out))
+    derivs = (Var(left.deriv), Var(right.deriv))
+    output, succ = rule.output, rule.next.term
+    pointwise = (isinstance(output, OutApp) and output.op in ("+", "max")
+                 and output.op in law.outputs.ops
+                 and output.args in (outs, outs[::-1])
+                 and isinstance(succ, App) and succ.symbol == "+"
+                 and succ.args in (derivs, derivs[::-1]))
+    return output.op if pointwise else None
 
 
 class QuotientStepper:
@@ -444,58 +445,55 @@ class QuotientStepper:
     leaves observed by ``env``: ``step`` maps a normal form to its output
     and the normal form of each successor.
 
-    For a builtin theory no term is built.  A normal form's canonical
-    representative is a sum of products of leaves; the stepper applies
-    the rule table to it node by node as ``extend_lambda`` would, but
-    reads every successor template straight into the theory's semiring
-    (``fold``), with placeholders bound to the arguments' folded values.
-    ``fold`` is a semiring homomorphism, so the result equals normalising
-    ``extend_lambda`` at the representative for every rule table,
-    certified or not.  The step of each product suffix is cached under
-    its tuple of factors (atoms, behind a leading scalar if any), so a
-    summand costs one rule application per factor not seen before; the
-    cache lives as long as the stepper, one run of a caller.
+    For a builtin theory whose ``+`` rule is pointwise (``out = a + b`` or
+    ``max(a, b)`` and ``next = x + y``, each either way round, unnamed
+    arguments, no case split) no term is built: a sum steps to the sum of
+    its summands' steps, the output operation over their outputs and one
+    semiring ``sum`` of their successors per letter.  A summand, a product
+    of leaves, is stepped as ``extend_lambda`` would, but with every
+    successor template read straight into the theory's semiring (``fold``)
+    and placeholders bound to folded values.  ``fold`` is a semiring
+    homomorphism and both semirings add commutatively, so the result
+    equals normalising ``extend_lambda`` at the canonical representative,
+    certified or not.  Each product suffix's step is cached under its
+    factors (atoms, behind a leading scalar if any), so a summand costs
+    one rule application per factor not seen before; the cache lives as
+    long as the stepper, one run of a caller.
 
-    A generic theory takes the term path: representative, extension,
-    normalisation."""
+    Every other theory or rule table takes the term path: representative,
+    extension, normalisation."""
 
     def __init__(self, th: Theory, law: DistLaw,
                  env: Mapping[str, LeafObs]):
         self.th, self.law, self.env = th, law, env
+        self._plus = pointwise_plus(law) if th.semiring is not None else None
         self._leaves: dict[Term, _Folded] = {}
         self._products: dict[tuple, _Folded] = {}
         self._zero: _Folded | None = None
-        # States matter only to gsos rules that name an argument; a sum's
-        # state is its products' states added up, so it is kept only when
-        # the ``+`` rule needs it.
-        named = {rule.symbol for rule in law.spec.rules
-                 if any(arg.name is not None for arg in rule.args)}
-        self._sum_states = "+" in named
-        self._product_states = "*" in named or self._sum_states
+        # States matter only to gsos rules that name an argument.
+        self._product_states = any(arg.name is not None
+                                   for rule in law.spec.rules
+                                   if rule.symbol == "*" for arg in rule.args)
 
     def step(self, nf: NormalForm) -> Step:
         th = self.th
-        if th.semiring is None:
+        if self._plus is None:
             _, step = extend_lambda(self.law, th.representative(nf), self.env)
             return Step.of(step.output,
                            {l: th.normalize(s) for l, s in step.moves})
-        products = [self._product(atoms if scalar is None
-                                  else (scalar, *atoms))
-                    for scalar, atoms in nf.summands()]
-        if products:
-            acc = products[-1]
-            for product in reversed(products[:-1]):
-                acc = self._apply("+", product, acc, self._sum_states)
-        else:
-            # The representative of the empty sum is a single leaf.
+        steps = [self._product(atoms if scalar is None else (scalar, *atoms))
+                 for scalar, atoms in nf.summands()]
+        if not steps:
+            # The empty sum is one leaf, kept because dead states recur.
             if self._zero is None:
                 self._zero = self._leaf(th.representative(nf))
-            acc = self._zero
-        _, output, moves = acc
-        return Step.of(output, {l: th.form(self._value(v))
-                                for l, v in moves.items()})
-
-    # -- the folded reading of successor templates -------------------------
+            steps = [self._zero]
+        _, output, moves = steps[0]
+        if len(steps) > 1:
+            output = self.law.outputs.apply(self._plus, [s[1] for s in steps])
+            moves = {l: th.semiring.sum([s[2][l] for s in steps])
+                     for l in moves}
+        return Step.of(output, {l: th.form(v) for l, v in moves.items()})
 
     def _read(self, template: Term, bound: Mapping[str, Any],
               poly_env: Mapping[str, Poly]):
@@ -511,46 +509,9 @@ class QuotientStepper:
                 index = index.substitute(poly_env)
             return ring.const(index)
 
-        target = Semiring(ring.name, ring.zero, ring.one, self._add,
-                          self._mul, atom,
-                          const if ring.const is not None else None)
+        target = Semiring(ring.name, ring.zero, ring.one, ring.add, ring.mul,
+                          atom, const if ring.const is not None else None)
         return fold(template, target, self.th.generators, self.th.family)
-
-    def _add(self, left, right):
-        parts = _parts(left) + _parts(right)
-        if len(parts) > _MAX_PARTS:
-            return self._total(parts)
-        return _Sum(parts)
-
-    def _mul(self, left, right):
-        return self.th.semiring.mul(self._value(left), self._value(right))
-
-    def _value(self, value):
-        if isinstance(value, _Sum):
-            if value.value is None:
-                value.value = self._total(value.parts)
-                value.parts = None
-            return value.value
-        return value
-
-    def _total(self, parts: tuple):
-        # Spine parts come newest first, so the large suffix is added last.
-        add = self.th.semiring.add
-        acc = parts[0]
-        for part in parts[1:]:
-            acc = add(acc, part)
-        return acc
-
-    # -- steps of the representative's nodes ---------------------------------
-
-    def _apply(self, symbol: str, left: _Folded, right: _Folded,
-               keep_state: bool) -> _Folded:
-        step = apply_rule(self.law, symbol, [left, right], read=self._read)
-        state = None
-        if keep_state:
-            op = self._add if symbol == "+" else self._mul
-            state = op(left[0], right[0])
-        return state, step.output, step.next_map
 
     def _product(self, factors: tuple) -> _Folded:
         cache = self._products
@@ -570,8 +531,13 @@ class QuotientStepper:
             factor = factors[i]
             leaf = self._leaf(self.th.leaf(factor) if isinstance(factor, str)
                               else Const(self.th.family, factor))
-            acc = leaf if acc is None else \
-                self._apply("*", leaf, acc, self._product_states)
+            if acc is None:
+                acc = leaf
+            else:
+                step = apply_rule(self.law, "*", [leaf, acc], read=self._read)
+                state = (self.th.semiring.mul(leaf[0], acc[0])
+                         if self._product_states else None)
+                acc = (state, step.output, step.next_map)
             cache[factors[i:]] = acc
         return acc
 
@@ -602,51 +568,6 @@ class QuotientStepper:
             found = (value(t), step.output, step.next_map)
         self._leaves[t] = found
         return found
-
-
-def _parts(value) -> tuple:
-    if isinstance(value, _Sum):
-        return value.parts if value.value is None else (value.value,)
-    return (value,)
-
-
-def quotient_lambda(th: Theory, law: DistLaw, nf: NormalForm,
-                    env: Mapping[str, LeafObs],
-                    certified: bool | None = None,
-                    strict: bool = False) -> Step:
-    """The induced one-step map on normal forms: the step of the
-    canonical representative, with normalised successors
-    (``QuotientStepper``).
-
-    The result is representative-independent exactly when the law
-    preserves the theory's equations; callers that know certification
-    failed should say so, which downgrades to a warning (or an error when
-    strict) plus, for a generic theory, a spot check over alternative
-    representatives."""
-    if certified is False:
-        message = ("law is not certified to preserve the theory; "
-                   "quotient-level steps may depend on the representative")
-        if strict:
-            raise PreservationNotCertified(message)
-        warnings.warn(message, PreservationNotCertified, stacklevel=2)
-
-    result = QuotientStepper(th, law, env).step(nf)
-
-    if certified is False and th.semiring is None:
-        rep = th.representative(nf)
-        for other in th.class_members(rep, limit=2):
-            if other == rep:
-                continue
-            _, alt = extend_lambda(law, other, env)
-            alt_result = Step.of(alt.output,
-                                 {l: th.normalize(s) for l, s in alt.moves})
-            if not law.outputs.equal(alt_result.output, result.output) \
-                    or alt_result.moves != result.moves:
-                raise PreservationNotCertified(
-                    "quotient step differs between representatives "
-                    f"{format_term(rep)} and {format_term(other)}"
-                )
-    return result
 
 
 @dataclass(frozen=True)
@@ -680,7 +601,7 @@ def morphism_square_check(th: Theory, law: DistLaw,
         checked += 1
         _, step = extend_lambda(law, term, env)
         left = Step.of(step.output, {l: th.normalize(s) for l, s in step.moves})
-        right = quotient_lambda(th, law, th.normalize(term), env)
+        right = QuotientStepper(th, law, env).step(th.normalize(term))
         if not alg.equal(left.output, right.output):
             violations.append(SquareViolation(
                 term, "output", None,

@@ -15,8 +15,9 @@ coefficients, merges repeated atoms and sorts each monomial, and merges
 repeated monomials.  Arithmetic builds its results through
 ``Poly._canonical`` instead, which takes a dict from canonical monomials
 to ``Fraction`` coefficients, drops the zero coefficients and sorts the
-terms, and does nothing else; so ``+`` merges two term dicts and ``*``
-accumulates the products of terms in one dict.
+terms, and does nothing else; so ``Poly.sum`` (and ``+``, its two-operand
+case) merges term dicts, and ``*`` accumulates products of terms in one
+dict.  A polynomial's hash is computed once, when first asked for.
 
 These polynomials do double duty: they are the canonical forms of the
 commutative-semiring theory, the symbolic values of rational outputs, and
@@ -72,7 +73,7 @@ def _coerce(value) -> "Poly":
 
 
 class Poly:
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=()):
         acc: dict[Monomial, Fraction] = {}
@@ -84,6 +85,7 @@ class Poly:
             mono = tuple(sorted((a, p) for a, p in powers.items() if p))
             acc[mono] = acc.get(mono, 0) + Fraction(coeff)
         self._terms = _sorted_terms(acc)
+        self._hash = None
 
     @classmethod
     def _canonical(cls, acc: dict[Monomial, Fraction]) -> "Poly":
@@ -91,6 +93,7 @@ class Poly:
         coefficients: zeros are dropped and the terms sorted, nothing else."""
         poly = object.__new__(cls)
         poly._terms = _sorted_terms(acc)
+        poly._hash = None
         return poly
 
     @staticmethod
@@ -119,16 +122,22 @@ class Poly:
             return self._terms[0][1]
         raise ValueError(f"{self} is not a constant polynomial")
 
+    @staticmethod
+    def sum(polys) -> "Poly":
+        """The sum of any number of polynomials: their terms merged in one
+        dict, canonicalised once."""
+        polys = [poly for poly in polys if poly._terms]
+        if len(polys) < 2:
+            return polys[0] if polys else Poly._canonical({})
+        acc = dict(polys[0]._terms)
+        for poly in polys[1:]:
+            for mono, coeff in poly._terms:
+                acc[mono] = acc[mono] + coeff if mono in acc else coeff
+        return Poly._canonical(acc)
+
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        acc = dict(self._terms)
-        for mono, coeff in other._terms:
-            acc[mono] = acc[mono] + coeff if mono in acc else coeff
-        return Poly._canonical(acc)
+        return Poly.sum((self, other)) if other._terms else self
 
     __radd__ = __add__
 
@@ -192,7 +201,10 @@ class Poly:
         return isinstance(other, Poly) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        # Hashed on first use: most results of arithmetic are never hashed.
+        if self._hash is None:
+            self._hash = hash(self._terms)
+        return self._hash
 
     def __str__(self) -> str:
         if not self._terms:
@@ -210,3 +222,7 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+    def __reduce__(self):
+        # The stored hash depends on this process's string hashing.
+        return Poly, (self._terms,)

@@ -11,11 +11,12 @@ system: the model of a variable is its defining step.
 attached the run takes place on the quotient: the start term takes one
 step through the rule table, its successors are normalised, and from then
 on every state is a normal form, stepped by the quotient law
-(``gsos.QuotientStepper``, whose cache lasts for the run).  That step is
-the rule table's step at the normal form's canonical representative,
-normalised, for every rule table, so the states stay small without
-changing any answer.  Two consistency checks compare routes that must
-agree whenever the law preserves the theory:
+(``gsos.QuotientStepper``, whose cache lasts for the run; under a
+pointwise ``+`` rule it adds up the steps of the form's products).  That
+step is the rule table's step at the canonical representative,
+normalised, so the states stay small without changing any answer.  Two
+consistency checks compare routes that must agree whenever the law
+preserves the theory:
 
   * ``quotient_commute_check``: unfolding terms without a theory and
     normal forms under the quotient law gives the same outputs and

@@ -187,7 +187,8 @@ class Semiring:
     """A target for ``fold``: the units, the two operations, the image of
     an atom (a variable or a nullary generator) and the image of a
     constant's index.  A semiring without ``const`` has no scalar family;
-    its units are named by the nullary symbols 0 and 1 instead."""
+    its units are named by the nullary symbols 0 and 1 instead.  ``sum``,
+    given by the builtin semirings, adds up a whole list at once."""
 
     name: str
     zero: Any
@@ -196,6 +197,7 @@ class Semiring:
     mul: Callable[[Any, Any], Any]
     atom: Callable[[str], Any]
     const: Callable[[Any], Any] | None = None
+    sum: Callable[[list], Any] | None = None
 
 
 def _poly_const(index) -> Poly:
@@ -207,10 +209,12 @@ def _concat(left: frozenset, right: frozenset) -> frozenset:
 
 
 POLYNOMIALS = Semiring("commutative-semiring", Poly(), Poly.const(1),
-                       operator.add, operator.mul, Poly.atom, _poly_const)
+                       operator.add, operator.mul, Poly.atom, _poly_const,
+                       Poly.sum)
 LANGUAGES = Semiring("idempotent-semiring", frozenset(), frozenset({()}),
                      operator.or_, _concat,
-                     lambda name: frozenset({(name,)}))
+                     lambda name: frozenset({(name,)}),
+                     sum=lambda values: frozenset().union(*values))
 
 
 def fold(term: Term, semiring: Semiring, generators: tuple[str, ...],
@@ -504,11 +508,6 @@ class Theory:
         result = (frozenset(seen), exhausted)
         self._explore_cache[term] = result
         return result
-
-    def class_members(self, term: Term, limit: int = 2) -> list[Term]:
-        """Smallest explored members of the class, for spot checks."""
-        cls, _ = self._explore(term)
-        return sorted(cls, key=term_sort_key)[:limit]
 
     # -- quotient monad structure ---------------------------------------------
 

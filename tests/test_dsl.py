@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lawbench.dsl import load, loads, term_from_string
-from lawbench.errors import ArityMismatch, ParseError
+from lawbench.errors import ArityMismatch, LawbenchError, ParseError
 from lawbench.terms import App, Const, Signature, Var, format_term
 
 from conftest import EXAMPLES, example
@@ -62,6 +62,13 @@ def test_every_bundled_file_round_trips():
     for name in BUNDLED:
         wb = load(str(EXAMPLES / f"{name}.dsl"))
         assert loads(wb.pretty()) == wb, name
+
+
+def test_pretty_refuses_several_families_with_a_lawbench_error():
+    wb = loads("signature { op f/2; family c; family d; }\n"
+               "theory generic {\n  eq swap: f(v, u) = f(u, v);\n}\n")
+    with pytest.raises(LawbenchError, match="several constant families"):
+        wb.pretty()
 
 
 MINIMAL = """signature { op f/2; op k/0; }

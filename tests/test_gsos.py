@@ -12,7 +12,6 @@ from lawbench.dsl import load
 from lawbench.errors import (
     MissingRule,
     PlaceholderViolation,
-    PreservationNotCertified,
     SymbolicCaseSplit,
 )
 from lawbench.gsos import (
@@ -24,11 +23,11 @@ from lawbench.gsos import (
     OutAtom,
     OutConst,
     Plain,
+    QuotientStepper,
     Rule,
     apply_rule,
     extend_lambda,
     morphism_square_check,
-    quotient_lambda,
 )
 from lawbench.terms import (
     App,
@@ -133,7 +132,7 @@ def test_quotient_step_is_representative_independent():
     five_b = Const("c", 5)
     assert th.equiv(five_a, five_b) is Equiv.EQUAL
     direct = quotient_step(five_a, {})
-    via_nf = quotient_lambda(th, law, th.normalize(five_a), {})
+    via_nf = QuotientStepper(th, law, {}).step(th.normalize(five_a))
     assert alg.equal(direct.output, via_nf.output)
     assert direct.next("t") == via_nf.next("t")
     assert quotient_step(five_b, {}) == direct
@@ -149,16 +148,6 @@ def test_quotient_step_is_representative_independent():
         if pairs == 20:
             break
     assert pairs == 20
-
-
-def test_uncertified_quotient_step_warns_and_spot_checks():
-    th, law = ZEROS.theory, ZEROS.law
-    nf = th.normalize(App("n2"))
-    with pytest.warns(PreservationNotCertified):
-        with pytest.raises(PreservationNotCertified):
-            quotient_lambda(th, law, nf, {}, certified=False)
-    with pytest.raises(PreservationNotCertified):
-        quotient_lambda(th, law, nf, {}, certified=False, strict=True)
 
 
 def test_morphism_square_holds_for_the_stream_law():

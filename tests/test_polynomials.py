@@ -1,6 +1,8 @@
 """Polynomial canonical forms: identity of forms must coincide with
 identity of the functions they denote."""
 
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -210,6 +212,33 @@ def test_sum_and_product_match_the_reference_constructor(e1, e2):
     assert product.terms == Poly(naive_product(p.terms, q.terms)).terms
     for poly in (p, q, total, product):
         assert_canonical(poly)
+
+
+@given(st.lists(exprs, max_size=5))
+def test_n_ary_sum_matches_the_reference_constructor(expr_list):
+    polys = [poly_of_expr(e) for e in expr_list]
+    total = Poly.sum(polys)
+    assert total.terms == Poly([t for p in polys for t in p.terms]).terms
+    assert_canonical(total)
+
+
+def test_n_ary_sum_edge_cases():
+    x = Poly.atom("x")
+    assert Poly.sum([]) == Poly() and not Poly.sum([])
+    assert Poly.sum([x]) is x
+    assert Poly.sum([x + 1, Poly.const(-1), x * -1]) == Poly()
+    ints = [Poly([((("x", 1),), 2), ((), 3)]), Poly({(("y", 1),): -1})]
+    total = Poly.sum(ints)
+    assert total.terms == Poly([t for p in ints for t in p.terms]).terms
+    assert_canonical(total)
+
+
+@given(exprs)
+def test_equal_polynomials_hash_equal_however_built(expr):
+    poly = poly_of_expr(expr)
+    for twin in (Poly(poly.terms), Poly(dict(poly.terms)),
+                 pickle.loads(pickle.dumps(poly)), copy.deepcopy(poly)):
+        assert twin == poly and hash(twin) == hash(poly)
 
 
 @given(exprs)

@@ -2,9 +2,10 @@
 
 The reference steps a normal form the way the definition reads: take the
 canonical representative, extend the rule table over it, normalise each
-successor.  ``QuotientStepper`` never builds those terms; for every rule
-table, certified or not, its steps must agree with the reference, and so
-must its errors.
+successor.  Under a pointwise ``+`` rule ``QuotientStepper`` never
+builds those terms: it adds up its summands' steps.  For every rule
+table, certified or not, pointwise or not, its steps must agree with the
+reference, and so must its errors.
 """
 
 from dataclasses import replace
@@ -21,9 +22,12 @@ from lawbench.errors import NotInTheorySignature, UnboundVariable
 from lawbench.gsos import (
     DistLaw,
     GsosSpec,
+    OutApp,
+    OutAtom,
     Plain,
     QuotientStepper,
     extend_lambda,
+    pointwise_plus,
 )
 from lawbench.solver import operational_model, stream_prefix
 from lawbench.terms import App, Const, ConstantFamily, Signature, Var
@@ -132,13 +136,95 @@ def test_stream_prefix_equals_unfolding_through_representatives(wb, term, n):
     assert stream_prefix(sys, term, n) == expected
 
 
+# ------------------------------------------------- the shape of the + rule
+
+
+def with_plus_rule(law, output=None, successor=None) -> DistLaw:
+    """``law`` with its ``+`` rule's output or successor replaced."""
+    def changed(rule):
+        if rule.symbol != "+":
+            return rule
+        return replace(rule, output=output or rule.output,
+                       next=Plain(successor) if successor else rule.next)
+    rules = tuple(map(changed, law.spec.rules))
+    return DistLaw(replace(law.spec, rules=rules), law.alphabet, law.outputs)
+
+
+def plus(left, right):
+    return App("+", (left, right))
+
+
+X, Y, DX, DY = Var("x"), Var("y"), Var("dx"), Var("dy")
+A, B, OX, OY = OutAtom("a"), OutAtom("b"), OutAtom("ox"), OutAtom("oy")
+
+POLY_VARIANTS = {
+    "x + x * y": (with_plus_rule(STREAM.law, successor=plus(
+        X, App("*", (X, Y)))), None),
+    "out a * b": (with_plus_rule(STREAM.law, output=OutApp("*", (A, B))),
+                  None),
+    "b + a, y + x": (with_plus_rule(STREAM.law, output=OutApp("+", (B, A)),
+                                    successor=plus(Y, X)), "+"),
+}
+LANGUAGE_VARIANTS = {
+    "max(oy, ox)": (with_plus_rule(CFG_LAW, output=OutApp("max", (OY, OX))),
+                    "max"),
+    "out min": (with_plus_rule(CFG_LAW, output=OutApp("min", (OX, OY))),
+                None),
+    "dx + dx * dy": (with_plus_rule(CFG_LAW, successor=plus(
+        DX, App("*", (DX, DY)))), None),
+}
+
+
+def test_the_bundled_plus_rules_are_pointwise():
+    balanced = load(example("balanced.dsl"))
+    cfg = load(example("cfg.dsl"))
+    for law, op in ((STREAM.law, "+"), (CONVOLUTION.law, "+"),
+                    (cfg.law, "max"), (balanced.law, "max"),
+                    (CFG_LAW, "max")):
+        assert pointwise_plus(law) == op
+
+
+@pytest.mark.parametrize("variant", POLY_VARIANTS)
+@given(terms=st.lists(stream_terms, min_size=1, max_size=4), env=stream_env())
+def test_other_plus_rules_on_polynomials_equal_the_term_path(variant, terms,
+                                                             env):
+    law, op = POLY_VARIANTS[variant]
+    assert pointwise_plus(law) == op
+    th = STREAM.theory
+    stepper = QuotientStepper(th, law, env)
+    for term in terms:
+        nf = th.normalize(term)
+        assert_same_step(law, stepper.step(nf),
+                         reference_step(th, law, nf, env))
+
+
+@pytest.mark.parametrize("variant", LANGUAGE_VARIANTS)
+@given(terms=st.lists(language_terms, min_size=1, max_size=4),
+       env=language_env())
+def test_other_plus_rules_on_languages_equal_the_term_path(variant, terms,
+                                                           env):
+    law, op = LANGUAGE_VARIANTS[variant]
+    assert pointwise_plus(law) == op
+    stepper = QuotientStepper(CFG_THEORY, law, env)
+    for term in terms:
+        nf = CFG_THEORY.normalize(term)
+        assert_same_step(law, stepper.step(nf),
+                         reference_step(CFG_THEORY, law, nf, env))
+
+
 def test_the_empty_forms_step_like_their_representatives():
-    for th, law in ((STREAM.theory, STREAM.law), (CFG_THEORY, CFG_LAW)):
+    # Under every + rule, pointwise or not, and twice per stepper, so the
+    # second step of the empty form comes from the cache.
+    laws = [(STREAM.theory, STREAM.law), (CFG_THEORY, CFG_LAW)]
+    laws += [(STREAM.theory, law) for law, _ in POLY_VARIANTS.values()]
+    laws += [(CFG_THEORY, law) for law, _ in LANGUAGE_VARIANTS.values()]
+    for th, law in laws:
         zero = Const("c", 0) if th.family is not None else App("0")
         one = Const("c", 1) if th.family is not None else App("1")
-        for unit in (zero, one):
+        stepper = QuotientStepper(th, law, {})
+        for unit in (zero, one, zero):
             nf = th.normalize(unit)
-            assert_same_step(law, QuotientStepper(th, law, {}).step(nf),
+            assert_same_step(law, stepper.step(nf),
                              reference_step(th, law, nf, {}))
 
 

@@ -250,11 +250,14 @@ def structurally_equal(s, t):
 
 
 def rebuilt(t):
-    """A copy of ``t`` that shares no node with it."""
+    """A copy of ``t`` that shares no node with it; a polynomial index is
+    rebuilt through the public constructor."""
     if isinstance(t, Var):
         return Var(str(t.name))
     if isinstance(t, Const):
-        return Const(t.family, t.index)
+        index = t.index
+        return Const(t.family,
+                     Poly(index.terms) if isinstance(index, Poly) else index)
     return App(t.symbol, [rebuilt(a) for a in t.args])
 
 
@@ -263,10 +266,13 @@ def tree_size(t):
 
 
 # Indices equal in value but built differently: constant polynomials
-# collapse to the rational they denote.
+# collapse to the rational they denote, and the last two polynomials
+# equal the two before them, built by the constructor from int
+# coefficients and a repeated atom instead of by arithmetic.
 INDICES = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2, 4),
            Poly.const(Fraction(1, 2)), Poly.const(0), Poly.atom("a"),
-           Poly.atom("a") + Poly.const(1), Poly.atom("a") * Poly.atom("a"))
+           Poly.atom("a") + Poly.const(1), Poly.atom("a") * Poly.atom("a"),
+           Poly({(): 1, (("a", 1),): 1}), Poly([((("a", 1), ("a", 1)), 1)]))
 
 varied_terms = st.recursive(
     st.one_of(
