@@ -42,9 +42,6 @@ from .gsos import (
     CaseSplit,
     DistLaw,
     GsosSpec,
-    OutApp,
-    OutAtom,
-    OutConst,
     Plain,
     QuotientStepper,
     Rule,

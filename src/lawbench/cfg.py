@@ -21,10 +21,10 @@ from typing import Iterable, Sequence
 
 from .behaviour import BOOL_OUTPUTS, Step
 from .errors import InvalidGrammar
-from .gsos import GSOS, ArgObs, CaseSplit, DistLaw, GsosSpec, OutApp, OutAtom, OutConst, Plain, Rule
+from .gsos import GSOS, ArgObs, CaseSplit, DistLaw, GsosSpec, Plain, Rule
 from .solver import CorecSystem, quotient_model, unfold
 from .terms import App, Signature, Term, Var, variables
-from .theories import LangForm, Theory, _right_nested, idempotent_semiring
+from .theories import LangForm, Theory, idempotent_semiring
 
 Body = tuple[str, ...]
 
@@ -44,15 +44,15 @@ def cfg_law(alphabet: Sequence[str]) -> DistLaw:
     x, y = Var("dx"), Var("dy")
     dx_y = App("*", (x, Var("y")))
     rules = (
-        Rule("0", (), OutConst(0), Plain(App("0"))),
-        Rule("1", (), OutConst(1), Plain(App("0"))),
+        Rule("0", (), App("0"), Plain(App("0"))),
+        Rule("1", (), App("1"), Plain(App("0"))),
         Rule("+",
              (ArgObs("ox", "dx"), ArgObs("oy", "dy")),
-             OutApp("max", (OutAtom("ox"), OutAtom("oy"))),
+             App("max", (Var("ox"), Var("oy"))),
              Plain(App("+", (x, y)))),
         Rule("*",
              (ArgObs("ox", "dx"), ArgObs("oy", "dy", name="y")),
-             OutApp("min", (OutAtom("ox"), OutAtom("oy"))),
+             App("min", (Var("ox"), Var("oy"))),
              CaseSplit("ox",
                        if_zero=dx_y,
                        if_one=App("+", (dx_y, y)))),
@@ -119,18 +119,14 @@ class GnfGrammar:
 
 def to_corec(g: GnfGrammar) -> CorecSystem:
     """One equation per nonterminal: the empty-word bit is the output and
-    each letter maps to the sum of products of the production bodies,
-    right-nested with summands in length-lexicographic order."""
-    phi: dict[str, Step] = {}
-    for x in g.nonterminals:
-        moves = {}
-        for a in g.alphabet:
-            bodies = sorted(g.prods[x][a], key=lambda b: (len(b), b))
-            products = [_right_nested("*", [Var(s) for s in b], App("1"))
-                        for b in bodies]
-            moves[a] = _right_nested("+", products, App("0"))
-        phi[x] = Step.of(g.empty[x], moves)
-    return CorecSystem(g.nonterminals, phi, cfg_law(g.alphabet), cfg_theory())
+    each letter maps to the theory's representative of the finite
+    language of production bodies."""
+    th = cfg_theory()
+    phi = {x: Step.of(g.empty[x],
+                      {a: th.representative(LangForm(g.prods[x][a]))
+                       for a in g.alphabet})
+           for x in g.nonterminals}
+    return CorecSystem(g.nonterminals, phi, cfg_law(g.alphabet), th)
 
 
 def member(g: GnfGrammar, word: Iterable[str]) -> int:

@@ -24,13 +24,14 @@ mistaken for binding ones.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .behaviour import Step, output_algebra
-from .cfg import GnfGrammar
+from .cfg import GnfGrammar, cfg_signature
 from .errors import ArityMismatch, LawbenchError, MissingSection, ParseError
 from .gsos import (
     GSOS,
@@ -39,13 +40,8 @@ from .gsos import (
     CaseSplit,
     DistLaw,
     GsosSpec,
-    OutApp,
-    OutAtom,
-    OutConst,
-    OutExpr,
     Plain,
     Rule,
-    format_out,
 )
 from .polynomials import Poly
 from .solver import CorecSystem
@@ -188,54 +184,67 @@ class _TermCtx:
 
 @dataclass
 class _Open:
-    """A term still being parsed: its finished summands, the factors of
-    the summand in progress and, inside an argument list, the operation
-    token and its finished arguments (``op`` is None inside a
-    parenthesis)."""
+    """A chain still being read: its finished summands, the factors of the
+    summand in progress and, inside an argument list, the operation token
+    and its finished arguments (``op`` is None inside a parenthesis)."""
 
-    summands: list[Term] = field(default_factory=list)
-    factors: list[Term] = field(default_factory=list)
+    summands: list = field(default_factory=list)
+    factors: list = field(default_factory=list)
     op: Token | None = None
-    args: list[Term] | None = None
+    args: list | None = None
 
 
-def _parse_term(c: _Cursor, ctx: _TermCtx) -> Term:
-    """term := factor ('+' factor)*, factor := operand ('*' operand)*,
-    both chains right-nested.  A parenthesis or an argument list opens a
-    frame on an explicit stack instead of a recursive call, so nesting
-    depth is not bounded by Python's stack."""
+def _read_expr(c: _Cursor, operand, join, close=None, negate=None):
+    """Read sum := product ('+' product)*, product := operand ('*' operand)*,
+    the one reader of infix chains.  ``operand(c)`` reads one operand or
+    returns the ``_Open`` frame that ``(`` or ``name(`` opens; a frame is
+    pushed on an explicit stack instead of a recursive call, so nesting
+    depth is not bounded by Python's stack.  ``join(op, parts)`` joins a
+    finished chain of two or more parts, and ``close(op_token, args)``
+    turns a finished argument list into an operand.  Where ``negate`` is
+    given, each ``-``, unary or binary, contributes it as a factor."""
     frames = [_Open()]
     while True:
-        operand = _parse_operand(c, ctx)
-        if isinstance(operand, _Open):
-            frames.append(operand)
+        if negate is not None and c.take("punct", "-"):
+            frames[-1].factors.append(negate)
+            continue
+        item = operand(c)
+        if isinstance(item, _Open):
+            frames.append(item)
             continue
         # The operand is complete: extend the product in progress, or
-        # finish the innermost term and hand it to its frame's owner.
+        # finish the innermost chain and hand it to its frame's owner.
         while True:
             top = frames[-1]
-            top.factors.append(operand)
+            top.factors.append(item)
             if c.take("punct", "*"):
                 break
-            top.summands.append(_right_nested("*", top.factors))
-            top.factors = []
-            if c.take("punct", "+"):
+            parts, top.factors = top.factors, []
+            top.summands.append(parts[0] if len(parts) == 1
+                                else join("*", parts))
+            if c.take("punct", "+") or negate is not None \
+                    and c.at("punct", "-"):
                 break
-            term = _right_nested("+", top.summands)
-            top.summands = []
+            parts, top.summands = top.summands, []
+            item = parts[0] if len(parts) == 1 else join("+", parts)
             if len(frames) == 1:
-                return term
+                return item
             if top.op is None:
                 c.expect("punct", ")")
                 frames.pop()
-                operand = term
                 continue
-            top.args.append(term)
+            top.args.append(item)
             if c.take("punct", ","):
                 break
             c.expect("punct", ")")
             frames.pop()
-            operand = _application(ctx, top.op, top.args)
+            item = close(top.op, top.args)
+
+
+def _parse_term(c: _Cursor, ctx: _TermCtx) -> Term:
+    """A term: both chains right-nested."""
+    return _read_expr(c, lambda c: _parse_operand(c, ctx), _right_nested,
+                      lambda op, args: _application(ctx, op, args))
 
 
 def _application(ctx: _TermCtx, name_tok: Token, args: list[Term]) -> Term:
@@ -307,37 +316,23 @@ def _parse_const(c: _Cursor, ctx: _TermCtx, family: str | None,
                        "qualify the constant as name[...]")
         family = families[0].name
     c.expect("punct", "[")
-    index = _parse_index(c, ctx)
+    index = _read_expr(c, lambda c: _index_operand(c, ctx), _join_index,
+                       negate=_MINUS_ONE)
     c.expect("punct", "]")
     return Const(family, index)
 
 
-def _parse_index(c: _Cursor, ctx: _TermCtx) -> Poly:
-    left = _parse_index_factor(c, ctx)
-    while True:
-        if c.take("punct", "+"):
-            left = left + _parse_index_factor(c, ctx)
-        elif c.take("punct", "-"):
-            left = left + Poly.const(-1) * _parse_index_factor(c, ctx)
-        else:
-            return left
+_MINUS_ONE = Poly.const(-1)
 
 
-def _parse_index_factor(c: _Cursor, ctx: _TermCtx) -> Poly:
-    left = _parse_index_atom(c, ctx)
-    while c.take("punct", "*"):
-        left = left * _parse_index_atom(c, ctx)
-    return left
+def _join_index(op: str, parts: list[Poly]) -> Poly:
+    return Poly.sum(parts) if op == "+" else math.prod(parts)
 
 
-def _parse_index_atom(c: _Cursor, ctx: _TermCtx) -> Poly:
+def _index_operand(c: _Cursor, ctx: _TermCtx) -> Poly | _Open:
     tok = c.peek()
     if c.take("punct", "("):
-        inner = _parse_index(c, ctx)
-        c.expect("punct", ")")
-        return inner
-    if c.take("punct", "-"):
-        return Poly.const(-1) * _parse_index_atom(c, ctx)
+        return _Open()
     if tok.kind == "number":
         c.advance()
         return Poly.const(_fraction_tail(c, tok))
@@ -650,53 +645,40 @@ def _parse_arg_obs(c: _Cursor, fmt: str) -> ArgObs:
     return ArgObs(out, deriv, name=name)
 
 
-def _parse_out_expr(c: _Cursor, outputs: str, tokens: set[str]) -> OutExpr:
-    left = _parse_out_factor(c, outputs, tokens)
-    if c.at("punct", "+"):
-        op_tok = c.advance()
-        if outputs != "rational":
-            _fail(op_tok, "infix output arithmetic needs rational outputs")
-        return OutApp("+", (left, _parse_out_expr(c, outputs, tokens)))
-    return left
+def _parse_out_expr(c: _Cursor, outputs: str, tokens: set[str]) -> Term:
+    """A rule output: a term whose variables are the rule's output
+    placeholders and whose nullary symbols are literals."""
+    ops = {"bool": ("min", "max"), "rational": ("+", "*")}[outputs]
 
+    def operand(c: _Cursor) -> Term | _Open:
+        # Called right after the reader takes an infix operator, so an
+        # operator is the token just before.
+        before = c.tokens[c.pos - 1]
+        if outputs != "rational" and before.kind == "punct" \
+                and before.value in ("+", "*"):
+            _fail(before, "infix output arithmetic needs rational outputs")
+        tok = c.peek()
+        if c.take("punct", "("):
+            return _Open()
+        if tok.kind == "number":
+            c.advance()
+            value = _fraction_tail(c, tok)
+            if outputs == "bool" and value not in (0, 1):
+                _fail(tok, "Boolean outputs admit only the literals 0 and 1")
+            return App(str(value))
+        name_tok = c.expect("ident", what="an output expression")
+        name = str(name_tok.value)
+        if c.take("punct", "("):
+            if name not in ops:
+                _fail(name_tok, f"{name!r} is not an operation of the "
+                                f"{outputs} outputs")
+            return _Open(op=name_tok, args=[])
+        if name not in tokens:
+            _fail(name_tok, f"{name!r} is not an output placeholder of this rule")
+        return Var(name)
 
-def _parse_out_factor(c: _Cursor, outputs: str, tokens: set[str]) -> OutExpr:
-    left = _parse_out_atom(c, outputs, tokens)
-    if c.at("punct", "*"):
-        op_tok = c.advance()
-        if outputs != "rational":
-            _fail(op_tok, "infix output arithmetic needs rational outputs")
-        return OutApp("*", (left, _parse_out_factor(c, outputs, tokens)))
-    return left
-
-
-def _parse_out_atom(c: _Cursor, outputs: str, tokens: set[str]) -> OutExpr:
-    tok = c.peek()
-    if c.take("punct", "("):
-        inner = _parse_out_expr(c, outputs, tokens)
-        c.expect("punct", ")")
-        return inner
-    if tok.kind == "number":
-        c.advance()
-        value = _fraction_tail(c, tok)
-        if outputs == "bool" and value not in (0, 1):
-            _fail(tok, "Boolean outputs admit only the literals 0 and 1")
-        return OutConst(value)
-    name_tok = c.expect("ident", what="an output expression")
-    name = str(name_tok.value)
-    if c.take("punct", "("):
-        ops = {"bool": ("min", "max"), "rational": ("+", "*")}[outputs]
-        if name not in ops:
-            _fail(name_tok, f"{name!r} is not an operation of the "
-                            f"{outputs} outputs")
-        args = [_parse_out_expr(c, outputs, tokens)]
-        while c.take("punct", ","):
-            args.append(_parse_out_expr(c, outputs, tokens))
-        c.expect("punct", ")")
-        return OutApp(name, tuple(args))
-    if name not in tokens:
-        _fail(name_tok, f"{name!r} is not an output placeholder of this rule")
-    return OutAtom(name)
+    return _read_expr(c, operand, _right_nested,
+                      lambda op, args: App(str(op.value), tuple(args)))
 
 
 def _parse_system(tokens: list[Token], law: DistLaw | None,
@@ -768,45 +750,13 @@ def _parse_grammar(tokens: list[Token],
     c = _Cursor(tokens)
     c.expect("ident", "grammar")
     c.expect("punct", "{")
-    body_start = c.pos
-
-    nonterminals: list[str] = []
-    letters: list[str] = []
-
-    def note(name: str) -> None:
-        if name not in nonterminals:
-            nonterminals.append(name)
-
-    scan = _Cursor(tokens)
-    scan.pos = body_start
-    depth = 1
-    while depth and not scan.at("eof"):
-        tok = scan.advance()
-        if tok.kind == "punct" and tok.value == "{":
-            depth += 1
-        elif tok.kind == "punct" and tok.value == "}":
-            depth -= 1
-        elif tok.kind == "ident" and tok.value == "start" and depth == 1:
-            while not scan.at("punct", ";") and not scan.at("punct", "}") \
-                    and not scan.at("eof"):
-                scan.advance()
-        elif tok.kind == "ident" and depth == 1:
-            if scan.at("punct", ":") or scan.at("prodarrow"):
-                note(str(tok.value))
-            if scan.at("prodarrow"):
-                arrow = scan.advance()
-                if arrow.value not in letters:
-                    letters.append(str(arrow.value))
-                while scan.at("ident"):
-                    body_tok = scan.advance()
-                    if body_tok.value != "eps":
-                        note(str(body_tok.value))
-
+    # Nonterminals in order of first mention, as head or in a body.
+    nonterminals: dict[str, None] = {}
+    letters: dict[str, None] = {}
     empty: dict[str, int] = {}
     prods: dict[str, dict[str, set[tuple[str, ...]]]] = {}
     start: Term | None = None
-    sig = Signature((("+", 2), ("*", 2), ("0", 0), ("1", 0)))
-    start_ctx = _TermCtx(sig, free="any")
+    start_ctx = _TermCtx(cfg_signature(), free="any")
 
     while not c.at("punct", "}"):
         tok = c.expect("ident", what="a grammar item")
@@ -818,6 +768,7 @@ def _parse_grammar(tokens: list[Token],
             _item_end(c)
             continue
         if c.take("punct", ":"):
+            nonterminals.setdefault(name)
             c.expect("ident", "empty")
             c.expect("punct", "=")
             bit_tok = c.expect("number", what="0 or 1")
@@ -832,11 +783,19 @@ def _parse_grammar(tokens: list[Token],
         if arrow.kind != "prodarrow":
             _fail(arrow, "expected ':' or a production arrow '-a->'")
         c.advance()
+        nonterminals.setdefault(name)
         letter = str(arrow.value)
+        letters.setdefault(letter)
         body: list[str] = []
         if not c.take("ident", "eps"):
             while c.at("ident"):
-                body.append(str(c.advance().value))
+                sym_tok = c.advance()
+                sym = str(sym_tok.value)
+                if sym == "start":
+                    _fail(sym_tok, "'start' cannot be a nonterminal")
+                if sym != "eps":
+                    nonterminals.setdefault(sym)
+                body.append(sym)
             if not body:
                 _fail(c.peek(), "a production body is 'eps' or nonterminals")
         prods.setdefault(name, {}).setdefault(letter, set()).add(tuple(body))
@@ -929,7 +888,7 @@ def _pretty_rules(law: DistLaw, multi: bool) -> str:
                 rendered.append(f"{prefix}o={arg.out}, d={arg.deriv}")
             head += "(" + "; ".join(rendered) + ")"
         lines.append(f"  rule {head} =>")
-        lines.append(f"    out = {format_out(rule.output)};")
+        lines.append(f"    out = {format_term(rule.output)};")
         if isinstance(rule.next, CaseSplit):
             lines.append(f"    next({rule.binder}) = case {rule.next.scrutinee} {{")
             lines.append(f"      0 => {_pretty_term(rule.next.if_zero, multi)};")

@@ -3,9 +3,11 @@
 A rule describes how an operation observes its arguments: for each
 argument it declares an output placeholder and a derivative placeholder
 (and, under the ``gsos`` format, optionally a placeholder for the argument
-itself).  The conclusion gives the output as an expression over the output
-placeholders and, for every input letter, a successor term over the
-placeholders.  A successor may case-split on a Boolean output placeholder.
+itself).  The conclusion gives the output as a term over the output
+algebra's operations, with the output placeholders as variables and a
+literal as the nullary symbol its text names (``App("1/2")``), and, for
+every input letter, a successor term over the placeholders.  A successor
+may case-split on a Boolean output placeholder.
 
 Constant families get one rule with an index placeholder, so a single
 entry covers the whole family (output ``c``, successor ``[0]`` describes
@@ -28,6 +30,7 @@ step of the canonical representative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Union
@@ -39,6 +42,7 @@ from .errors import (
     PlaceholderViolation,
     SymbolicCaseSplit,
     UnboundVariable,
+    UnknownSymbol,
 )
 from .polynomials import Poly
 from .terms import App, Const, Signature, Term, Var, variables
@@ -48,73 +52,29 @@ SIMPLE = "simple"
 GSOS = "gsos"
 
 
-@dataclass(frozen=True)
-class OutAtom:
-    name: str
+@functools.cache
+def _literal(alg: OutputAlgebra, text: str):
+    try:
+        return alg.coerce(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise UnknownSymbol(
+            f"{text!r} is not a literal of the {alg.kind} outputs") from None
 
 
-@dataclass(frozen=True)
-class OutConst:
-    value: Union[int, Fraction]
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-
-
-@dataclass(frozen=True)
-class OutApp:
-    op: str
-    args: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-
-
-OutExpr = Union[OutAtom, OutConst, OutApp]
-
-
-def eval_out(expr: OutExpr, alg: OutputAlgebra, env: Mapping[str, Any]):
-    if isinstance(expr, OutAtom):
+def eval_out(expr: Term, alg: OutputAlgebra, env: Mapping[str, Any]):
+    """Evaluate a rule's output term: a variable is an output placeholder,
+    a nullary symbol the literal its name spells, and any other
+    application an operation of the output algebra."""
+    if isinstance(expr, Var):
         try:
             return env[expr.name]
         except KeyError:
             raise PlaceholderViolation(
                 f"output expression uses undeclared placeholder {expr.name!r}"
             ) from None
-    if isinstance(expr, OutConst):
-        return alg.coerce(expr.value)
-    return alg.apply(expr.op, [eval_out(a, alg, env) for a in expr.args])
-
-
-def out_atoms(expr: OutExpr) -> frozenset[str]:
-    if isinstance(expr, OutAtom):
-        return frozenset({expr.name})
-    if isinstance(expr, OutApp):
-        acc: frozenset[str] = frozenset()
-        for a in expr.args:
-            acc |= out_atoms(a)
-        return acc
-    return frozenset()
-
-
-def format_out(expr: OutExpr) -> str:
-    if isinstance(expr, OutAtom):
-        return expr.name
-    if isinstance(expr, OutConst):
-        return str(expr.value)
-    if expr.op in ("+", "*"):
-        prec = 1 if expr.op == "+" else 2
-
-        def wrap(sub: OutExpr) -> str:
-            text = format_out(sub)
-            if isinstance(sub, OutApp) and sub.op in ("+", "*"):
-                inner = 1 if sub.op == "+" else 2
-                if inner < prec:
-                    return f"({text})"
-            return text
-
-        return f" {expr.op} ".join(wrap(a) for a in expr.args)
-    return f"{expr.op}({', '.join(format_out(a) for a in expr.args)})"
+    if not expr.args:
+        return _literal(alg, expr.symbol)
+    return alg.apply(expr.symbol, [eval_out(a, alg, env) for a in expr.args])
 
 
 @dataclass(frozen=True)
@@ -145,7 +105,7 @@ NextTemplate = Union[Plain, CaseSplit]
 class Rule:
     symbol: str
     args: tuple[ArgObs, ...]
-    output: OutExpr
+    output: Term
     next: NextTemplate
     is_family: bool = False
     index_name: str | None = None
@@ -224,7 +184,7 @@ class GsosSpec:
             raise PlaceholderViolation(
                 f"rule for {rule.symbol!r} declares a placeholder twice"
             )
-        for atom in out_atoms(rule.output):
+        for atom in variables(rule.output):
             if atom not in out_ph:
                 raise PlaceholderViolation(
                     f"rule for {rule.symbol!r}: output uses undeclared "
@@ -429,15 +389,15 @@ def pointwise_plus(law: DistLaw) -> str | None:
             or not isinstance(rule.next, Plain):
         return None
     left, right = rule.args
-    outs = (OutAtom(left.out), OutAtom(right.out))
+    outs = (Var(left.out), Var(right.out))
     derivs = (Var(left.deriv), Var(right.deriv))
     output, succ = rule.output, rule.next.term
-    pointwise = (isinstance(output, OutApp) and output.op in ("+", "max")
-                 and output.op in law.outputs.ops
+    pointwise = (isinstance(output, App) and output.symbol in ("+", "max")
+                 and output.symbol in law.outputs.ops
                  and output.args in (outs, outs[::-1])
                  and isinstance(succ, App) and succ.symbol == "+"
                  and succ.args in (derivs, derivs[::-1]))
-    return output.op if pointwise else None
+    return output.symbol if pointwise else None
 
 
 class QuotientStepper:

@@ -76,6 +76,15 @@ class CorecSystem:
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
+        # Normal forms keep variables and nullary symbols alike as atoms,
+        # and read an atom back as the symbol of that name.
+        sig = self.law.signature
+        for name in self.variables:
+            if sig.has_op(name) or any(f.name == name for f in sig.families):
+                raise LawbenchError(
+                    f"variable {name!r} is named like a symbol of the "
+                    f"signature"
+                )
         alg = self.law.outputs
         if set(self.phi) != set(self.variables):
             raise UnboundVariable(

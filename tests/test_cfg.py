@@ -19,7 +19,7 @@ from lawbench.cfg import (
     to_corec,
 )
 from lawbench.dsl import load
-from lawbench.errors import InvalidGrammar
+from lawbench.errors import InvalidGrammar, LawbenchError
 from lawbench.solver import operational_model
 from lawbench.terms import App, Var, term_size
 
@@ -189,6 +189,15 @@ def test_grammar_validation():
         GnfGrammar(("A",), ("a",), {}, {"A": {"a": frozenset({("B",)})}})
     with pytest.raises(InvalidGrammar):
         GnfGrammar(("A",), ("a",), {}, ok_prods, start=Var("Z"))
+
+def test_a_nonterminal_named_like_a_symbol_is_rejected():
+    # Unfolding would read the atom "1" back as the language {eps}.
+    g = GnfGrammar(("S", "1"), ("a",), {"1": 0},
+                   {"S": {"a": {("1", "1")}}, "1": {"a": {()}}})
+    assert derivative_member(g, "a") == cyk_member(g, "a") == 0
+    with pytest.raises(LawbenchError, match="'1' is named like a symbol"):
+        member(g, "a")
+
 
 @pytest.mark.parametrize("k", [8, 12])
 def test_membership_with_large_states(k):

@@ -6,6 +6,7 @@ against the bundled report schema.
 """
 
 import json
+import pathlib
 
 import jsonschema
 import pytest
@@ -69,6 +70,29 @@ def test_stream_command(capsys):
                 "--state", "ones * ones", "--n", "5"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "1 2 3 4 5"
+
+
+def test_stream_command_reads_a_deeply_nested_index(capsys):
+    index = "(" * 400 + "1" + ")" * 400
+    code = run(["stream", example("stream.dsl"),
+                "--state", f"[{index}] * ones", "--n", "4"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "1 1 1 1"
+
+
+def test_a_system_variable_named_like_a_symbol_is_a_load_error(
+        capsys, tmp_path):
+    # Normal forms read the atom X back as the symbol X, whose stream is
+    # (0, 1, 0, 0, ...), not the variable's.
+    path = tmp_path / "x.dsl"
+    path.write_text(pathlib.Path(example("stream.dsl")).read_text()
+                    .replace("var ones: out = 1;", "var X: out = 5;")
+                    .replace("next(t) = ones;", "next(t) = X;"))
+    assert run(["stream", str(path), "--state", "X", "--n", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("error: variable 'X' is named like a symbol "
+                            "of the signature\n")
+    assert captured.out == ""
 
 
 def test_cfg_member_exit_codes(capsys):

@@ -1,12 +1,16 @@
 """Loading workbench files: frozen shapes for the bundled examples,
 round trips through the pretty printer, and positioned diagnostics."""
 
+import re
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from lawbench.dsl import load, loads, term_from_string
 from lawbench.errors import ArityMismatch, LawbenchError, ParseError
+from lawbench.solver import stream_prefix
 from lawbench.terms import App, Const, Signature, Var, format_term
 
 from conftest import EXAMPLES, example
@@ -214,3 +218,68 @@ def test_deep_nesting_prints_and_parses_back():
     text = "h(a + v, v * (a + v)) + g(h(v, a * a))"
     assert format_term(term_from_string(text, ops, ("v",))) == text
 
+
+
+def test_deep_indices_and_outputs_load_and_run():
+    # Indices and outputs are read on the term reader's explicit stack.
+    stream = (EXAMPLES / "stream.dsl").read_text()
+    x_rule = "next(t') = [1];"
+    parens = "[" + "(" * 5000 + "1" + ")" * 5000 + "]"
+    minuses = "[" + "-" * 5001 + "1]"
+    for index, second in ((parens, 1), (minuses, -1)):
+        wb = loads(stream.replace(x_rule, f"next(t') = {index};"))
+        assert stream_prefix(wb.system, App("X"), 4) == [0, second, 0, 0]
+    out = "out = " + "(" * 3000 + "a * b" + ")" * 3000 + ";"
+    wb = loads(stream.replace("out = a * b;", out))
+    assert wb == loads(stream)
+    assert stream_prefix(wb.system, term_from_string(
+        "ones * ones", wb.signature, ("ones",)), 4) == [1, 2, 3, 4]
+
+
+def test_a_literal_output_is_a_nullary_symbol_and_round_trips():
+    wb = loads((EXAMPLES / "stream.dsl").read_text()
+               .replace("out = 0;", "out = 2/4;"))
+    rule = wb.law.spec.rule_for("X")
+    assert rule.output == App("1/2")
+    assert "out = 1/2;" in wb.pretty()
+    assert loads(wb.pretty()) == wb
+    assert stream_prefix(wb.system, App("X"), 2) == [Fraction(1, 2), 1]
+
+
+def test_start_is_not_a_nonterminal():
+    fails_at("grammar { S: empty=1; S -a-> S start; start S }",
+             "1:32", "'start' cannot be a nonterminal")
+
+
+SOURCES = [(EXAMPLES / f"{name}.dsl").read_text() for name in BUNDLED]
+LEXEME = re.compile(r"#[^\n]*|-[A-Za-z_]\w*->|=>|\d+|[A-Za-z_][\w']*|\S")
+TOKENS = [[tok for tok in LEXEME.findall(text) if not tok.startswith("#")]
+          for text in SOURCES]
+VOCABULARY = sorted({tok for toks in TOKENS for tok in toks})
+
+
+@st.composite
+def mutated_files(draw):
+    """A bundled file with one to three tokens deleted, replaced or
+    inserted, the new tokens drawn from the files' own vocabulary."""
+    toks = list(draw(st.sampled_from(TOKENS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(toks) - 1))
+        kind = draw(st.sampled_from(("delete", "replace", "insert")))
+        if kind == "delete":
+            del toks[i]
+        elif kind == "replace":
+            toks[i] = draw(st.sampled_from(VOCABULARY))
+        else:
+            toks.insert(i, draw(st.sampled_from(VOCABULARY)))
+    return " ".join(toks)
+
+
+@settings(max_examples=400)
+@given(mutated_files())
+def test_mutated_files_fail_cleanly_or_round_trip(text):
+    try:
+        wb = loads(text)
+    except LawbenchError:
+        return
+    assert loads(wb.pretty()) == wb

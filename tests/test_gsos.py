@@ -5,6 +5,8 @@ substitution, identity on the copointed state component.  Frozen values
 below were derived by instantiating the stream rules by hand.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from lawbench.behaviour import BOOL_OUTPUTS, RATIONAL_OUTPUTS, Step
@@ -13,19 +15,18 @@ from lawbench.errors import (
     MissingRule,
     PlaceholderViolation,
     SymbolicCaseSplit,
+    UnknownSymbol,
 )
 from lawbench.gsos import (
     ArgObs,
     CaseSplit,
     DistLaw,
     GsosSpec,
-    OutApp,
-    OutAtom,
-    OutConst,
     Plain,
     QuotientStepper,
     Rule,
     apply_rule,
+    eval_out,
     extend_lambda,
     morphism_square_check,
 )
@@ -176,32 +177,42 @@ def test_morphism_square_fails_for_the_unpreserved_equation():
 def test_rule_table_validation():
     sig = STREAM.signature
     plus = Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
-                OutApp("+", (OutAtom("a"), OutAtom("b"))),
+                App("+", (Var("a"), Var("b"))),
                 Plain(App("+", (Var("x"), Var("y")))))
     with pytest.raises(PlaceholderViolation):
         GsosSpec(sig, (plus, plus))  # duplicate rule
     with pytest.raises(PlaceholderViolation):
         GsosSpec(sig, (Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
-                            OutAtom("stray"),
+                            Var("stray"),
                             Plain(App("+", (Var("x"), Var("y"))))),))
     with pytest.raises(PlaceholderViolation):
         GsosSpec(sig, (Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
-                            OutAtom("a"),
+                            Var("a"),
                             Plain(Var("undeclared"))),))
     with pytest.raises(PlaceholderViolation):
         GsosSpec(sig, (Rule("+", (ArgObs("a", "x", name="arg"),
                                   ArgObs("b", "y")),
-                            OutAtom("a"),
+                            Var("a"),
                             Plain(Var("arg"))),), format="simple")
     with pytest.raises(PlaceholderViolation):
         GsosSpec(sig, (Rule("+", (ArgObs("a", "x"),),
-                            OutAtom("a"), Plain(Var("x"))),))
+                            Var("a"), Plain(Var("x"))),))
+
+
+def test_a_nullary_output_is_a_literal():
+    assert eval_out(App("2/4"), RATIONAL_OUTPUTS, {}) == \
+        RATIONAL_OUTPUTS.coerce(Fraction(1, 2))
+    assert eval_out(App("1"), BOOL_OUTPUTS, {}) == BOOL_OUTPUTS.coerce(1)
+    for alg, text in ((RATIONAL_OUTPUTS, "x"), (RATIONAL_OUTPUTS, "1/0"),
+                      (BOOL_OUTPUTS, "2")):
+        with pytest.raises(UnknownSymbol, match="is not a literal"):
+            eval_out(App(text), alg, {})
 
 
 def test_case_splits_need_boolean_outputs():
     sig = STREAM.signature
     split = Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
-                 OutAtom("a"),
+                 Var("a"),
                  CaseSplit("a", if_zero=Var("x"), if_one=Var("y")))
     spec = GsosSpec(sig, (split,))
     with pytest.raises(SymbolicCaseSplit):
@@ -212,7 +223,7 @@ def test_missing_rule_is_reported():
     sig = STREAM.signature
     plus_only = GsosSpec(sig, (Rule(
         "+", (ArgObs("a", "x"), ArgObs("b", "y")),
-        OutApp("+", (OutAtom("a"), OutAtom("b"))),
+        App("+", (Var("a"), Var("b"))),
         Plain(App("+", (Var("x"), Var("y"))))),))
     law = DistLaw(plus_only, ("t",), RATIONAL_OUTPUTS)
     env = stream_env("v", "u")

@@ -14,8 +14,6 @@ from lawbench.gsos import (
     ArgObs,
     DistLaw,
     GsosSpec,
-    OutAtom,
-    OutConst,
     Plain,
     Rule,
     morphism_square_check,
@@ -232,11 +230,11 @@ def test_unknown_verdict_when_the_search_cannot_decide():
     )
     th = generic_theory(sig, schemes)
     rules = (
-        Rule("a", (), OutConst(0), Plain(App("g", (App("a"),)))),
-        Rule("b", (), OutConst(0), Plain(App("h", (App("b"),)))),
-        Rule("g", (ArgObs("o", "dx"),), OutConst(0),
+        Rule("a", (), App("0"), Plain(App("g", (App("a"),)))),
+        Rule("b", (), App("0"), Plain(App("h", (App("b"),)))),
+        Rule("g", (ArgObs("o", "dx"),), App("0"),
              Plain(App("g", (Var("dx"),)))),
-        Rule("h", (ArgObs("o", "dx"),), OutConst(0),
+        Rule("h", (ArgObs("o", "dx"),), App("0"),
              Plain(App("h", (Var("dx"),)))),
     )
     law = DistLaw(GsosSpec(sig, rules), ("t",), RATIONAL_OUTPUTS)

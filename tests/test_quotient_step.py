@@ -22,8 +22,6 @@ from lawbench.errors import NotInTheorySignature, UnboundVariable
 from lawbench.gsos import (
     DistLaw,
     GsosSpec,
-    OutApp,
-    OutAtom,
     Plain,
     QuotientStepper,
     extend_lambda,
@@ -155,20 +153,20 @@ def plus(left, right):
 
 
 X, Y, DX, DY = Var("x"), Var("y"), Var("dx"), Var("dy")
-A, B, OX, OY = OutAtom("a"), OutAtom("b"), OutAtom("ox"), OutAtom("oy")
+A, B, OX, OY = Var("a"), Var("b"), Var("ox"), Var("oy")
 
 POLY_VARIANTS = {
     "x + x * y": (with_plus_rule(STREAM.law, successor=plus(
         X, App("*", (X, Y)))), None),
-    "out a * b": (with_plus_rule(STREAM.law, output=OutApp("*", (A, B))),
+    "out a * b": (with_plus_rule(STREAM.law, output=App("*", (A, B))),
                   None),
-    "b + a, y + x": (with_plus_rule(STREAM.law, output=OutApp("+", (B, A)),
+    "b + a, y + x": (with_plus_rule(STREAM.law, output=App("+", (B, A)),
                                     successor=plus(Y, X)), "+"),
 }
 LANGUAGE_VARIANTS = {
-    "max(oy, ox)": (with_plus_rule(CFG_LAW, output=OutApp("max", (OY, OX))),
+    "max(oy, ox)": (with_plus_rule(CFG_LAW, output=App("max", (OY, OX))),
                     "max"),
-    "out min": (with_plus_rule(CFG_LAW, output=OutApp("min", (OX, OY))),
+    "out min": (with_plus_rule(CFG_LAW, output=App("min", (OX, OY))),
                 None),
     "dx + dx * dy": (with_plus_rule(CFG_LAW, successor=plus(
         DX, App("*", (DX, DY)))), None),
