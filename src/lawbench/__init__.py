@@ -21,7 +21,6 @@ from .behaviour import (
     RATIONAL_OUTPUTS,
     OutputAlgebra,
     Step,
-    words_upto,
 )
 from .cfg import (
     EquivResult,

@@ -53,7 +53,8 @@ class PlaceholderViolation(LawbenchError):
 
 
 class SymbolicCaseSplit(LawbenchError):
-    """A case split was taken on an output that is not a concrete value."""
+    """A rule case-splits under rational outputs, whose values may be
+    symbolic; a case split reads a Boolean output's bit."""
 
 
 class InvalidGrammar(LawbenchError):

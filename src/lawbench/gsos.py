@@ -45,7 +45,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .polynomials import Poly
-from .terms import App, Const, Signature, Term, Var, variables
+from .terms import App, Const, Signature, Term, Var, subterms, variables
 from .theories import NormalForm, Semiring, Theory, fold
 
 SIMPLE = "simple"
@@ -206,26 +206,22 @@ class GsosSpec:
 
     def _validate_template_spine(self, rule: Rule, template: Term,
                                  out_ph: set[str]) -> None:
-        if isinstance(template, Var):
-            return
-        if isinstance(template, Const):
-            self.signature.family(template.family)
-            if isinstance(template.index, Poly):
-                stray = template.index.atoms() - out_ph
-                if stray:
-                    raise PlaceholderViolation(
-                        f"rule for {rule.symbol!r}: constant index uses "
-                        f"undeclared placeholders {sorted(stray)}"
-                    )
-            return
-        arity = self.signature.arity(template.symbol)
-        if arity != len(template.args):
-            raise PlaceholderViolation(
-                f"rule for {rule.symbol!r}: successor applies "
-                f"{template.symbol!r} at the wrong arity"
-            )
-        for arg in template.args:
-            self._validate_template_spine(rule, arg, out_ph)
+        for t in subterms(template):
+            if isinstance(t, Const):
+                self.signature.family(t.family)
+                if isinstance(t.index, Poly):
+                    stray = t.index.atoms() - out_ph
+                    if stray:
+                        raise PlaceholderViolation(
+                            f"rule for {rule.symbol!r}: constant index uses "
+                            f"undeclared placeholders {sorted(stray)}"
+                        )
+            elif isinstance(t, App) \
+                    and self.signature.arity(t.symbol) != len(t.args):
+                raise PlaceholderViolation(
+                    f"rule for {rule.symbol!r}: successor applies "
+                    f"{t.symbol!r} at the wrong arity"
+                )
 
     def rule_for(self, symbol: str, family: bool = False) -> Rule:
         for rule in self.rules:
@@ -307,15 +303,8 @@ def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Any, dict]],
                 if isinstance(value, Poly)}
     template = rule.next
     if isinstance(template, CaseSplit):
-        scrutinee = out_env[template.scrutinee]
-        try:
-            bit = alg.concrete(scrutinee)
-        except ValueError:
-            raise SymbolicCaseSplit(
-                f"rule for {symbol!r} splits on {template.scrutinee!r} = "
-                f"{alg.format(scrutinee)}, which is not concrete"
-            ) from None
-        body = template.if_one if bit else template.if_zero
+        # Case splits need Boolean outputs (``DistLaw``), so this is a bit.
+        body = template.if_one if out_env[template.scrutinee] else template.if_zero
     else:
         body = template.term
 

@@ -8,10 +8,10 @@ here decides preservation for the whole scheme.
 
 Comparison is a relation lifting: the outputs must agree in the output
 algebra and, for every letter, the successor terms must be congruent in
-the theory.  With Boolean outputs the case splits inside rules make the
-steps depend on the output tokens, so all ``2**k`` assignments of the
-``k`` tokens are enumerated (in binary order); rational outputs are
-compared symbolically in one pass.
+the theory.  A Boolean output is a bit, and a case split inside a rule
+reads it, so for Boolean outputs the ``k`` tokens take all ``2**k``
+assignments (in binary order), each a branch of its own; rational outputs
+are polynomial atoms, compared symbolically in one pass.
 
 Verdicts are per scheme and branch: Holds, Fails with a replayable
 witness, or Unknown when the theory's bounded search cannot decide a
@@ -23,11 +23,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
 
 from .behaviour import Step
 from .gsos import DistLaw, LeafObs, extend_lambda
-from .terms import Term, Var, format_term
+from .terms import Var, format_term
 from .theories import EquationScheme, Equiv, Theory
 
 
@@ -35,6 +34,9 @@ class Verdict(enum.Enum):
     HOLDS = "holds"
     FAILS = "fails"
     UNKNOWN = "unknown"
+
+
+Branch = tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,12 @@ class GenericInstance:
 
 
 def generic_instance(scheme: EquationScheme, alphabet: tuple[str, ...],
-                     alg) -> GenericInstance:
+                     alg, branch: Branch | None = None) -> GenericInstance:
     """One leaf per metavariable with deterministic fresh tokens: state
     ``x_v``, output ``b_v`` and derivative ``d_v`` (suffixed by the letter
-    when the alphabet has more than one)."""
+    when the alphabet has more than one).  The output is the atom ``b_v``,
+    or under a ``branch`` the bit it assigns to ``b_v``."""
+    bits = dict(branch) if branch is not None else None
     env = []
     states, outs, derivs = [], [], []
     for v in scheme.metavars:
@@ -68,13 +72,11 @@ def generic_instance(scheme: EquationScheme, alphabet: tuple[str, ...],
         states.append(state)
         outs.append(out)
         derivs.extend(moves.values())
-        step = Step.of(alg.atom(out), {a: Var(t) for a, t in moves.items()})
+        value = alg.atom(out) if bits is None else alg.coerce(bits[out])
+        step = Step.of(value, {a: Var(t) for a, t in moves.items()})
         env.append((v, (Var(state), step)))
     return GenericInstance(tuple(env), tuple(states), tuple(outs),
                            tuple(derivs))
-
-
-Branch = tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -188,15 +190,7 @@ class PreservationReport:
 def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
                 branch: Branch | None) -> SchemeCheck:
     alg = law.outputs
-    gi = generic_instance(scheme, law.alphabet, alg)
-    env: Mapping[str, LeafObs] = gi.env_map
-    if branch is not None:
-        assigned = dict(branch)
-        env = {
-            v: (state, Step(alg.coerce(assigned[f"b_{v}"]), step.moves))
-            for v, (state, step) in env.items()
-        }
-
+    env = generic_instance(scheme, law.alphabet, alg, branch).env_map
     _, lhs_step = extend_lambda(law, scheme.lhs, env)
     _, rhs_step = extend_lambda(law, scheme.rhs, env)
 

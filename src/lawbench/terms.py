@@ -23,9 +23,10 @@ size, so ``hash`` and ``term_size`` are O(1).  ``==`` answers at once on
 identity or on differing hashes; otherwise it compares the two trees on an
 explicit stack, skipping shared subterms.  No global intern table is
 kept, so equal terms need not be the same object.  Nodes are immutable.
-``substitute``, ``variables``, ``Signature.validate``, ``term_sort_key``
-and ``format_term`` keep explicit stacks too, so terms of any depth can be
-built, compared, hashed, ordered, substituted into, validated and printed.
+``substitute``, ``subterms`` (which ``variables``, ``index_atoms`` and
+``Signature.validate`` walk), ``term_sort_key`` and ``format_term`` keep
+explicit stacks too, so terms of any depth can be built, compared,
+hashed, ordered, substituted into, validated and printed.
 """
 
 from __future__ import annotations
@@ -90,23 +91,16 @@ class Signature:
     def validate(self, term: "Term") -> None:
         """Every symbol and family declared, every arity respected; the
         first offence in left-to-right order is raised."""
-        seen: set[int] = set()
-        stack = [term]
-        while stack:
-            t = stack.pop()
-            if id(t) in seen or isinstance(t, Var):
-                continue
-            seen.add(id(t))
+        for t in subterms(term):
             if isinstance(t, Const):
                 self.family(t.family)
-                continue
-            arity = self.arity(t.symbol)
-            if arity != len(t.args):
-                raise ArityMismatch(
-                    f"{t.symbol!r} declared with arity {arity}, applied to "
-                    f"{len(t.args)} arguments"
-                )
-            stack.extend(reversed(t.args))
+            elif isinstance(t, App):
+                arity = self.arity(t.symbol)
+                if arity != len(t.args):
+                    raise ArityMismatch(
+                        f"{t.symbol!r} declared with arity {arity}, applied "
+                        f"to {len(t.args)} arguments"
+                    )
 
 
 class _Node:
@@ -271,17 +265,8 @@ def substitute(term: Term, mapping: Mapping[str, Term],
 
 def variables(term: Term) -> tuple[str, ...]:
     """Leaf tokens in first-occurrence order, without duplicates."""
-    seen: dict[str, None] = {}
-    visited: set[int] = set()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            seen.setdefault(t.name)
-        elif isinstance(t, App) and id(t) not in visited:
-            visited.add(id(t))
-            stack.extend(reversed(t.args))
-    return tuple(seen)
+    return tuple(dict.fromkeys(t.name for t in subterms(term)
+                               if isinstance(t, Var)))
 
 
 def term_size(term: Term) -> int:
@@ -289,16 +274,25 @@ def term_size(term: Term) -> int:
     return term._size
 
 
+def subterms(term: Term) -> Iterator[Term]:
+    """Every node of the term in pre-order, left argument first, walked
+    on an explicit stack; a shared subterm is visited once."""
+    seen: set[int] = set()
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            yield t
+            if isinstance(t, App):
+                stack.extend(reversed(t.args))
+
+
 def index_atoms(term: Term) -> frozenset[str]:
     """Atoms occurring in polynomial indices anywhere in the term."""
-    if isinstance(term, Const):
-        return term.index.atoms() if isinstance(term.index, Poly) else frozenset()
-    if isinstance(term, App):
-        out: frozenset[str] = frozenset()
-        for a in term.args:
-            out |= index_atoms(a)
-        return out
-    return frozenset()
+    return frozenset(atom for t in subterms(term)
+                     if isinstance(t, Const) and isinstance(t.index, Poly)
+                     for atom in t.index.atoms())
 
 
 def positions(term: Term) -> Iterator[tuple[int, ...]]:

@@ -8,7 +8,9 @@ scan.  They share no code with the recognizers under test.
 import random
 from itertools import product
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from lawbench.cfg import (
     GnfGrammar,
@@ -103,6 +105,38 @@ def test_recognizers_agree_with_each_other_and_the_oracle():
             assert member(g, word) == expected, word
             assert cyk_member(g, word) == expected, word
             assert derivative_member(g, word) == expected, word
+
+
+NONTERMINALS = ("A", "B", "C", "D")
+
+
+@st.composite
+def gnf_grammars(draw):
+    """Small random GNF grammars: 2-4 nonterminals over two letters,
+    bodies of length 0-3, random empty bits and a random start
+    expression over ``+ * 0 1``."""
+    nts = NONTERMINALS[:draw(st.integers(2, 4))]
+    bodies = st.frozensets(st.lists(st.sampled_from(nts), max_size=3)
+                           .map(tuple), max_size=3)
+    prods = {x: {a: draw(bodies) for a in "ab"} for x in nts}
+    empty = {x: draw(st.integers(0, 1)) for x in nts}
+    start = draw(st.recursive(
+        st.sampled_from([App("0"), App("1")] + [Var(x) for x in nts]),
+        lambda sub: st.builds(lambda op, l, r: App(op, (l, r)),
+                              st.sampled_from("+*"), sub, sub),
+        max_leaves=5))
+    return GnfGrammar(nts, ("a", "b"), empty, prods, start=start)
+
+
+@settings(max_examples=50, deadline=None)
+@given(gnf_grammars())
+def test_recognizers_agree_on_random_grammars(g):
+    # The rule-table recognizer reads the head's empty bit at every *;
+    # the two direct recognizers decide the same words without it.
+    for word in all_words(4):
+        expected = cyk_member(g, word)
+        assert derivative_member(g, word) == expected, word
+        assert member(g, word) == expected, word
 
 
 def test_start_expression_grammars():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from lawbench.dsl import load, loads, term_from_string
 from lawbench.errors import ArityMismatch, LawbenchError, ParseError
 from lawbench.solver import stream_prefix
-from lawbench.terms import App, Const, Signature, Var, format_term
+from lawbench.terms import App, Const, Signature, Var, format_term, term_size
 
 from conftest import EXAMPLES, example
 
@@ -234,6 +234,28 @@ def test_deep_indices_and_outputs_load_and_run():
     assert wb == loads(stream)
     assert stream_prefix(wb.system, term_from_string(
         "ones * ones", wb.signature, ("ones",)), 4) == [1, 2, 3, 4]
+
+
+def test_a_deep_successor_template_loads():
+    # The rule table's templates are validated on an explicit stack.
+    stream = (EXAMPLES / "stream.dsl").read_text()
+    chain = "x + " * 1999 + "y"
+    wb = loads(stream.replace("next(t') = x + y;", f"next(t') = {chain};"))
+    rule = wb.law.spec.rule_for("+")
+    links, t = 0, rule.next.term
+    while isinstance(t, App):
+        links, t = links + 1, t.args[1]
+    assert (links, t) == (1999, Var("y"))
+
+
+def test_a_deep_generic_scheme_loads():
+    # Index atoms of scheme sides are collected on an explicit stack.
+    side = "g(" * 2000 + "v" + ")" * 2000
+    wb = loads("signature { op g/1; }\n"
+               f"theory generic {{\n  eq deep: {side} = v;\n}}\n")
+    (scheme,) = wb.theory.schemes
+    assert scheme.metavars == ("v",)
+    assert term_size(scheme.lhs) == 2001
 
 
 def test_a_literal_output_is_a_nullary_symbol_and_round_trips():
