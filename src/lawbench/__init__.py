@@ -46,7 +46,6 @@ from .gsos import (
     Rule,
     apply_rule,
     extend_lambda,
-    morphism_square_check,
 )
 from .polynomials import Poly
 from .preservation import (

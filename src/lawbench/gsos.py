@@ -269,17 +269,34 @@ Reader = Callable[[Term, Mapping[str, Any], Mapping[str, Poly]], Any]
 
 def _instantiate_template(template: Term, term_env: Mapping[str, Term],
                           poly_env: Mapping[str, Poly]) -> Term:
-    """The term reading: placeholders become their bound terms."""
-    if isinstance(template, Var):
-        return term_env[template.name]
-    if isinstance(template, Const):
-        index = template.index
-        if isinstance(index, Poly) and index.atoms():
-            return Const(template.family, index.substitute(poly_env))
-        return template
-    return App(template.symbol,
-               tuple(_instantiate_template(a, term_env, poly_env)
-                     for a in template.args))
+    """The term reading: placeholders become their bound terms.  The walk
+    is post-order on an explicit stack, left argument first, so a deep
+    template never recurses and an unbound placeholder surfaces in
+    left-to-right order.  An application is pushed back as its symbol and
+    arity, below its arguments, to be built from their readings."""
+    done: list[Term] = []
+    stack: list = [template]
+    while stack:
+        t = stack.pop()
+        kind = t.__class__
+        if kind is Var:
+            done.append(term_env[t.name])
+        elif kind is tuple:
+            symbol, arity = t
+            args = tuple(done[-arity:])
+            del done[-arity:]
+            done.append(App(symbol, args))
+        elif kind is Const:
+            index = t.index
+            if isinstance(index, Poly) and index.atoms():
+                t = Const(t.family, index.substitute(poly_env))
+            done.append(t)
+        elif t.args:
+            stack.append((t.symbol, len(t.args)))
+            stack.extend(reversed(t.args))
+        else:
+            done.append(t)
+    return done[0]
 
 
 def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Any, dict]],
@@ -319,24 +336,35 @@ def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Any, dict]],
     return Step.of(output, moves)
 
 
-def extend_lambda(law: DistLaw, term: Term,
-                  env: Mapping[str, LeafObs]) -> tuple[Term, Step]:
+def extend_lambda(law: DistLaw, term: Term, env: Mapping[str, LeafObs],
+                  memo: dict[Term, tuple[Term, Step]] | None = None
+                  ) -> tuple[Term, Step]:
     """Extend the rule table over a whole term of observed leaves.
 
     ``env`` maps each leaf token to a pair of its state (any term) and its
     one-step observation, whose successors are themselves terms.  The
     result pairs the input with every leaf replaced by its state (the
     copointed first component) with the composite observation.
+
+    ``memo`` maps each term already extended to its result.  A subterm's
+    result depends only on the subterm, ``law`` and ``env``, so a caller
+    that keeps those fixed may pass one memo to many calls; by default
+    each call has its own.
     """
     # Successor templates reuse argument subterms, so iterated steps build
-    # dags; memoise on identity to visit each shared node once.  The walk
-    # is post-order on an explicit stack, left argument first, so deep
-    # terms never recurse and errors surface in left-to-right order.
-    memo: dict[int, tuple[Term, Step]] = {}
+    # dags; the memo, keyed by the term itself, visits each distinct
+    # subterm once.  The walk is post-order on an explicit stack, left
+    # argument first, so deep terms never recurse and errors surface in
+    # left-to-right order.
+    if memo is None:
+        memo = {}
+    found = memo.get(term)
+    if found is not None:
+        return found
     stack: list[tuple[Term, bool]] = [(term, False)]
     while stack:
         t, children_done = stack.pop()
-        if id(t) in memo:
+        if t in memo:
             continue
         if isinstance(t, Var):
             try:
@@ -353,14 +381,14 @@ def extend_lambda(law: DistLaw, term: Term,
             stack.extend((a, False) for a in reversed(t.args))
             continue
         else:
-            pieces = [memo[id(a)] for a in t.args]
+            pieces = [memo[a] for a in t.args]
             args = [(state, step.output, step.next_map)
                     for state, step in pieces]
             step = apply_rule(law, t.symbol, args)
             result = (App(t.symbol, tuple(state for state, _ in pieces)),
                       step)
-        memo[id(t)] = result
-    return memo[id(term)]
+        memo[t] = result
+    return memo[term]
 
 
 # A folded observation: the state's value, its output and its successors'
@@ -517,49 +545,3 @@ class QuotientStepper:
             found = (value(t), step.output, step.next_map)
         self._leaves[t] = found
         return found
-
-
-@dataclass(frozen=True)
-class SquareViolation:
-    term: Term
-    kind: str  # "output" or "next"
-    letter: str | None
-    left: str
-    right: str
-
-
-@dataclass
-class SquareReport:
-    checked: int
-    violations: list[SquareViolation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def morphism_square_check(th: Theory, law: DistLaw,
-                          samples) -> SquareReport:
-    """Check, input by input, that normalising after the term-level step
-    equals stepping the normal form: the square making the quotient map a
-    morphism from the term-level law to the induced one."""
-    alg = law.outputs
-    violations: list[SquareViolation] = []
-    checked = 0
-    for term, env in samples:
-        checked += 1
-        _, step = extend_lambda(law, term, env)
-        left = Step.of(step.output, {l: th.normalize(s) for l, s in step.moves})
-        right = QuotientStepper(th, law, env).step(th.normalize(term))
-        if not alg.equal(left.output, right.output):
-            violations.append(SquareViolation(
-                term, "output", None,
-                alg.format(left.output), alg.format(right.output)))
-            continue
-        for letter in law.alphabet:
-            if left.next(letter) != right.next(letter):
-                violations.append(SquareViolation(
-                    term, "next", letter,
-                    str(left.next(letter)), str(right.next(letter))))
-                break
-    return SquareReport(checked, violations)

@@ -20,7 +20,10 @@ preserves the theory:
 
   * ``quotient_commute_check``: unfolding terms without a theory and
     normal forms under the quotient law gives the same outputs and
-    congruent states;
+    congruent states.  The plain side keeps one step memo and one
+    normalisation memo per check, keyed by the term, so it steps and
+    folds each distinct subterm once; nothing else is memoised across
+    calls;
 
   * ``induced_algebra_check``: the behaviour of a composite state equals
     the semantic composition of its leaves' behaviours, computed by
@@ -116,10 +119,12 @@ class CorecSystem:
                 )
 
 
-def operational_model(sys: CorecSystem, term: Term) -> Step:
-    """The unique extension of the system's observations to terms."""
+def operational_model(sys: CorecSystem, term: Term,
+                      memo: dict | None = None) -> Step:
+    """The unique extension of the system's observations to terms;
+    ``memo`` is an ``extend_lambda`` memo for this system."""
     env = {x: (Var(x), sys.phi[x]) for x in sys.variables}
-    _, step = extend_lambda(sys.law, term, env)
+    _, step = extend_lambda(sys.law, term, env, memo)
     return step
 
 
@@ -227,24 +232,36 @@ class CommuteReport:
 def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
                            depth: int = 4) -> CommuteReport:
     """Compare plain and normalised unfolding over all enumerated terms
-    and words within the bounds."""
+    and words within the bounds.
+
+    The plain side steps terms through the rule table with no theory and
+    normalises them only to compare.  Its states are dags that share most
+    of their subterms with one another, so the check keeps one
+    ``extend_lambda`` memo and one ``normalize`` memo, both keyed by the
+    term, for the whole walk and drops them when it returns: each
+    distinct subterm is stepped and folded once per check.  A subterm's
+    step depends only on the subterm, the rule table and the system's
+    observations, and its fold only on the subterm, so the answer is the
+    one an unmemoised walk gives.  The quotient side is untouched."""
     if sys.theory is None:
         raise LawbenchError("quotient commutation needs a theory")
+    th = sys.theory
     plain = replace(sys, theory=None)
     alg = sys.law.outputs
     violations: list[CommuteViolation] = []
     checked = 0
+    steps: dict = {}
+    folds: dict = {}
 
     # Walk the word tree once per seed so each prefix is unfolded a single
-    # time; the plain state grows with every step, so re-running it from
-    # scratch for every word would repeat the expensive deep unfoldings.
+    # time.
     step_quot_of = _stepper(sys)
 
     def walk(label: str, word: tuple[str, ...],
              state_plain: Term, state_quot: State) -> None:
         nonlocal checked
         checked += 1
-        step_plain = operational_model(plain, state_plain)
+        step_plain = operational_model(plain, state_plain, steps)
         step_quot = step_quot_of(state_quot)
         out_plain = alg.concrete(step_plain.output)
         out_quot = alg.concrete(step_quot.output)
@@ -253,7 +270,7 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
             violations.append(CommuteViolation(
                 label, "".join(word), "output",
                 str(out_plain), str(out_quot)))
-        elif sys.theory.equiv(state_plain, term_quot) is not Equiv.EQUAL:
+        elif th.equiv(state_plain, term_quot, folds) is not Equiv.EQUAL:
             violations.append(CommuteViolation(
                 label, "".join(word), "state",
                 format_term(state_plain), format_term(term_quot)))

@@ -218,24 +218,31 @@ LANGUAGES = Semiring("idempotent-semiring", frozenset(), frozenset({()}),
 
 
 def fold(term: Term, semiring: Semiring, generators: tuple[str, ...],
-         family: str | None):
+         family: str | None, memo: dict[Term, Any] | None = None):
     """Interpret a term in a semiring: ``+`` and ``*`` are its operations,
     variables and the nullary ``generators`` are atoms, and constants of
     ``family`` are scalars.  Operational unfoldings share subterms heavily
     and nest deeply, so the walk keeps an explicit stack and memoises on
-    object identity: it is linear in the dag and never recurses."""
-    memo: dict[int, Any] = {}
+    the term itself: it is linear in the distinct subterms and never
+    recurses.  ``memo`` maps terms already folded to their values; a
+    caller that keeps the semiring, generators and family fixed may pass
+    one memo to many calls, and by default each call has its own."""
+    if memo is None:
+        memo = {}
+    found = memo.get(term)  # no semiring value is None
+    if found is not None:
+        return found
     stack: list[tuple[Term, bool]] = [(term, False)]
     while stack:
         t, children_done = stack.pop()
-        if id(t) in memo:
+        if t in memo:
             continue
         if children_done:
             left, right = t.args
             op = semiring.add if t.symbol == "+" else semiring.mul
-            memo[id(t)] = op(memo[id(left)], memo[id(right)])
+            memo[t] = op(memo[left], memo[right])
         elif isinstance(t, Var):
-            memo[id(t)] = semiring.atom(t.name)
+            memo[t] = semiring.atom(t.name)
         elif isinstance(t, Const):
             if semiring.const is None:
                 raise NotInTheorySignature(
@@ -245,19 +252,19 @@ def fold(term: Term, semiring: Semiring, generators: tuple[str, ...],
                 raise NotInTheorySignature(
                     f"family {t.family!r} not part of this theory"
                 )
-            memo[id(t)] = semiring.const(t.index)
+            memo[t] = semiring.const(t.index)
         elif t.symbol in ("+", "*") and len(t.args) == 2:
             # Left child on top, so errors surface in left-to-right order.
             stack += ((t, True), (t.args[1], False), (t.args[0], False))
         elif not t.args and t.symbol in generators:
-            memo[id(t)] = semiring.atom(t.symbol)
+            memo[t] = semiring.atom(t.symbol)
         elif not t.args and semiring.const is None and t.symbol in ("0", "1"):
-            memo[id(t)] = semiring.zero if t.symbol == "0" else semiring.one
+            memo[t] = semiring.zero if t.symbol == "0" else semiring.one
         else:
             raise NotInTheorySignature(
                 f"symbol {t.symbol!r} has no {semiring.name} meaning"
             )
-    return memo[id(term)]
+    return memo[term]
 
 
 COMMUTATIVE = "commutative-semiring"
@@ -356,14 +363,18 @@ class Theory:
 
     # -- normal forms ------------------------------------------------------
 
-    def normalize(self, term: Term) -> NormalForm:
+    def normalize(self, term: Term,
+                  memo: dict[Term, Any] | None = None) -> NormalForm:
+        """The canonical normal form of ``term``.  ``memo`` is a ``fold``
+        memo the caller keeps across calls; the bounded search has its
+        own cache and ignores it."""
         if self.semiring is None:
             cls, _ = self._explore(term)
             least = min(map(term_size, cls))
             return TermForm(min((t for t in cls if term_size(t) == least),
                                 key=term_sort_key))
         return self.form(fold(term, self.semiring, self.generators,
-                              self.family))
+                              self.family, memo))
 
     def representative(self, nf: NormalForm) -> Term:
         """A term that normalises back to ``nf``; the canonical section:
@@ -388,10 +399,13 @@ class Theory:
 
     # -- the congruence ------------------------------------------------------
 
-    def equiv(self, left: Term, right: Term) -> Equiv:
+    def equiv(self, left: Term, right: Term,
+              memo: dict[Term, Any] | None = None) -> Equiv:
+        """Whether the theory identifies the two terms; ``memo`` is a
+        ``normalize`` memo for ``left`` alone."""
         if self.semiring is not None:
-            return Equiv.EQUAL if self.normalize(left) == self.normalize(right) \
-                else Equiv.DISTINCT
+            return Equiv.EQUAL if self.normalize(left, memo) \
+                == self.normalize(right) else Equiv.DISTINCT
         if left == right:
             return Equiv.EQUAL
         left_cls, left_done = self._explore(left)

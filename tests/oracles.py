@@ -1,0 +1,118 @@
+"""Reference routes the library no longer ships, kept as test oracles.
+
+``morphism_square_check`` compares, input by input, the term-level step
+followed by normalisation with the quotient law's step of the normal
+form.  ``reference_commute_check`` is ``quotient_commute_check`` without
+its memos: every plain state is stepped and normalised from scratch, so
+its cost follows the unfolded tree, and its report must equal the
+memoised one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+from lawbench.behaviour import Step
+from lawbench.gsos import DistLaw, QuotientStepper, extend_lambda
+from lawbench.solver import (
+    CommuteReport,
+    CommuteViolation,
+    CorecSystem,
+    operational_model,
+    quotient_model,
+)
+from lawbench.terms import App, Const, Term, Var, enumerate_terms, format_term
+from lawbench.theories import Equiv, Theory
+
+
+@dataclass(frozen=True)
+class SquareViolation:
+    term: Term
+    kind: str  # "output" or "next"
+    letter: str | None
+    left: str
+    right: str
+
+
+@dataclass
+class SquareReport:
+    checked: int
+    violations: list[SquareViolation]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def morphism_square_check(th: Theory, law: DistLaw,
+                          samples) -> SquareReport:
+    """Check, input by input, that normalising after the term-level step
+    equals stepping the normal form: the square making the quotient map a
+    morphism from the term-level law to the induced one."""
+    alg = law.outputs
+    violations: list[SquareViolation] = []
+    checked = 0
+    for term, env in samples:
+        checked += 1
+        _, step = extend_lambda(law, term, env)
+        left = Step.of(step.output, {l: th.normalize(s) for l, s in step.moves})
+        right = QuotientStepper(th, law, env).step(th.normalize(term))
+        if not alg.equal(left.output, right.output):
+            violations.append(SquareViolation(
+                term, "output", None,
+                alg.format(left.output), alg.format(right.output)))
+            continue
+        for letter in law.alphabet:
+            if left.next(letter) != right.next(letter):
+                violations.append(SquareViolation(
+                    term, "next", letter,
+                    str(left.next(letter)), str(right.next(letter))))
+                break
+    return SquareReport(checked, violations)
+
+
+def reference_commute_check(sys: CorecSystem, max_term_size: int,
+                            depth: int) -> CommuteReport:
+    """Plain and normalised unfolding over all enumerated terms and words
+    within the bounds, with nothing remembered between steps."""
+    th = sys.theory
+    plain = replace(sys, theory=None)
+    alg = sys.law.outputs
+    quotient = quotient_model(sys)
+    violations: list[CommuteViolation] = []
+    checked = 0
+
+    def step_quot_of(state) -> Step:
+        if isinstance(state, (Var, App, Const)):
+            first = operational_model(sys, state)
+            return Step.of(first.output,
+                           {l: th.normalize(s) for l, s in first.moves})
+        return quotient.step(state)
+
+    def walk(label: str, word: tuple[str, ...], state_plain: Term,
+             state_quot) -> None:
+        nonlocal checked
+        checked += 1
+        step_plain = operational_model(plain, state_plain)
+        step_quot = step_quot_of(state_quot)
+        out_plain = alg.concrete(step_plain.output)
+        out_quot = alg.concrete(step_quot.output)
+        term_quot = (state_quot if isinstance(state_quot, (Var, App, Const))
+                     else th.representative(state_quot))
+        if out_plain != out_quot:
+            violations.append(CommuteViolation(
+                label, "".join(word), "output",
+                str(out_plain), str(out_quot)))
+        elif th.equiv(state_plain, term_quot) is not Equiv.EQUAL:
+            violations.append(CommuteViolation(
+                label, "".join(word), "state",
+                format_term(state_plain), format_term(term_quot)))
+        if len(word) < depth:
+            for letter in step_plain.letters:
+                walk(label, word + (letter,), step_plain.next(letter),
+                     step_quot.next(letter))
+
+    for term in enumerate_terms(sys.law.signature, set(sys.variables),
+                                max_term_size):
+        walk(format_term(term), (), term, term)
+    return CommuteReport(checked, violations)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from lawbench.behaviour import RATIONAL_OUTPUTS, Step
 from lawbench.cfg import cyk_member, member, to_corec
 from lawbench.dsl import load
-from lawbench.gsos import DistLaw, Plain, extend_lambda, morphism_square_check
+from lawbench.gsos import DistLaw, Plain, extend_lambda
 from lawbench.preservation import Verdict, check_preservation
 from lawbench.solver import (
     CorecSystem,
@@ -24,6 +24,7 @@ from lawbench.terms import App, Const, Var, enumerate_terms, substitute
 from lawbench.theories import commutative_semiring, idempotent_semiring
 
 from conftest import example
+from oracles import morphism_square_check
 
 STREAM = load(example("stream.dsl"))
 CONVOLUTION = load(example("convolution.dsl"))

@@ -28,7 +28,6 @@ from lawbench.gsos import (
     Rule,
     eval_out,
     extend_lambda,
-    morphism_square_check,
 )
 from lawbench.terms import (
     App,
@@ -41,6 +40,7 @@ from lawbench.terms import (
 from lawbench.theories import Equiv, free_theory
 
 from conftest import example
+from oracles import morphism_square_check
 
 # ---------------------------------------------------------------- fixtures
 

@@ -16,7 +16,6 @@ from lawbench.gsos import (
     GsosSpec,
     Plain,
     Rule,
-    morphism_square_check,
 )
 from lawbench.preservation import (
     Verdict,
@@ -28,6 +27,7 @@ from lawbench.terms import App, Signature, Var, enumerate_terms
 from lawbench.theories import EquationScheme, PolyForm, generic_theory
 
 from conftest import example
+from oracles import morphism_square_check
 
 # ----------------------------------------------------------- frozen facts
 

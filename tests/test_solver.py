@@ -4,6 +4,7 @@ The convolution oracle below is the direct truncated sum, written against
 the definition and independent of the solver's own helper.
 """
 
+import pathlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,14 +12,16 @@ import pytest
 
 from lawbench.behaviour import RATIONAL_OUTPUTS, Step
 from lawbench.cfg import GnfGrammar, to_corec
-from lawbench.dsl import load
+from lawbench.dsl import load, loads
 from lawbench.errors import (
     AlphabetMismatch,
     ArityMismatch,
     LawbenchError,
     UnboundVariable,
 )
+from lawbench import gsos
 from lawbench.gsos import DistLaw, Plain, extend_lambda
+from lawbench.preservation import Verdict, check_preservation
 from lawbench.solver import (
     CorecSystem,
     behaviour_table,
@@ -31,6 +34,7 @@ from lawbench.solver import (
 from lawbench.terms import App, Const, Var, enumerate_terms, substitute
 
 from conftest import example
+from oracles import reference_commute_check
 
 # ----------------------------------------------------------------- oracle
 
@@ -145,7 +149,7 @@ def test_quotient_commutes_for_the_bundled_systems():
         assert report.violations == []
 
 
-def test_mutated_rule_table_breaks_commutation():
+def broken_stream_system() -> CorecSystem:
     # break the scalar derivative: [r]' = [1] instead of [0]; the theory
     # then identifies states whose unfoldings disagree one step later
     law = STREAM.law
@@ -153,13 +157,51 @@ def test_mutated_rule_table_breaks_commutation():
         replace(r, next=Plain(Const("c", Fraction(1)))) if r.is_family else r
         for r in law.spec.rules)
     broken = DistLaw(replace(law.spec, rules=rules), law.alphabet, law.outputs)
-    sys = CorecSystem(STREAM.system.variables, STREAM.system.phi,
-                      broken, STREAM.theory)
-    report = quotient_commute_check(sys, max_term_size=3, depth=3)
+    return CorecSystem(STREAM.system.variables, STREAM.system.phi,
+                       broken, STREAM.theory)
+
+
+def test_mutated_rule_table_breaks_commutation():
+    report = quotient_commute_check(broken_stream_system(), max_term_size=3,
+                                    depth=3)
     assert not report.ok
     assert len(report.violations) >= 1
     v = report.violations[0]
     assert v.kind in ("output", "state")
+
+
+@pytest.mark.parametrize("name", ["stream.dsl", "convolution.dsl",
+                                  "cfg.dsl", "balanced.dsl", "broken"])
+def test_memoised_commutation_matches_the_unmemoised_walk(name):
+    # The check's memos change how often a subterm is stepped, never the
+    # report: same count, same violations in the same order.
+    if name == "broken":
+        sys = broken_stream_system()
+    else:
+        wb = load(example(name))
+        sys = wb.system if wb.system is not None else to_corec(wb.grammar)
+    report = quotient_commute_check(sys, max_term_size=3, depth=4)
+    assert report == reference_commute_check(sys, max_term_size=3, depth=4)
+    assert report.ok == (name not in ("convolution.dsl", "broken"))
+
+
+def test_commutation_steps_each_distinct_subterm_once(monkeypatch):
+    # Counts rule applications instead of timing them.  Stepping every
+    # plain state from scratch makes 119,668 of them here, because the
+    # unfolded trees grow geometrically with the depth; the check's memo
+    # makes 1,176.
+    calls = 0
+    apply_rule = gsos.apply_rule
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return apply_rule(*args, **kwargs)
+
+    monkeypatch.setattr(gsos, "apply_rule", counting)
+    report = quotient_commute_check(STREAM.system, max_term_size=3, depth=5)
+    assert (report.checked, report.ok) == (468, True)
+    assert calls <= 5_000
 
 
 def test_induced_algebra_for_streams():
@@ -245,3 +287,14 @@ def test_plain_unfolding_of_a_deep_term():
         deep = App("+", (deep, X if i % 2 else ONES))
     ones, xs = 5001, 4999  # X is (0, 1, 0, ...)
     assert stream_prefix(sys, deep, 3) == [ones, ones + xs, ones]
+
+
+def test_a_deep_successor_template_runs():
+    # A 2000-summand `+` successor is instantiated on an explicit stack.
+    # It is not the pointwise rule, so the run takes the term path.
+    text = pathlib.Path(example("stream.dsl")).read_text()
+    chain = "x + " * 1999 + "y"
+    wb = loads(text.replace("next(t') = x + y;", f"next(t') = {chain};"))
+    assert stream_prefix(wb.system, App("+", (ONES, ONES)), 3) == \
+        [2, 2000, 2000]
+    assert check_preservation(wb.theory, wb.law).verdict is Verdict.FAILS
