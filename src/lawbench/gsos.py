@@ -16,9 +16,11 @@ inside constant indices, which is how a rule like
 ``(x * y)' = x' * y + [x(0)] * y'`` mentions the head output ``[x(0)]``.
 
 ``extend_lambda`` pushes a whole term of observed leaves through the
-table: it is the unique structural extension of the rules, and the pair
-it returns (the term with leaves replaced by their states, plus the
-composite step) is the distributive-law component at that term.
+table: it is evaluation (``terms.evaluate``) in the algebra of (state,
+step) pairs whose operation is ``apply_rule``, the paper's extension of
+the rule table along the free monad.  The pair it returns (the term with
+leaves replaced by their states, plus the composite step) is the
+distributive-law component at that term.
 
 ``QuotientStepper`` is the law on the quotient by a theory: it steps
 normal forms.  For the builtin theories under a pointwise ``+`` rule it
@@ -45,8 +47,9 @@ from .errors import (
     UnknownSymbol,
 )
 from .polynomials import Poly
-from .terms import App, Const, Signature, Term, Var, subterms, variables
-from .theories import NormalForm, Semiring, Theory, fold
+from .terms import (App, Const, Signature, Term, Var, evaluate, format_term,
+                    rebuild, subterms, variables)
+from .theories import NormalForm, Theory, fold
 
 SIMPLE = "simple"
 GSOS = "gsos"
@@ -65,16 +68,22 @@ def eval_out(expr: Term, alg: OutputAlgebra, env: Mapping[str, Any]):
     """Evaluate a rule's output term: a variable is an output placeholder,
     a nullary symbol the literal its name spells, and any other
     application an operation of the output algebra."""
-    if isinstance(expr, Var):
+    def var(name: str):
         try:
-            return env[expr.name]
+            return env[name]
         except KeyError:
             raise PlaceholderViolation(
-                f"output expression uses undeclared placeholder {expr.name!r}"
+                f"output expression uses undeclared placeholder {name!r}"
             ) from None
-    if not expr.args:
-        return _literal(alg, expr.symbol)
-    return alg.apply(expr.symbol, [eval_out(a, alg, env) for a in expr.args])
+
+    def const(t: Const):
+        raise PlaceholderViolation(
+            f"output expression cannot contain the constant {format_term(t)}")
+
+    def app(t: App, args: list):
+        return alg.apply(t.symbol, args) if args else _literal(alg, t.symbol)
+
+    return evaluate(expr, var, const, app)
 
 
 @dataclass(frozen=True)
@@ -184,11 +193,15 @@ class GsosSpec:
             raise PlaceholderViolation(
                 f"rule for {rule.symbol!r} declares a placeholder twice"
             )
-        for atom in variables(rule.output):
-            if atom not in out_ph:
+        for t in subterms(rule.output):
+            if isinstance(t, Const):
+                raise PlaceholderViolation(
+                    f"rule for {rule.symbol!r}: output contains the "
+                    f"constant {format_term(t)}")
+            if isinstance(t, Var) and t.name not in out_ph:
                 raise PlaceholderViolation(
                     f"rule for {rule.symbol!r}: output uses undeclared "
-                    f"placeholder {atom!r}"
+                    f"placeholder {t.name!r}"
                 )
         if isinstance(rule.next, CaseSplit) and rule.next.scrutinee not in out_ph:
             raise PlaceholderViolation(
@@ -269,34 +282,14 @@ Reader = Callable[[Term, Mapping[str, Any], Mapping[str, Poly]], Any]
 
 def _instantiate_template(template: Term, term_env: Mapping[str, Term],
                           poly_env: Mapping[str, Poly]) -> Term:
-    """The term reading: placeholders become their bound terms.  The walk
-    is post-order on an explicit stack, left argument first, so a deep
-    template never recurses and an unbound placeholder surfaces in
-    left-to-right order.  An application is pushed back as its symbol and
-    arity, below its arguments, to be built from their readings."""
-    done: list[Term] = []
-    stack: list = [template]
-    while stack:
-        t = stack.pop()
-        kind = t.__class__
-        if kind is Var:
-            done.append(term_env[t.name])
-        elif kind is tuple:
-            symbol, arity = t
-            args = tuple(done[-arity:])
-            del done[-arity:]
-            done.append(App(symbol, args))
-        elif kind is Const:
-            index = t.index
-            if isinstance(index, Poly) and index.atoms():
-                t = Const(t.family, index.substitute(poly_env))
-            done.append(t)
-        elif t.args:
-            stack.append((t.symbol, len(t.args)))
-            stack.extend(reversed(t.args))
-        else:
-            done.append(t)
-    return done[0]
+    """The term reading: placeholders become their bound terms, and the
+    output values a constant's index mentions are substituted in."""
+    def const(t: Const) -> Const:
+        if isinstance(t.index, Poly) and t.index.atoms():
+            return Const(t.family, t.index.substitute(poly_env))
+        return t
+
+    return evaluate(template, term_env.__getitem__, const, rebuild)
 
 
 def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Any, dict]],
@@ -351,44 +344,21 @@ def extend_lambda(law: DistLaw, term: Term, env: Mapping[str, LeafObs],
     that keeps those fixed may pass one memo to many calls; by default
     each call has its own.
     """
-    # Successor templates reuse argument subterms, so iterated steps build
-    # dags; the memo, keyed by the term itself, visits each distinct
-    # subterm once.  The walk is post-order on an explicit stack, left
-    # argument first, so deep terms never recurse and errors surface in
-    # left-to-right order.
-    if memo is None:
-        memo = {}
-    found = memo.get(term)
-    if found is not None:
-        return found
-    stack: list[tuple[Term, bool]] = [(term, False)]
-    while stack:
-        t, children_done = stack.pop()
-        if t in memo:
-            continue
-        if isinstance(t, Var):
-            try:
-                result = env[t.name]
-            except KeyError:
-                raise UnboundVariable(
-                    f"no observation for leaf {t.name!r}"
-                ) from None
-        elif isinstance(t, Const):
-            step = apply_rule(law, t.family, [], family=True, index=t.index)
-            result = (t, step)
-        elif t.args and not children_done:
-            stack.append((t, True))
-            stack.extend((a, False) for a in reversed(t.args))
-            continue
-        else:
-            pieces = [memo[a] for a in t.args]
-            args = [(state, step.output, step.next_map)
-                    for state, step in pieces]
-            step = apply_rule(law, t.symbol, args)
-            result = (App(t.symbol, tuple(state for state, _ in pieces)),
-                      step)
-        memo[t] = result
-    return memo[term]
+    def var(name: str) -> LeafObs:
+        try:
+            return env[name]
+        except KeyError:
+            raise UnboundVariable(f"no observation for leaf {name!r}") from None
+
+    def const(t: Const) -> tuple[Term, Step]:
+        return t, apply_rule(law, t.family, [], family=True, index=t.index)
+
+    def app(t: App, pieces: list[tuple[Term, Step]]) -> tuple[Term, Step]:
+        step = apply_rule(law, t.symbol, [(state, s.output, s.next_map)
+                                          for state, s in pieces])
+        return rebuild(t, [state for state, _ in pieces]), step
+
+    return evaluate(term, var, const, app, {} if memo is None else memo)
 
 
 # A folded observation: the state's value, its output and its successors'
@@ -476,19 +446,19 @@ class QuotientStepper:
               poly_env: Mapping[str, Poly]):
         """Fold a template into the theory's semiring, each placeholder
         read as its bound value; the ``read`` given to ``apply_rule``."""
-        ring = self.th.semiring
+        atom, const, app = self.th.algebra
 
-        def atom(name: str):
-            return bound[name] if name in bound else ring.atom(name)
+        def var(name: str):
+            return bound[name] if name in bound else atom(name)
 
-        def const(index):
+        def bound_const(t: Const):
+            value = const(t)  # checks the family
+            index = t.index
             if isinstance(index, Poly) and index.atoms():
-                index = index.substitute(poly_env)
-            return ring.const(index)
+                return self.th.semiring.const(index.substitute(poly_env))
+            return value
 
-        target = Semiring(ring.name, ring.zero, ring.one, ring.add, ring.mul,
-                          atom, const if ring.const is not None else None)
-        return fold(template, target, self.th.generators, self.th.family)
+        return evaluate(template, var, bound_const, app)
 
     def _product(self, factors: tuple) -> _Folded:
         cache = self._products

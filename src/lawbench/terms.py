@@ -14,8 +14,10 @@ constant indexed by the sum of the parameters ``a`` and ``b``).  A
 polynomial index that happens to be constant collapses to the rational it
 denotes, so ``Const(f, 2)`` and ``Const(f, Poly.const(2))`` are equal.
 
-Substitution treats terms as the free monad over the signature: ``Var`` is
-the unit and ``substitute`` is the multiplication.
+Terms are the free monad over the signature: a term has one value in
+every algebra for the signature, and ``evaluate``, the one evaluation in
+lawbench, computes it.  ``Var`` is the unit and ``substitute``, evaluation
+in the term algebra, is the multiplication.
 
 Hashing and equality are structural, and fixed when a node is built: each
 node computes its hash from its children's stored hashes, and records its
@@ -23,17 +25,17 @@ size, so ``hash`` and ``term_size`` are O(1).  ``==`` answers at once on
 identity or on differing hashes; otherwise it compares the two trees on an
 explicit stack, skipping shared subterms.  No global intern table is
 kept, so equal terms need not be the same object.  Nodes are immutable.
-``substitute``, ``subterms`` (which ``variables``, ``index_atoms`` and
+``evaluate``, ``subterms`` (which ``variables``, ``index_atoms`` and
 ``Signature.validate`` walk), ``term_sort_key`` and ``format_term`` keep
-explicit stacks too, so terms of any depth can be built, compared,
-hashed, ordered, substituted into, validated and printed.
+explicit stacks, so terms of any depth can be built, compared, hashed,
+ordered, evaluated, validated and printed.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Any, Callable, Iterator, Mapping, Union
 
 from .errors import (
     ArityMismatch,
@@ -227,34 +229,76 @@ def _same(s: "Term", t: "Term") -> bool:
 Term = Union[Var, App, Const]
 
 
+_MISSING = object()
+
+
+def evaluate(term: Term, var: Callable[[str], Any],
+             const: Callable[[Const], Any], app: Callable[[App, list], Any],
+             memo: dict[Term, Any] | None = None):
+    """The value of ``term`` in the algebra that maps a variable's name, a
+    ``Const`` node, and an application node with its argument values to
+    values: the free monad's unique extension.
+
+    The walk is post-order, left argument first, on an explicit stack of
+    the applications still waiting for arguments, each with the values of
+    those it has; so any depth evaluates, and the first error is the
+    leftmost innermost.  ``memo`` maps terms already evaluated to their
+    values, so each distinct subterm is evaluated once; without one the
+    term is walked as a tree, which costs less on small terms."""
+    waiting: list[tuple[App, list]] = []
+    t = term
+    while True:
+        value = _MISSING if memo is None else memo.get(t, _MISSING)
+        if value is _MISSING:
+            kind = t.__class__
+            if kind is Var:
+                value = var(t.name)
+            elif kind is Const:
+                value = const(t)
+            elif t.args:
+                waiting.append((t, []))
+                t = t.args[0]
+                continue
+            else:
+                value = app(t, [])
+            if memo is not None:
+                memo[t] = value
+        # Hand the value up until an application still needs an argument.
+        while waiting:
+            t, args = waiting[-1]
+            args.append(value)
+            if len(args) < len(t.args):
+                t = t.args[len(args)]
+                break
+            waiting.pop()
+            value = app(t, args)
+            if memo is not None:
+                memo[t] = value
+        else:
+            return value
+
+
+def rebuild(t: Term, args: list | tuple = ()) -> Term:
+    """The term algebra's image of a node: its symbol applied to the new
+    arguments, or the node itself when it has none."""
+    return App(t.symbol, args) if args else t
+
+
 def substitute(term: Term, mapping: Mapping[str, Term],
                signature: Signature | None = None) -> Term:
     """Replace every leaf token by its image; the monad multiplication.
 
     Every variable of ``term`` must be in the mapping.  When a signature is
     supplied the result is validated against it and a failure is reported
-    as ``SignatureMismatch``.  The walk keeps an explicit stack and builds
-    each shared node once.
+    as ``SignatureMismatch``.  Each distinct subterm is rebuilt once.
     """
-    done: dict[int, Term] = {}
-    stack: list[tuple[Term, bool]] = [(term, False)]
-    while stack:
-        t, children_done = stack.pop()
-        if id(t) in done:
-            continue
-        if children_done:
-            done[id(t)] = App(t.symbol, tuple([done[id(a)] for a in t.args]))
-        elif isinstance(t, Var):
-            try:
-                done[id(t)] = mapping[t.name]
-            except KeyError:
-                raise UnboundVariable(f"no binding for variable {t.name!r}") from None
-        elif isinstance(t, App) and t.args:
-            stack.append((t, True))
-            stack.extend((a, False) for a in reversed(t.args))
-        else:
-            done[id(t)] = t
-    result = done[id(term)]
+    def var(name: str) -> Term:
+        try:
+            return mapping[name]
+        except KeyError:
+            raise UnboundVariable(f"no binding for variable {name!r}") from None
+
+    result = evaluate(term, var, rebuild, rebuild, {})
     if signature is not None:
         try:
             signature.validate(result)
@@ -293,28 +337,6 @@ def index_atoms(term: Term) -> frozenset[str]:
     return frozenset(atom for t in subterms(term)
                      if isinstance(t, Const) and isinstance(t.index, Poly)
                      for atom in t.index.atoms())
-
-
-def positions(term: Term) -> Iterator[tuple[int, ...]]:
-    yield ()
-    if isinstance(term, App):
-        for i, arg in enumerate(term.args):
-            for pos in positions(arg):
-                yield (i,) + pos
-
-
-def subterm_at(term: Term, pos: tuple[int, ...]) -> Term:
-    for i in pos:
-        term = term.args[i]
-    return term
-
-
-def replace_at(term: Term, pos: tuple[int, ...], new: Term) -> Term:
-    if not pos:
-        return new
-    args = list(term.args)
-    args[pos[0]] = replace_at(args[pos[0]], pos[1:], new)
-    return App(term.symbol, tuple(args))
 
 
 # Closes an application's labels; sorts before every label.
@@ -389,10 +411,6 @@ def enumerate_terms(signature: Signature, variables: frozenset[str] | set[str] |
 _INFIX = {"+": 1, "*": 2}
 
 
-def _format_index(index) -> str:
-    return str(index)
-
-
 def format_term(term: Term) -> str:
     """Render a term with infix ``+`` and ``*``; canonical right nesting
     prints without parentheses."""
@@ -409,7 +427,7 @@ def format_term(term: Term) -> str:
         if isinstance(t, Var):
             out.append(t.name)
         elif isinstance(t, Const):
-            out.append(f"[{_format_index(t.index)}]")
+            out.append(f"[{t.index}]")
         elif t.symbol in _INFIX and len(t.args) == 2:
             prec = _INFIX[t.symbol]
             parens = prec < context

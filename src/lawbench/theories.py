@@ -50,7 +50,10 @@ from .terms import (
     Signature,
     Term,
     Var,
+    evaluate,
+    format_term,
     index_atoms,
+    rebuild,
     substitute,
     term_size,
     term_sort_key,
@@ -146,8 +149,6 @@ class TermForm:
     term: Term
 
     def __str__(self) -> str:
-        from .terms import format_term
-
         return format_term(self.term)
 
 
@@ -163,23 +164,17 @@ class FiniteModel:
     families: Mapping[str, Callable] = field(default_factory=dict)
 
     def evaluate(self, term: Term, assignment: Mapping[str, object]):
-        if isinstance(term, Var):
-            return assignment[term.name]
-        if isinstance(term, Const):
+        def meaning(table: Mapping[str, Callable], kind: str, name: str):
             try:
-                fn = self.families[term.family]
+                return table[name]
             except KeyError:
                 raise UnknownSymbol(
-                    f"model does not interpret family {term.family!r}"
-                ) from None
-            return fn(term.index)
-        try:
-            fn = self.ops[term.symbol]
-        except KeyError:
-            raise UnknownSymbol(
-                f"model does not interpret symbol {term.symbol!r}"
-            ) from None
-        return fn(*(self.evaluate(a, assignment) for a in term.args))
+                    f"model does not interpret {kind} {name!r}") from None
+
+        return evaluate(
+            term, assignment.__getitem__,
+            lambda t: meaning(self.families, "family", t.family)(t.index),
+            lambda t, args: meaning(self.ops, "symbol", t.symbol)(*args))
 
 
 @dataclass(frozen=True)
@@ -217,54 +212,45 @@ LANGUAGES = Semiring("idempotent-semiring", frozenset(), frozenset({()}),
                      sum=lambda values: frozenset().union(*values))
 
 
+def semiring_algebra(semiring: Semiring, generators: tuple[str, ...],
+                     family: str | None):
+    """``evaluate``'s three callables into a semiring: ``+`` and ``*`` are
+    its operations, variables and the nullary ``generators`` are atoms,
+    constants of ``family`` are scalars, and, without scalars, the nullary
+    0 and 1 are the units.  Anything else is ``NotInTheorySignature``."""
+    atom, scalar, name = semiring.atom, semiring.const, semiring.name
+    ops = {"+": semiring.add, "*": semiring.mul}
+    units = {} if scalar else {"0": semiring.zero, "1": semiring.one}
+
+    def const(t: Const):
+        if scalar is None:
+            raise NotInTheorySignature(
+                f"{name} terms cannot contain indexed constants")
+        if t.family != family:
+            raise NotInTheorySignature(
+                f"family {t.family!r} not part of this theory")
+        return scalar(t.index)
+
+    def app(t: App, args: list):
+        symbol = t.symbol
+        if len(args) == 2 and symbol in ops:
+            return ops[symbol](*args)
+        if not args and symbol in generators:
+            return atom(symbol)
+        if not args and symbol in units:
+            return units[symbol]
+        raise NotInTheorySignature(f"symbol {symbol!r} has no {name} meaning")
+
+    return atom, const, app
+
+
 def fold(term: Term, semiring: Semiring, generators: tuple[str, ...],
          family: str | None, memo: dict[Term, Any] | None = None):
-    """Interpret a term in a semiring: ``+`` and ``*`` are its operations,
-    variables and the nullary ``generators`` are atoms, and constants of
-    ``family`` are scalars.  Operational unfoldings share subterms heavily
-    and nest deeply, so the walk keeps an explicit stack and memoises on
-    the term itself: it is linear in the distinct subterms and never
-    recurses.  ``memo`` maps terms already folded to their values; a
-    caller that keeps the semiring, generators and family fixed may pass
-    one memo to many calls, and by default each call has its own."""
-    if memo is None:
-        memo = {}
-    found = memo.get(term)  # no semiring value is None
-    if found is not None:
-        return found
-    stack: list[tuple[Term, bool]] = [(term, False)]
-    while stack:
-        t, children_done = stack.pop()
-        if t in memo:
-            continue
-        if children_done:
-            left, right = t.args
-            op = semiring.add if t.symbol == "+" else semiring.mul
-            memo[t] = op(memo[left], memo[right])
-        elif isinstance(t, Var):
-            memo[t] = semiring.atom(t.name)
-        elif isinstance(t, Const):
-            if semiring.const is None:
-                raise NotInTheorySignature(
-                    f"{semiring.name} terms cannot contain indexed constants"
-                )
-            if t.family != family:
-                raise NotInTheorySignature(
-                    f"family {t.family!r} not part of this theory"
-                )
-            memo[t] = semiring.const(t.index)
-        elif t.symbol in ("+", "*") and len(t.args) == 2:
-            # Left child on top, so errors surface in left-to-right order.
-            stack += ((t, True), (t.args[1], False), (t.args[0], False))
-        elif not t.args and t.symbol in generators:
-            memo[t] = semiring.atom(t.symbol)
-        elif not t.args and semiring.const is None and t.symbol in ("0", "1"):
-            memo[t] = semiring.zero if t.symbol == "0" else semiring.one
-        else:
-            raise NotInTheorySignature(
-                f"symbol {t.symbol!r} has no {semiring.name} meaning"
-            )
-    return memo[term]
+    """Interpret a term in a semiring (``semiring_algebra``), each distinct
+    subterm once.  A caller that folds many terms with the same arguments
+    may pass one ``memo``; by default each call has its own."""
+    return evaluate(term, *semiring_algebra(semiring, generators, family),
+                    {} if memo is None else memo)
 
 
 COMMUTATIVE = "commutative-semiring"
@@ -319,6 +305,7 @@ class Theory:
         self._explore_cache: dict[Term, tuple[frozenset, bool]] = {}
         self.family: str | None = None
         self.generators: tuple[str, ...] = ()
+        self.algebra = None  # semiring_algebra, for the builtin kinds
         if self.semiring is not None:
             self._check_signature()
 
@@ -360,6 +347,8 @@ class Theory:
             gens.append(sym)
         self.family = sig.families[0].name if scalars else None
         self.generators = tuple(gens)
+        self.algebra = semiring_algebra(self.semiring, self.generators,
+                                        self.family)
 
     # -- normal forms ------------------------------------------------------
 
@@ -373,8 +362,8 @@ class Theory:
             least = min(map(term_size, cls))
             return TermForm(min((t for t in cls if term_size(t) == least),
                                 key=term_sort_key))
-        return self.form(fold(term, self.semiring, self.generators,
-                              self.family, memo))
+        return self.form(evaluate(term, *self.algebra,
+                                  {} if memo is None else memo))
 
     def representative(self, nf: NormalForm) -> Term:
         """A term that normalises back to ``nf``; the canonical section:
@@ -480,12 +469,13 @@ class Theory:
                 if not closed:
                     complete = False
                     continue
-                new = _instantiate(target, binding)
+                new = evaluate(target, binding.__getitem__, rebuild, rebuild)
                 up = link
                 while up is not None:
                     up, parent, i = up
-                    args = parent.args
-                    new = App(parent.symbol, args[:i] + (new,) + args[i + 1:])
+                    args = list(parent.args)
+                    args[i] = new
+                    new = App(parent.symbol, args)
                 out[new] = None
         out.pop(term, None)
         return out, complete
@@ -550,35 +540,27 @@ class Theory:
 def _match(pattern: Term, term: Term,
            binding: dict[str, Term]) -> dict[str, Term] | None:
     """Extend ``binding`` so that the pattern instantiates to ``term``;
-    every variable of a scheme is a metavariable.  Patterns are scheme
-    sides, so the recursion is as deep as a scheme side."""
-    if isinstance(pattern, Var):
-        bound = binding.get(pattern.name)
-        if bound is None:
-            binding[pattern.name] = term
-            return binding
-        return binding if bound == term else None
-    if isinstance(pattern, Const):
-        return binding if pattern == term else None
-    if not isinstance(term, App) or term.symbol != pattern.symbol \
-            or len(term.args) != len(pattern.args):
-        return None
-    for p, t in zip(pattern.args, term.args):
-        if _match(p, t, binding) is None:
+    every variable of a scheme is a metavariable.  The (pattern, term)
+    pairs still to match are on an explicit stack, left argument on top."""
+    stack = [(pattern, term)]
+    while stack:
+        pattern, term = stack.pop()
+        kind = pattern.__class__
+        if kind is Var:
+            bound = binding.get(pattern.name)
+            if bound is None:
+                binding[pattern.name] = term
+            elif bound != term:
+                return None
+        elif kind is Const:
+            if pattern != term:
+                return None
+        elif term.__class__ is not App or term.symbol != pattern.symbol \
+                or len(term.args) != len(pattern.args):
             return None
+        else:
+            stack.extend(zip(pattern.args[::-1], term.args[::-1]))
     return binding
-
-
-def _instantiate(target: Term, binding: dict[str, Term]) -> Term:
-    """``substitute`` for a scheme side, whose depth bounds the recursion;
-    ``_one_step`` calls it once per rewrite, where the general walk's
-    stack and memo cost more than the side has nodes."""
-    if isinstance(target, Var):
-        return binding[target.name]
-    if isinstance(target, App) and target.args:
-        return App(target.symbol,
-                   tuple([_instantiate(a, binding) for a in target.args]))
-    return target
 
 
 def commutative_semiring(signature: Signature) -> Theory:

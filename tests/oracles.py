@@ -1,5 +1,12 @@
 """Reference routes the library no longer ships, kept as test oracles.
 
+``reference_evaluate`` is ``terms.evaluate`` as the structural recursion
+it computes: no stack, no memo, so it walks a dag as a tree and cannot
+take deep terms.
+
+``positions``, ``subterm_at`` and ``replace_at`` address subterms by
+their paths from the root, for the reference rewrite search.
+
 ``morphism_square_check`` compares, input by input, the term-level step
 followed by normalisation with the quotient law's step of the normal
 form.  ``reference_commute_check`` is ``quotient_commute_check`` without
@@ -11,6 +18,7 @@ memoised one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from lawbench.behaviour import Step
 from lawbench.gsos import DistLaw, QuotientStepper, extend_lambda
@@ -23,6 +31,39 @@ from lawbench.solver import (
 )
 from lawbench.terms import App, Const, Term, Var, enumerate_terms, format_term
 from lawbench.theories import Equiv, Theory
+
+
+def reference_evaluate(term: Term, var, const, app):
+    """The value of ``term`` in the algebra (var, const, app), by
+    recursion on the term, arguments left to right."""
+    if isinstance(term, Var):
+        return var(term.name)
+    if isinstance(term, Const):
+        return const(term)
+    return app(term, [reference_evaluate(a, var, const, app)
+                      for a in term.args])
+
+
+def positions(term: Term) -> Iterator[tuple[int, ...]]:
+    yield ()
+    if isinstance(term, App):
+        for i, arg in enumerate(term.args):
+            for pos in positions(arg):
+                yield (i,) + pos
+
+
+def subterm_at(term: Term, pos: tuple[int, ...]) -> Term:
+    for i in pos:
+        term = term.args[i]
+    return term
+
+
+def replace_at(term: Term, pos: tuple[int, ...], new: Term) -> Term:
+    if not pos:
+        return new
+    args = list(term.args)
+    args[pos[0]] = replace_at(args[pos[0]], pos[1:], new)
+    return App(term.symbol, tuple(args))
 
 
 @dataclass(frozen=True)

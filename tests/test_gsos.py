@@ -6,6 +6,7 @@ below were derived by instantiating the stream rules by hand.
 """
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,19 @@ def test_rule_table_validation():
     with pytest.raises(PlaceholderViolation):
         GsosSpec(sig, (Rule("+", (ArgObs("a", "x"),),
                             Var("a"), Plain(Var("x"))),))
+
+
+def test_a_constant_in_a_rule_output_is_rejected():
+    # The DSL writes a literal as a nullary symbol; a constant can only
+    # come from the library constructor.
+    sig = STREAM.law.signature
+    rules = tuple(replace(r, output=App("+", (Var("a"), Const("c", 1))))
+                  if r.symbol == "+" else r for r in STREAM.law.spec.rules)
+    with pytest.raises(PlaceholderViolation, match=r"output contains the "
+                       r"constant \[1\]"):
+        GsosSpec(sig, rules, STREAM.law.spec.format)
+    with pytest.raises(PlaceholderViolation, match="cannot contain"):
+        eval_out(Const("c", 1), RATIONAL_OUTPUTS, {})
 
 
 def test_a_nullary_output_is_a_literal():

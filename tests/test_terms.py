@@ -18,15 +18,16 @@ from lawbench.terms import (
     Signature,
     Var,
     enumerate_terms,
+    evaluate,
     format_term,
-    positions,
-    replace_at,
     substitute,
-    subterm_at,
+    subterms,
     term_size,
     term_sort_key,
     variables,
 )
+
+from oracles import positions, reference_evaluate, replace_at, subterm_at
 
 # ---------------------------------------------------------------- oracles
 
@@ -345,3 +346,87 @@ def test_sort_key_orders_as_the_nested_key(s, t):
 def test_sort_key_of_deep_terms():
     t, u = left_nested_sum(DEEP), left_nested_sum(DEEP, last="u")
     assert sorted([t, u, t], key=term_sort_key) == [u, t, t]
+
+
+# ------------------------------------------------------------- evaluation
+
+
+def tagged(failing=None):
+    """An algebra whose values spell the term back as nested tuples, and
+    the list of nodes it was applied to; ``app`` raises on the symbol
+    ``failing``, naming the subterm, and ``var`` on the name ``w``."""
+    seen = []
+
+    def var(name):
+        seen.append(name)
+        if name == "w":
+            raise KeyError(f"no value for {name}")
+        return ("var", name)
+
+    def const(t):
+        seen.append(t)
+        return ("const", t.family, t.index)
+
+    def app(t, args):
+        seen.append(t)
+        if t.symbol == failing:
+            raise LookupError(f"{failing} at {format_term(t)}")
+        return (t.symbol, *args)
+
+    return (var, const, app), seen
+
+
+def outcome(run):
+    try:
+        return run()
+    except (KeyError, LookupError) as exc:
+        return type(exc), str(exc)
+
+
+def shared(s, t, u):
+    """A dag: ``t`` and ``u`` substituted for the variables of ``s`` and
+    of one another, so each occurrence of a variable shares its image."""
+    inner = substitute(t, {"v": u, "u": u})
+    return substitute(s, {"v": inner, "u": t, "w": Var("w")})
+
+
+# Some end in the variable ``w``, which ``tagged`` cannot evaluate.
+terms_with_w = st.one_of(
+    varied_terms, st.builds(lambda t: App("+", (t, Var("w"))), varied_terms))
+
+
+@given(terms_with_w, varied_terms, varied_terms,
+       st.sampled_from([None, "+", "*", "f", "g", "X", "Y"]))
+def test_evaluate_agrees_with_the_recursive_reference(s, t, u, failing):
+    for term in (s, shared(s, t, u)):
+        algebra, _ = tagged(failing)
+        expected = outcome(lambda: reference_evaluate(term, *algebra))
+        assert outcome(lambda: evaluate(term, *algebra)) == expected
+        assert outcome(lambda: evaluate(term, *algebra, {})) == expected
+
+
+@given(varied_terms, varied_terms, varied_terms)
+def test_a_memo_evaluates_each_distinct_subterm_once(s, t, u):
+    term = shared(s, t, u)
+    algebra, seen = tagged()
+    memo = {}
+    value = evaluate(term, *algebra, memo)
+    distinct = set(subterms(term))
+    assert len(seen) == len(distinct) == len(memo)
+    assert set(memo) == distinct
+    algebra, seen = tagged()
+    assert evaluate(term, *algebra, memo) == value and not seen
+    assert evaluate(term, *algebra) == value
+    assert len(seen) == tree_size(term)
+
+
+def test_evaluate_a_deep_term():
+    deep = Var("v")
+    for i in range(100_000):
+        deep = App("f", (deep,)) if i % 2 else App("+", (App("X"), deep))
+
+    def depth(t, args):
+        return 1 + max(args, default=0)
+
+    assert evaluate(deep, lambda name: 1, None, depth) == 100_001
+    assert evaluate(deep, lambda name: 1, None, depth, {}) == 100_001

@@ -23,10 +23,7 @@ from lawbench.terms import (
     Signature,
     Var,
     enumerate_terms,
-    positions,
-    replace_at,
     substitute,
-    subterm_at,
     term_sort_key,
     variables,
 )
@@ -38,12 +35,15 @@ from lawbench.theories import (
     PolyForm,
     TermForm,
     Theory,
+    _match,
     commutative_semiring,
     free_theory,
     generic_theory,
     idempotent_semiring,
     instantiate_scheme,
 )
+
+from oracles import positions, replace_at, subterm_at
 
 # ---------------------------------------------------------------- oracles
 
@@ -250,6 +250,28 @@ def test_finite_model_separates_when_search_cannot():
     )
     sighted = generic_theory(sig, (grow,), model=parity)
     assert sighted.equiv(App("a"), App("f", (App("a"),))) is Equiv.DISTINCT
+
+
+def test_a_deep_term_evaluates_in_a_finite_model():
+    parity = FiniteModel(carrier=(0, 1), ops={"f": lambda x: 1 - x,
+                                              "+": lambda x, y: x ^ y},
+                         families={"c": lambda index: int(index) % 2})
+    deep = Var("v")
+    for i in range(3000):
+        deep = App("f", (deep,)) if i % 3 else App("+", (Const("c", 1), deep))
+    # 2000 flips and 1000 additions of 1 leave the parity of v.
+    assert [parity.evaluate(deep, {"v": v}) for v in (0, 1)] == [0, 1]
+
+
+def test_match_a_deep_pattern():
+    pattern, term = Var("v"), App("*", (App("X"), App("X")))
+    for _ in range(2000):
+        pattern = App("+", (pattern, Var("u")))
+        term = App("+", (term, App("X")))
+    assert _match(pattern, term, {}) == {"v": App("*", (App("X"), App("X"))),
+                                         "u": App("X")}
+    # u is bound at the deepest position first; the root's differs.
+    assert _match(pattern, App("+", (term.args[0], Var("u"))), {}) is None
 
 
 def test_free_theory_normalizes_deep_terms():
