@@ -53,7 +53,6 @@ from .preservation import (
     Verdict,
     check_preservation,
     generic_instance,
-    replay,
 )
 from .solver import (
     CorecSystem,

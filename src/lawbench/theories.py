@@ -26,7 +26,10 @@ Everything else goes through the generic kind: a bounded bidirectional
 rewrite search over the schemes.  Its ``equiv`` answers Equal when the
 searches meet, Distinct only on a sound separator (both equivalence
 classes exhausted and disjoint, or differing values in a user-supplied
-finite model), and Unknown otherwise.
+finite model), and Unknown otherwise.  A term's one-step rewrites are its
+value in an algebra, so a search steps each distinct subterm once; they
+come in a fixed order, so a class cut off at ``max_visited``, and its
+normal form, are deterministic.
 """
 
 from __future__ import annotations
@@ -438,30 +441,25 @@ class Theory:
         wildcards = tuple(d for root, d in both if root is None)
         return by_root, wildcards
 
-    def _one_step(self, term: Term) -> tuple[dict[Term, None], bool]:
-        """Rewrites reachable in one step, in the order they are generated
-        (positions in pre-order, then schemes, then lhs-to-rhs before
-        rhs-to-lhs), plus whether they are all of them.  A direction whose
-        target mentions metavariables the pattern does not bind (such as
-        expanding [0] to [0]*v) has infinitely many instances; it is
-        skipped and the step set flagged incomplete.
+    def _one_step(self, term: Term, memo: dict[Term, Any] | None = None
+                  ) -> tuple[dict[Term, None], bool]:
+        """Rewrites reachable in one step, without duplicates, plus whether
+        they are all of them.  A direction whose target mentions
+        metavariables the pattern does not bind (such as expanding [0] to
+        [0]*v) has infinitely many instances; it is skipped and the step
+        set flagged incomplete.
 
-        The term is walked once; each position carries a link to its
-        parent, and a rewrite rebuilds only the spine above it."""
-        out: dict[Term, None] = {}
-        complete = True
+        A node's value in the algebra is its rewrites at the root (schemes
+        in order, lhs-to-rhs first), then each argument's in turn, rebuilt
+        under the node: positions in pre-order.  ``_explore`` cuts classes
+        off in this order, so it is part of the contract.  ``memo`` keeps
+        the values of subterms already stepped, for the terms of one
+        search; only the top term is dropped from its own steps."""
         by_root, wildcards = self._rewrites
-        # A position: (subterm, link), link = (parent link, parent, index).
-        stack: list = [(term, None)]
-        while stack:
-            sub, link = stack.pop()
-            if isinstance(sub, App):
-                directions = by_root.get(sub.symbol, wildcards)
-                args = sub.args
-                for i in range(len(args) - 1, -1, -1):
-                    stack.append((args[i], (link, sub, i)))
-            else:
-                directions = by_root.get(sub.__class__, wildcards)
+
+        def at_root(sub: Term, directions) -> tuple[dict[Term, None], bool]:
+            out: dict[Term, None] = {}
+            complete = True
             for pattern, target, closed in directions:
                 binding = _match(pattern, sub, {})
                 if binding is None:
@@ -469,33 +467,48 @@ class Theory:
                 if not closed:
                     complete = False
                     continue
-                new = evaluate(target, binding.__getitem__, rebuild, rebuild)
-                up = link
-                while up is not None:
-                    up, parent, i = up
-                    args = list(parent.args)
-                    args[i] = new
-                    new = App(parent.symbol, args)
-                out[new] = None
-        out.pop(term, None)
-        return out, complete
+                out[evaluate(target, binding.__getitem__, rebuild,
+                             rebuild)] = None
+            return out, complete
+
+        def app(t: App, args: list) -> tuple[dict[Term, None], bool]:
+            out, complete = at_root(t, by_root.get(t.symbol, wildcards))
+            symbol, children = t.symbol, t.args
+            for i, (steps, done) in enumerate(args):
+                complete = complete and done
+                if steps:
+                    before, after = children[:i], children[i + 1:]
+                    for s in steps:
+                        out[App(symbol, (*before, s, *after))] = None
+            return out, complete
+
+        steps, complete = evaluate(
+            term, lambda name: at_root(Var(name), wildcards),
+            lambda t: at_root(t, by_root.get(Const, wildcards)), app,
+            {} if memo is None else memo)
+        steps = dict(steps)
+        steps.pop(term, None)
+        return steps, complete
 
     def _explore(self, term: Term) -> tuple[frozenset, bool]:
         """The equivalence class reachable within the search bounds and
         whether it was exhausted (making negative answers sound).  The
-        frontier is walked in generation order, so a class cut off at
-        ``max_visited`` depends on the term alone, not on hash values."""
+        frontier is walked, and each term's steps taken, in generation
+        order, so a class cut off at ``max_visited`` depends on the term
+        alone, not on hash values.  One ``_one_step`` memo serves the whole
+        search and is dropped with it."""
         if term in self._explore_cache:
             return self._explore_cache[term]
         seen = {term}
         frontier = [term]
         exhausted = True
+        memo: dict[Term, Any] = {}
         for _ in range(self.max_depth):
             if not frontier:
                 break
             new = []
             for t in frontier:
-                steps, complete = self._one_step(t)
+                steps, complete = self._one_step(t, memo)
                 if not complete:
                     exhausted = False
                 for s in steps:

@@ -6,6 +6,13 @@ take deep terms.
 
 ``positions``, ``subterm_at`` and ``replace_at`` address subterms by
 their paths from the root, for the reference rewrite search.
+``position_walk`` is ``Theory._one_step`` as a walk over positions: no
+memo, and each rewrite rebuilds the spine above its position, so its
+cost is quadratic in the depth; it generates the steps in the order
+``_one_step`` must.
+
+``replay`` re-runs one recorded preservation case and compares the whole
+record with the stored one.
 
 ``morphism_square_check`` compares, input by input, the term-level step
 followed by normalisation with the quotient law's step of the normal
@@ -22,6 +29,7 @@ from typing import Iterator
 
 from lawbench.behaviour import Step
 from lawbench.gsos import DistLaw, QuotientStepper, extend_lambda
+from lawbench.preservation import SchemeCheck, _check_case
 from lawbench.solver import (
     CommuteReport,
     CommuteViolation,
@@ -29,8 +37,17 @@ from lawbench.solver import (
     operational_model,
     quotient_model,
 )
-from lawbench.terms import App, Const, Term, Var, enumerate_terms, format_term
-from lawbench.theories import Equiv, Theory
+from lawbench.terms import (
+    App,
+    Const,
+    Term,
+    Var,
+    enumerate_terms,
+    evaluate,
+    format_term,
+    rebuild,
+)
+from lawbench.theories import Equiv, Theory, _match
 
 
 def reference_evaluate(term: Term, var, const, app):
@@ -64,6 +81,55 @@ def replace_at(term: Term, pos: tuple[int, ...], new: Term) -> Term:
     args = list(term.args)
     args[pos[0]] = replace_at(args[pos[0]], pos[1:], new)
     return App(term.symbol, tuple(args))
+
+
+def position_walk(th: Theory, term: Term) -> tuple[dict[Term, None], bool]:
+    """Rewrites reachable in one step, in the order they are generated
+    (positions in pre-order, then schemes, then lhs-to-rhs before
+    rhs-to-lhs), plus whether they are all of them.
+
+    The term is walked once; each position carries a link to its parent,
+    and a rewrite rebuilds only the spine above it."""
+    out: dict[Term, None] = {}
+    complete = True
+    by_root, wildcards = th._rewrites
+    # A position: (subterm, link), link = (parent link, parent, index).
+    stack: list = [(term, None)]
+    while stack:
+        sub, link = stack.pop()
+        if isinstance(sub, App):
+            directions = by_root.get(sub.symbol, wildcards)
+            args = sub.args
+            for i in range(len(args) - 1, -1, -1):
+                stack.append((args[i], (link, sub, i)))
+        else:
+            directions = by_root.get(sub.__class__, wildcards)
+        for pattern, target, closed in directions:
+            binding = _match(pattern, sub, {})
+            if binding is None:
+                continue
+            if not closed:
+                complete = False
+                continue
+            new = evaluate(target, binding.__getitem__, rebuild, rebuild)
+            up = link
+            while up is not None:
+                up, parent, i = up
+                args = list(parent.args)
+                args[i] = new
+                new = App(parent.symbol, args)
+            out[new] = None
+    out.pop(term, None)
+    return out, complete
+
+
+def replay(th: Theory, law: DistLaw, check: SchemeCheck) -> bool:
+    """Re-run one recorded case from scratch and confirm it reproduces
+    the stored result."""
+    for scheme in th.schemes:
+        if scheme.name == check.scheme:
+            return _check_case(th, law, scheme, check.branch) == check
+    raise KeyError(f"theory has no scheme named {check.scheme!r}")
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ the trace strings are the exact derivations the checker must print.
 """
 
 import itertools
+import pathlib
 from fractions import Fraction
 
+from lawbench import theories
 from lawbench.behaviour import RATIONAL_OUTPUTS, Step
-from lawbench.dsl import load
+from lawbench.dsl import load, loads
 from lawbench.gsos import (
     ArgObs,
     DistLaw,
@@ -21,13 +23,12 @@ from lawbench.preservation import (
     Verdict,
     check_preservation,
     generic_instance,
-    replay,
 )
 from lawbench.terms import App, Signature, Var, enumerate_terms
 from lawbench.theories import EquationScheme, PolyForm, generic_theory
 
 from conftest import example
-from oracles import morphism_square_check
+from oracles import morphism_square_check, replay
 
 # ----------------------------------------------------------- frozen facts
 
@@ -245,3 +246,48 @@ def test_unknown_verdict_when_the_search_cannot_decide():
     assert verdicts["a-is-b"] is Verdict.UNKNOWN
     assert verdicts["pad-g"] is Verdict.HOLDS
     assert verdicts["pad-h"] is Verdict.HOLDS
+
+def test_the_search_matches_each_distinct_subterm_once(monkeypatch):
+    # times-unit alone: r -> [1] * r applies at every position, so the
+    # search stops at max_visited.  Matching every position of every term
+    # it steps makes 47,840 _match calls; matching each distinct subterm
+    # once per search makes 3,637.
+    text = pathlib.Path(example("stream.dsl")).read_text().replace(
+        "theory commutative-semiring;",
+        "theory generic {\n  eq times-unit: r = [1] * r;\n}")
+    wb = loads(text)
+    calls = 0
+    match = theories._match
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return match(*args)
+
+    monkeypatch.setattr(theories, "_match", counting)
+    assert check_preservation(wb.theory, wb.law).verdict is Verdict.UNKNOWN
+    # The lower bound fails a search that stops calling theories._match.
+    assert 1_000 <= calls <= 10_000
+
+
+def test_a_deep_scheme_gets_a_verdict():
+    # g^2000(v) = v: the sides load, extend and print on explicit stacks.
+    # One search level keeps the test short; each level steps terms of
+    # 2000 and more nodes, matching and instantiating a 2000-deep side at
+    # every new position.
+    sig = Signature((("a", 0), ("g", 1)))
+    deep = Var("v")
+    for _ in range(2000):
+        deep = App("g", (deep,))
+    scheme = EquationScheme("deep", ("v",), deep, Var("v"))
+    rules = (
+        Rule("a", (), App("1"), Plain(App("a"))),
+        Rule("g", (ArgObs("o", "dx"),), Var("o"), Plain(Var("dx"))),
+    )
+    law = DistLaw(GsosSpec(sig, rules), ("t",), RATIONAL_OUTPUTS)
+    report = check_preservation(generic_theory(sig, (scheme,), max_depth=1),
+                                law)
+    assert report.verdict is Verdict.HOLDS
+    (r,) = report.results
+    assert r.lhs_next == r.rhs_next == (("t", "d_v"),)
+    assert r.lhs == "g(" * 2000 + "v" + ")" * 2000

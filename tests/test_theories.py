@@ -43,7 +43,7 @@ from lawbench.theories import (
     instantiate_scheme,
 )
 
-from oracles import positions, replace_at, subterm_at
+from oracles import position_walk, positions, replace_at, subterm_at
 
 # ---------------------------------------------------------------- oracles
 
@@ -367,7 +367,7 @@ def reference_one_step(th, term):
     return out, complete
 
 
-def reference_explore(th, term):
+def reference_explore(th, term, one_step=reference_one_step):
     seen = {term}
     frontier = [term]
     exhausted = True
@@ -376,7 +376,7 @@ def reference_explore(th, term):
             break
         new = []
         for t in frontier:
-            steps, complete = reference_one_step(th, t)
+            steps, complete = one_step(th, t)
             if not complete:
                 exhausted = False
             for s in steps:
@@ -414,6 +414,18 @@ AC_SCHEMES = tuple(s for s in CTH.schemes
                                  "times-comm"))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(small_cterms + small_iterms), st.data())
+def test_one_step_generates_in_the_order_of_the_position_walk(term, data):
+    builtin = CTH if term in small_cterms else ITH
+    schemes = data.draw(st.lists(st.sampled_from(builtin.schemes),
+                                 unique_by=lambda s: s.name, max_size=6))
+    search = generic_theory(builtin.signature, tuple(schemes))
+    steps, complete = search._one_step(term)
+    want, want_complete = position_walk(search, term)
+    assert (list(steps), complete) == (list(want), want_complete)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(small_cterms), st.sampled_from([CTH.schemes, AC_SCHEMES]),
        st.integers(1, 3), st.sampled_from([20, 10_000]))
@@ -423,16 +435,41 @@ def test_explore_matches_the_reference(term, schemes, depth, max_visited):
     cls, exhausted = search._explore(term)
     want_cls, want_exhausted = reference_explore(search, term)
     assert exhausted == want_exhausted
+    normal = search.normalize(term)
     if len(want_cls) <= max_visited:
         assert cls == want_cls
-        assert search.normalize(term) == TermForm(min(want_cls,
-                                                      key=term_sort_key))
     else:
         # Cut off at max_visited: which members were reached depends on
-        # the order the frontier is walked, so only the bounds compare.
+        # the order the frontier is walked, so the class is the one the
+        # search in generation order reaches, and within the bounds.
         assert len(cls) > max_visited and not exhausted
+        want_cls, _ = reference_explore(search, term, position_walk)
+        assert cls == want_cls
         unbounded = generic_theory(CSIG, schemes, max_depth=depth)
         assert cls <= reference_explore(unbounded, term)[0]
+    assert normal == TermForm(min(want_cls, key=term_sort_key))
+
+
+def test_one_step_on_a_deep_term_builds_a_few_nodes_per_level(monkeypatch):
+    # g(v) = v steps g^2000(a) to g^1999(a) and g^2001(a).  Rebuilding the
+    # spine above each of the 4000 rewrites builds about 4,000,000 nodes.
+    unit = EquationScheme("g-unit", ("v",), App("g", (Var("v"),)), Var("v"))
+    search = generic_theory(Signature((("a", 0), ("g", 1))), (unit,))
+    chain = [App("a")]
+    for _ in range(2001):
+        chain.append(App("g", (chain[-1],)))
+    built = 0
+    init = App.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(App, "__init__", counting)
+    steps, complete = search._one_step(chain[2000])
+    assert (list(steps), complete) == ([chain[1999], chain[2001]], True)
+    assert built <= 10 * 2000
 
 
 def test_explore_exhausts_finite_classes():
