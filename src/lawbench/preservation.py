@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Callable
+from dataclasses import dataclass
 
-from .behaviour import OutputAlgebra, Step
+from .behaviour import Step
 from .gsos import DistLaw, LeafObs, extend_lambda
-from .terms import Term, Var, format_term
-from .theories import EquationScheme, Equiv, NormalForm, Theory
+from .terms import Var, format_term
+from .theories import EquationScheme, Equiv, Theory
 
 
 class Verdict(enum.Enum):
@@ -83,50 +81,27 @@ def generic_instance(scheme: EquationScheme, alphabet: tuple[str, ...],
 
 @dataclass(frozen=True)
 class FailPoint:
-    """Where a case first fails: the two outputs, or the two successors on
-    ``letter`` with the theory's answer for them.  ``left`` and ``right``
-    print the two ``values`` with ``show`` when first read."""
-
     kind: str  # "output" or "next"
     letter: str | None
-    values: tuple[Any, Any]
+    left: str
+    right: str
     equiv: str | None
-    show: Callable[[Any], str] = field(repr=False)
-
-    left = cached_property(lambda f: f.show(f.values[0]))
-    right = cached_property(lambda f: f.show(f.values[1]))
-
-
-def _printed(moves, show) -> tuple[tuple[str, str], ...]:
-    return tuple((letter, show(x)) for letter, x in moves)
 
 
 @dataclass(frozen=True)
 class SchemeCheck:
-    """One case: a scheme, under a branch for Boolean outputs, and its
-    verdict.  The scheme's two sides, their steps at the generic instance
-    and the successors' normal forms are kept as computed.  The trace
-    fields ``lhs`` to ``rhs_normal`` print them when first read: most
-    reports are read without a trace, and printing a large successor can
-    cost more than deciding it."""
-
     scheme: str
     branch: Branch | None
     verdict: Verdict
-    sides: tuple[Term, Term]
-    steps: tuple[Step, Step]
-    normal: tuple[tuple[tuple[str, NormalForm], ...], ...]  # per side
+    lhs: str
+    rhs: str
+    lhs_output: str
+    rhs_output: str
+    lhs_next: tuple[tuple[str, str], ...]
+    rhs_next: tuple[tuple[str, str], ...]
+    lhs_normal: tuple[tuple[str, str], ...]
+    rhs_normal: tuple[tuple[str, str], ...]
     fail: FailPoint | None
-    outputs: OutputAlgebra = field(repr=False)
-
-    lhs = cached_property(lambda r: format_term(r.sides[0]))
-    rhs = cached_property(lambda r: format_term(r.sides[1]))
-    lhs_output = cached_property(lambda r: r.outputs.format(r.steps[0].output))
-    rhs_output = cached_property(lambda r: r.outputs.format(r.steps[1].output))
-    lhs_next = cached_property(lambda r: _printed(r.steps[0].moves, format_term))
-    rhs_next = cached_property(lambda r: _printed(r.steps[1].moves, format_term))
-    lhs_normal = cached_property(lambda r: _printed(r.normal[0], str))
-    rhs_normal = cached_property(lambda r: _printed(r.normal[1], str))
 
 
 @dataclass
@@ -219,30 +194,41 @@ def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
     _, lhs_step = extend_lambda(law, scheme.lhs, env)
     _, rhs_step = extend_lambda(law, scheme.rhs, env)
 
-    lhs_normal = tuple((l, th.normalize(s)) for l, s in lhs_step.moves)
-    rhs_normal = tuple((l, th.normalize(s)) for l, s in rhs_step.moves)
+    lhs_normal = tuple((l, str(th.normalize(s))) for l, s in lhs_step.moves)
+    rhs_normal = tuple((l, str(th.normalize(s))) for l, s in rhs_step.moves)
 
     verdict = Verdict.HOLDS
     fail: FailPoint | None = None
     if not alg.equal(lhs_step.output, rhs_step.output):
         verdict = Verdict.FAILS
-        fail = FailPoint("output", None, (lhs_step.output, rhs_step.output),
-                         None, alg.format)
+        fail = FailPoint("output", None, alg.format(lhs_step.output),
+                         alg.format(rhs_step.output), None)
     else:
         for letter in law.alphabet:
             left, right = lhs_step.next(letter), rhs_step.next(letter)
             answer = th.equiv(left, right)
             if answer is Equiv.EQUAL:
                 continue
-            fail = FailPoint("next", letter, (left, right), answer.value,
-                             format_term)
+            fail = FailPoint("next", letter, format_term(left),
+                             format_term(right), answer.value)
             verdict = (Verdict.FAILS if answer is Equiv.DISTINCT
                        else Verdict.UNKNOWN)
             break
 
-    return SchemeCheck(scheme.name, branch, verdict, (scheme.lhs, scheme.rhs),
-                       (lhs_step, rhs_step), (lhs_normal, rhs_normal), fail,
-                       alg)
+    return SchemeCheck(
+        scheme=scheme.name,
+        branch=branch,
+        verdict=verdict,
+        lhs=format_term(scheme.lhs),
+        rhs=format_term(scheme.rhs),
+        lhs_output=alg.format(lhs_step.output),
+        rhs_output=alg.format(rhs_step.output),
+        lhs_next=tuple((l, format_term(t)) for l, t in lhs_step.moves),
+        rhs_next=tuple((l, format_term(t)) for l, t in rhs_step.moves),
+        lhs_normal=lhs_normal,
+        rhs_normal=rhs_normal,
+        fail=fail,
+    )
 
 
 def check_preservation(th: Theory, law: DistLaw) -> PreservationReport:
@@ -257,4 +243,3 @@ def check_preservation(th: Theory, law: DistLaw) -> PreservationReport:
         else:
             results.append(_check_case(th, law, scheme, None))
     return PreservationReport(results)
-

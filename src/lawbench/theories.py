@@ -441,7 +441,7 @@ class Theory:
         wildcards = tuple(d for root, d in both if root is None)
         return by_root, wildcards
 
-    def _one_step(self, term: Term, memo: dict[Term, Any] | None = None
+    def _one_step(self, term: Term, memo: dict[Term, Any]
                   ) -> tuple[dict[Term, None], bool]:
         """Rewrites reachable in one step, without duplicates, plus whether
         they are all of them.  A direction whose target mentions
@@ -484,8 +484,7 @@ class Theory:
 
         steps, complete = evaluate(
             term, lambda name: at_root(Var(name), wildcards),
-            lambda t: at_root(t, by_root.get(Const, wildcards)), app,
-            {} if memo is None else memo)
+            lambda t: at_root(t, by_root.get(Const, wildcards)), app, memo)
         steps = dict(steps)
         steps.pop(term, None)
         return steps, complete

@@ -270,24 +270,41 @@ def test_the_search_matches_each_distinct_subterm_once(monkeypatch):
     assert 1_000 <= calls <= 10_000
 
 
-def test_a_deep_scheme_gets_a_verdict():
-    # g^2000(v) = v: the sides load, extend and print on explicit stacks.
-    # One search level keeps the test short; each level steps terms of
-    # 2000 and more nodes, matching and instantiating a 2000-deep side at
-    # every new position.
+def _deep_scheme_law(depth, successor):
     sig = Signature((("a", 0), ("g", 1)))
     deep = Var("v")
-    for _ in range(2000):
+    for _ in range(depth):
         deep = App("g", (deep,))
     scheme = EquationScheme("deep", ("v",), deep, Var("v"))
     rules = (
         Rule("a", (), App("1"), Plain(App("a"))),
-        Rule("g", (ArgObs("o", "dx"),), Var("o"), Plain(Var("dx"))),
+        Rule("g", (ArgObs("o", "dx"),), Var("o"), Plain(successor)),
     )
     law = DistLaw(GsosSpec(sig, rules), ("t",), RATIONAL_OUTPUTS)
-    report = check_preservation(generic_theory(sig, (scheme,), max_depth=1),
-                                law)
+    return generic_theory(sig, (scheme,), max_depth=1), law
+
+
+def test_a_deep_scheme_side_loads_extends_and_prints():
+    # g^2000(v) = v under g's successor dx: the sides extend and print on
+    # explicit stacks.  Both successors are d_v, so the verdict needs no
+    # search; searching a deep side is the next test.
+    th, law = _deep_scheme_law(2000, Var("dx"))
+    report = check_preservation(th, law)
     assert report.verdict is Verdict.HOLDS
     (r,) = report.results
     assert r.lhs_next == r.rhs_next == (("t", "d_v"),)
     assert r.lhs == "g(" * 2000 + "v" + ")" * 2000
+    assert r.lhs in repr(report)
+
+
+def test_a_deep_scheme_side_is_searched_to_a_verdict():
+    # g^300(v) = v under g's successor g(dx): the successors g^300(d_v)
+    # and d_v differ, so the search must match the deep side.  Each
+    # search level matches and instantiates the side at every position,
+    # so the depth is kept at 300 (under 0.5 s); 2000 takes about 15 s.
+    th, law = _deep_scheme_law(300, App("g", (Var("dx"),)))
+    report = check_preservation(th, law)
+    assert report.verdict is Verdict.HOLDS
+    (r,) = report.results
+    assert r.lhs_next == (("t", "g(" * 300 + "d_v" + ")" * 300),)
+    assert r.rhs_next == (("t", "d_v"),)

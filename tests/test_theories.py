@@ -402,7 +402,7 @@ small_iterms = list(enumerate_terms(ISIG, {"v", "u"}, 5))
 def test_one_step_matches_the_reference(term):
     builtin = CTH if term in small_cterms else ITH
     search = generic_theory(builtin.signature, builtin.schemes)
-    steps, complete = search._one_step(term)
+    steps, complete = search._one_step(term, {})
     assert (set(steps), complete) == reference_one_step(search, term)
     assert len(steps) == len(set(steps))
 
@@ -421,7 +421,7 @@ def test_one_step_generates_in_the_order_of_the_position_walk(term, data):
     schemes = data.draw(st.lists(st.sampled_from(builtin.schemes),
                                  unique_by=lambda s: s.name, max_size=6))
     search = generic_theory(builtin.signature, tuple(schemes))
-    steps, complete = search._one_step(term)
+    steps, complete = search._one_step(term, {})
     want, want_complete = position_walk(search, term)
     assert (list(steps), complete) == (list(want), want_complete)
 
@@ -467,7 +467,7 @@ def test_one_step_on_a_deep_term_builds_a_few_nodes_per_level(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(App, "__init__", counting)
-    steps, complete = search._one_step(chain[2000])
+    steps, complete = search._one_step(chain[2000], {})
     assert (list(steps), complete) == ([chain[1999], chain[2001]], True)
     assert built <= 10 * 2000
 
