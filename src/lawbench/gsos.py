@@ -446,10 +446,7 @@ class QuotientStepper:
               poly_env: Mapping[str, Poly]):
         """Fold a template into the theory's semiring, each placeholder
         read as its bound value; the ``read`` given to ``apply_rule``."""
-        atom, const, app = self.th.algebra
-
-        def var(name: str):
-            return bound[name] if name in bound else atom(name)
+        _, const, app = self.th.algebra
 
         def bound_const(t: Const):
             value = const(t)  # checks the family
@@ -458,7 +455,7 @@ class QuotientStepper:
                 return self.th.semiring.const(index.substitute(poly_env))
             return value
 
-        return evaluate(template, var, bound_const, app)
+        return evaluate(template, bound.__getitem__, bound_const, app)
 
     def _product(self, factors: tuple) -> _Folded:
         cache = self._products

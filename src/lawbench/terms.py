@@ -12,23 +12,23 @@ Indices are exact rationals, or polynomials over index parameters when an
 equation scheme or a rule quantifies over the index (``[a+b]`` is the
 constant indexed by the sum of the parameters ``a`` and ``b``).  A
 polynomial index that happens to be constant collapses to the rational it
-denotes, so ``Const(f, 2)`` and ``Const(f, Poly.const(2))`` are equal.
+denotes, so ``Const(f, 2)`` and ``Const(f, Poly.const(2))`` are one node.
 
 Terms are the free monad over the signature: a term has one value in
 every algebra for the signature, and ``evaluate``, the one evaluation in
 lawbench, computes it.  ``Var`` is the unit and ``substitute``, evaluation
 in the term algebra, is the multiplication.
 
-Hashing and equality are structural, and fixed when a node is built: each
-node computes its hash from its children's stored hashes, and records its
-size, so ``hash`` and ``term_size`` are O(1).  ``==`` answers at once on
-identity or on differing hashes; otherwise it compares the two trees on an
-explicit stack, skipping shared subterms.  No global intern table is
-kept, so equal terms need not be the same object.  Nodes are immutable.
+Terms are hash-consed (Filliâtre & Conchon, *Type-Safe Modular
+Hash-Consing*, 2006): each constructor returns the live node with the same
+kind and fields if there is one, so equal terms are one object, and
+``==`` and ``hash`` are identity.  The intern table holds nodes weakly, so
+a term no longer referenced leaves it.  Each node records its size, so
+``term_size`` is O(1).  Nodes are immutable.
 ``evaluate``, ``subterms`` (which ``variables``, ``index_atoms`` and
 ``Signature.validate`` walk), ``term_sort_key`` and ``format_term`` keep
-explicit stacks, so terms of any depth can be built, compared, hashed,
-ordered, evaluated, validated and printed.
+explicit stacks, so terms of any depth can be built, ordered, evaluated,
+validated and printed.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Mapping, Union
+from weakref import ref
 
 from .errors import (
     ArityMismatch,
@@ -52,7 +53,6 @@ class ConstantFamily:
     terms are enumerated."""
 
     name: str
-    domain: str = "rational"
     samples: tuple[Fraction, ...] = (Fraction(0), Fraction(1))
 
     def __post_init__(self):
@@ -105,24 +105,31 @@ class Signature:
                     )
 
 
+class _Entry(ref):
+    """The intern table's weak reference to a node, with the node's key."""
+
+    __slots__ = ("key",)
+
+
+# A node's kind and fields to the entry for the live node that has them.
+_table: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry) -> None:
+    """Drop a dead node's entry, unless a new node has taken its key since
+    (a collection clears every weak reference before it calls back)."""
+    if _table.get(entry.key) is entry:
+        del _table[entry.key]
+
+
 class _Node:
-    """Shared behaviour of the three node kinds: a hash fixed when the node
-    is built, structural equality without recursion, and immutability.
-    Fields are assigned once, through the slots' own setters, because a
-    frozen dataclass's ``object.__setattr__`` calls make building a node,
-    the commonest thing the term path does, markedly slower."""
+    """Shared behaviour of the three node kinds: immutability, ``repr``,
+    and pickling through the constructor, so that unpickling and ``copy``
+    return the interned node.  Each kind's ``__new__`` interns its node and
+    assigns its fields once, through the slots' own setters, because
+    building a node is the commonest thing the term path does."""
 
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and _same(self, other)
+    __slots__ = ("__weakref__",)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -144,86 +151,71 @@ class Var(_Node):
     __slots__ = __match_args__ = ("name",)
     _size = 1
 
-    def __init__(self, name: str):
-        _set_name(self, name)
-        _set_hash(self, hash(name))
+    def __new__(cls, name: str):
+        key = cls, name
+        entry = _table.get(key)
+        node = entry and entry()
+        if node is None:
+            node = _new(cls)
+            _set_name(node, name)
+            _table[key] = entry = _Entry(node, _forget)
+            entry.key = key
+        return node
 
 
 class App(_Node):
     __slots__ = ("symbol", "args", "_size")
     __match_args__ = ("symbol", "args")
 
-    def __init__(self, symbol: str, args: tuple["Term", ...] = ()):
+    def __new__(cls, symbol: str, args: tuple["Term", ...] = ()):
         if args.__class__ is not tuple:
             args = tuple(args)
-        _set_symbol(self, symbol)
-        _set_args(self, args)
-        arity = len(args)
-        if arity == 2:
-            left, right = args
-            _set_hash(self, hash((symbol, left._hash, right._hash)))
-            _set_size(self, 1 + left._size + right._size)
-        elif not arity:
-            _set_hash(self, hash((symbol,)))
-            _set_size(self, 1)
-        elif arity == 1:
-            child = args[0]
-            _set_hash(self, hash((symbol, child._hash)))
-            _set_size(self, 1 + child._size)
-        else:
-            _set_hash(self, hash((symbol, *[a._hash for a in args])))
-            _set_size(self, 1 + sum([a._size for a in args]))
+        key = cls, symbol, args
+        entry = _table.get(key)
+        node = entry and entry()
+        if node is None:
+            node = _new(cls)
+            _set_symbol(node, symbol)
+            _set_args(node, args)
+            _set_size(node, 1 + sum([a._size for a in args]))
+            _table[key] = entry = _Entry(node, _forget)
+            entry.key = key
+        return node
 
 
 class Const(_Node):
     __slots__ = __match_args__ = ("family", "index")
     _size = 1
 
-    def __init__(self, family: str,
-                 index: Union[Fraction, Poly] = Fraction(0)):
+    def __new__(cls, family: str,
+                index: Union[Fraction, Poly] = Fraction(0)):
         if isinstance(index, Poly) and index.is_constant:
             index = index.constant_value()
         elif isinstance(index, int):
             index = Fraction(index)
-        _set_family(self, family)
-        _set_index(self, index)
         # Fraction.__hash__ is written in Python and would cost more than
         # the rest of building the node; equal fractions agree in lowest
         # terms.
         if isinstance(index, Fraction):
-            _set_hash(self, hash((family, index.numerator, index.denominator)))
+            key = cls, family, index.numerator, index.denominator
         else:
-            _set_hash(self, hash((family, index)))
+            key = cls, family, index
+        entry = _table.get(key)
+        node = entry and entry()
+        if node is None:
+            node = _new(cls)
+            _set_family(node, family)
+            _set_index(node, index)
+            _table[key] = entry = _Entry(node, _forget)
+            entry.key = key
+        return node
 
 
-_set_hash = _Node._hash.__set__
+_new = object.__new__
 _set_name = Var.name.__set__
 _set_symbol, _set_args, _set_size = (App.symbol.__set__, App.args.__set__,
                                      App._size.__set__)
 _set_family, _set_index = Const.family.__set__, Const.index.__set__
-
-
-def _same(s: "Term", t: "Term") -> bool:
-    """Structural equality of two nodes of one kind and one hash, on an
-    explicit stack.  Shared subterms are skipped by identity, and a pair
-    of children whose kinds or hashes differ ends the walk at once."""
-    stack = [(s, t)]
-    while stack:
-        s, t = stack.pop()
-        if s.__class__ is App:
-            if s.symbol != t.symbol or len(s.args) != len(t.args):
-                return False
-            for x, y in zip(s.args, t.args):
-                if x is not y:
-                    if x.__class__ is not y.__class__ or x._hash != y._hash:
-                        return False
-                    stack.append((x, y))
-        elif s.__class__ is Var:
-            if s.name != t.name:
-                return False
-        elif s.family != t.family or s.index != t.index:
-            return False
-    return True
 
 
 Term = Union[Var, App, Const]
@@ -321,12 +313,12 @@ def term_size(term: Term) -> int:
 def subterms(term: Term) -> Iterator[Term]:
     """Every node of the term in pre-order, left argument first, walked
     on an explicit stack; a shared subterm is visited once."""
-    seen: set[int] = set()
+    seen: set[Term] = set()
     stack = [term]
     while stack:
         t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
+        if t not in seen:
+            seen.add(t)
             yield t
             if isinstance(t, App):
                 stack.extend(reversed(t.args))

@@ -1,4 +1,4 @@
-"""The command-line interface, run in process.
+"""The command-line interface, run in process and in fresh interpreters.
 
 Exit code contract: 0 pass, 1 failed check or counterexample, 2 unknown
 verdict, 3 usage and load errors, 4 internal errors.  Every ``--json`` payload must validate
@@ -6,7 +6,10 @@ against the bundled report schema.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -205,6 +208,31 @@ def test_json_reports_are_deterministic(capsys):
     first = capsys.readouterr().out
     run(argv)
     assert capsys.readouterr().out == first
+
+
+SRC = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check-preservation", example("convolution.dsl"), "--trace", "--json"],
+     1),
+    (["quotient-commute", example("balanced.dsl")], 0),
+    (["cfg-equiv", example("cfg.dsl"), "--left", "S", "--right", "1"], 1),
+])
+def test_output_is_the_same_in_fresh_interpreters(argv, code):
+    # Terms hash by identity, which follows memory addresses, so output
+    # that depended on the order of a set of terms would differ between
+    # interpreters; so would a message from a weak reference's callback
+    # while the interpreter exits.
+    outputs = []
+    for seed in ("1", "2"):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-m", "lawbench", *argv],
+                              env=env, capture_output=True, timeout=300)
+        assert (done.returncode, done.stderr) == (code, b"")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_trace_includes_both_one_step_results(capsys):

@@ -1,6 +1,7 @@
 """Free terms: substitution is a monad, enumeration is complete."""
 
 import copy
+import gc
 import itertools
 import pickle
 from fractions import Fraction
@@ -9,6 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+from lawbench import terms
 from lawbench.errors import ArityMismatch, SignatureMismatch, UnboundVariable
 from lawbench.polynomials import Poly
 from lawbench.terms import (
@@ -219,7 +221,7 @@ def test_substitute_into_a_deep_term():
 
 def test_deep_terms_compare_and_hash():
     t, s = left_nested_sum(DEEP), left_nested_sum(DEEP)
-    assert t is not s
+    assert t is s
     assert t == s and hash(t) == hash(s)
     assert s in {t} and {t: 1}[s] == 1
     other = left_nested_sum(DEEP, last="u")
@@ -228,14 +230,33 @@ def test_deep_terms_compare_and_hash():
 
 
 def test_colliding_hashes_still_compare_structurally():
-    # CPython hashes -1 and -2 alike, so each pair below shares a hash.
+    # CPython hashes -1 and -2 alike, so each pair below has fields that
+    # share a hash.
     pairs = ((Var(-1), Var(-2)),
              (Const("c", -1), Const("c", -2)),
              (App("+", (Var("v"), Const("c", -1))),
               App("+", (Var("v"), Const("c", -2)))))
     for s, t in pairs:
-        assert hash(s) == hash(t)
+        assert s is not t
         assert s != t and len({s, t}) == 2
+        assert s is type(s)(*s.__reduce__()[1])
+
+
+def test_equal_terms_built_apart_are_one_object():
+    assert App("+", (Var("x"), Const("c", 2))) is App(
+        "+", [Var("x"), Const("c", Fraction(2))])
+    assert Const("c", Poly.const(2)) is Const("c", 2)
+
+
+def test_the_intern_table_drops_dead_nodes():
+    leaf = t = Var("dropped")
+    gc.collect()  # nodes earlier tests left in garbage cycles
+    live = len(terms._table)
+    for _ in range(100_000):
+        t = App("+", (t, leaf))
+    assert len(terms._table) == live + 100_000
+    del t
+    assert len(terms._table) == live
 
 
 def structurally_equal(s, t):
@@ -291,12 +312,12 @@ varied_terms = st.recursive(
 
 @given(varied_terms, varied_terms)
 def test_equality_matches_the_structural_oracle(s, t):
+    assert (s is t) == structurally_equal(s, t)
     assert (s == t) == structurally_equal(s, t)
     assert (s != t) == (not structurally_equal(s, t))
     if s == t:
         assert hash(s) == hash(t)
-    copy = rebuilt(s)
-    assert copy == s and hash(copy) == hash(s)
+    assert rebuilt(s) is s
     assert term_size(s) == tree_size(s)
 
 
@@ -308,7 +329,8 @@ def test_terms_stay_immutable():
             setattr(node, field, None)
     assert repr(t) == ("App(symbol='+', args=(Var(name='v'), "
                        "Const(family='c', index=Fraction(1, 1))))")
-    assert pickle.loads(pickle.dumps(t)) == t == copy.deepcopy(t)
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.deepcopy(t) is t and copy.copy(t) is t
 
 
 def nested_sort_key(t):

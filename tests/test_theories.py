@@ -459,14 +459,14 @@ def test_one_step_on_a_deep_term_builds_a_few_nodes_per_level(monkeypatch):
     for _ in range(2001):
         chain.append(App("g", (chain[-1],)))
     built = 0
-    init = App.__init__
+    new = App.__new__
 
-    def counting(self, *args):
+    def counting(cls, *args):
         nonlocal built
         built += 1
-        init(self, *args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(App, "__init__", counting)
+    monkeypatch.setattr(App, "__new__", counting)
     steps, complete = search._one_step(chain[2000], {})
     assert (list(steps), complete) == ([chain[1999], chain[2001]], True)
     assert built <= 10 * 2000
