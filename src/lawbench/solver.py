@@ -20,10 +20,10 @@ preserves the theory:
 
   * ``quotient_commute_check``: unfolding terms without a theory and
     normal forms under the quotient law gives the same outputs and
-    congruent states.  The plain side keeps one step memo and one
-    normalisation memo per check, keyed by the term, so it steps and
-    folds each distinct subterm once; nothing else is memoised across
-    calls;
+    congruent states.  It checks each distinct (plain state, quotient
+    state, depth left) triple once, steps and folds each distinct plain subterm
+    once and steps each quotient state once; its memos last for one
+    check;
 
   * ``induced_algebra_check``: the behaviour of a composite state equals
     the semantic composition of its leaves' behaviours, computed by
@@ -237,51 +237,87 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
     The plain side steps terms through the rule table with no theory and
     normalises them only to compare.  Its states are dags that share most
     of their subterms with one another, so the check keeps one
-    ``extend_lambda`` memo and one ``normalize`` memo, both keyed by the
-    term, for the whole walk and drops them when it returns: each
-    distinct subterm is stepped and folded once per check.  A subterm's
-    step depends only on the subterm, the rule table and the system's
-    observations, and its fold only on the subterm, so the answer is the
-    one an unmemoised walk gives.  The quotient side is untouched."""
+    ``extend_lambda`` memo and one ``fold`` memo, both keyed by the term,
+    for the whole walk and drops them when it returns: each distinct
+    subterm is stepped and folded once per check.  The ``fold`` memo also
+    serves the quotient side's representatives in ``Theory.equiv``, and
+    each quotient state is stepped once.
+
+    What the check finds below a node depends only on the node's plain
+    state, its quotient state and the depth left, not on the seed or the
+    word that reached it.  So the walk checks each distinct triple once,
+    keeping the number of nodes below it and its violations, as (word
+    suffix, kind, plain, quotient) in depth-first order, and a triple met
+    again adds that count and those violations under the current seed and
+    word.  ``checked`` still counts every term/word pair, and the report
+    is the one an unmemoised walk gives.  The walk keeps its nodes on an
+    explicit stack, so a deep word does not recurse."""
     if sys.theory is None:
         raise LawbenchError("quotient commutation needs a theory")
     th = sys.theory
     plain = replace(sys, theory=None)
     alg = sys.law.outputs
-    violations: list[CommuteViolation] = []
-    checked = 0
     steps: dict = {}
     folds: dict = {}
-
-    # Walk the word tree once per seed so each prefix is unfolded a single
-    # time.
     step_quot_of = _stepper(sys)
+    quot: dict[State, tuple[Step, Term]] = {}
+    # (plain state, quotient state, depth left) -> (nodes, violations)
+    below: dict[tuple, tuple[int, tuple]] = {}
 
-    def walk(label: str, word: tuple[str, ...],
-             state_plain: Term, state_quot: State) -> None:
-        nonlocal checked
-        checked += 1
+    def check(node: tuple) -> tuple[tuple, tuple]:
+        """The node's own violations and its children as (letter, node)."""
+        state_plain, state_quot, left = node
         step_plain = operational_model(plain, state_plain, steps)
-        step_quot = step_quot_of(state_quot)
+        if state_quot not in quot:
+            quot[state_quot] = (step_quot_of(state_quot),
+                                _as_term(sys, state_quot))
+        step_quot, term_quot = quot[state_quot]
         out_plain = alg.concrete(step_plain.output)
         out_quot = alg.concrete(step_quot.output)
-        term_quot = _as_term(sys, state_quot)
+        own: tuple = ()
         if out_plain != out_quot:
-            violations.append(CommuteViolation(
-                label, "".join(word), "output",
-                str(out_plain), str(out_quot)))
+            own = (("", "output", str(out_plain), str(out_quot)),)
         elif th.equiv(state_plain, term_quot, folds) is not Equiv.EQUAL:
-            violations.append(CommuteViolation(
-                label, "".join(word), "state",
-                format_term(state_plain), format_term(term_quot)))
-        if len(word) < depth:
-            for letter in step_plain.letters:
-                walk(label, word + (letter,), step_plain.next(letter),
-                     step_quot.next(letter))
+            own = (("", "state", format_term(state_plain),
+                    format_term(term_quot)),)
+        children: tuple = ()
+        if left > 0:
+            children = tuple(
+                (letter, (step_plain.next(letter), step_quot.next(letter),
+                          left - 1))
+                for letter in step_plain.letters)
+        return own, children
 
+    checked = 0
+    violations: list[CommuteViolation] = []
     for term in enumerate_terms(sys.law.signature, set(sys.variables),
                                 max_term_size):
-        walk(format_term(term), (), term, term)
+        # Post-order: a node's entry comes back with its check once every
+        # child below it is done.  Depth left falls along every edge, so
+        # a node is never below itself.
+        root = (term, term, depth)
+        stack: list = [(root, None)]
+        while stack:
+            node, result = stack.pop()
+            if result is None:
+                if node in below:
+                    continue
+                own, children = check(node)
+                stack.append((node, (own, children)))
+                stack.extend((child, None) for _, child in reversed(children))
+                continue
+            own, children = result
+            count, found = 1, list(own)
+            for letter, child in children:
+                n, sub = below[child]
+                count += n
+                found.extend((letter + word, kind, p, q)
+                             for word, kind, p, q in sub)
+            below[node] = (count, tuple(found))
+        count, found = below[root]
+        checked += count
+        label = format_term(term)
+        violations.extend(CommuteViolation(label, *v) for v in found)
     return CommuteReport(checked, violations)
 
 

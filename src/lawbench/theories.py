@@ -393,11 +393,16 @@ class Theory:
 
     def equiv(self, left: Term, right: Term,
               memo: dict[Term, Any] | None = None) -> Equiv:
-        """Whether the theory identifies the two terms; ``memo`` is a
-        ``normalize`` memo for ``left`` alone."""
+        """Whether the theory identifies the two terms.  ``memo`` is a
+        ``normalize`` memo that serves both sides, kept by a caller that
+        compares many terms: a builtin kind's fold depends on the term
+        alone, so a subterm met on either side, or again in a later call,
+        is folded once.  The bounded search ignores it."""
         if self.semiring is not None:
+            if memo is None:
+                memo = {}
             return Equiv.EQUAL if self.normalize(left, memo) \
-                == self.normalize(right) else Equiv.DISTINCT
+                == self.normalize(right, memo) else Equiv.DISTINCT
         if left == right:
             return Equiv.EQUAL
         left_cls, left_done = self._explore(left)

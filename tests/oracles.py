@@ -17,9 +17,13 @@ record with the stored one.
 ``morphism_square_check`` compares, input by input, the term-level step
 followed by normalisation with the quotient law's step of the normal
 form.  ``reference_commute_check`` is ``quotient_commute_check`` without
-its memos: every plain state is stepped and normalised from scratch, so
-its cost follows the unfolded tree, and its report must equal the
-memoised one.
+its memos, by recursion: every term/word pair is checked from scratch,
+each plain state stepped and normalised afresh and each quotient state
+stepped again at every visit, so its cost follows the unfolded tree and
+its depth is bounded by the recursion limit.  Its report (count,
+violations and their order) must equal the one the check gives by
+replaying each distinct (plain state, quotient state, depth left)
+triple.
 """
 
 from __future__ import annotations

@@ -122,6 +122,17 @@ def test_quotient_commute_command(capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+def test_quotient_commute_runs_deep_words(capsys):
+    # A word of 1200 letters; the walk keeps its nodes on a stack, so
+    # nothing recurses with the depth.  Each of the 6 seeds of size 1
+    # has one successor per step: 6 * 1201 pairs.
+    code = run(["quotient-commute", example("stream.dsl"),
+                "--max-size", "1", "--depth", "1200"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == "checked 7206 term/word pairs; 0 violations\n"
+
+
 def test_algebra_check_command(capsys):
     code = run(["algebra-check", example("stream.dsl"),
                 "--outer", "[2] * ones", "--horizon", "5"])

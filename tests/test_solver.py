@@ -32,6 +32,7 @@ from lawbench.solver import (
     unfold,
 )
 from lawbench.terms import App, Const, Var, enumerate_terms, substitute
+from lawbench.theories import Theory
 
 from conftest import example
 from oracles import reference_commute_check
@@ -170,16 +171,33 @@ def test_mutated_rule_table_breaks_commutation():
     assert v.kind in ("output", "state")
 
 
+def broken_grammar_system() -> CorecSystem:
+    # drop the right summand's derivative: next(l) = dx instead of dx + dy;
+    # sums stop commuting, so a representative's summand order shows, on
+    # both letters
+    sys = to_corec(load(example("balanced.dsl")).grammar)
+    law = sys.law
+    rules = tuple(replace(r, next=Plain(Var("dx"))) if r.symbol == "+" else r
+                  for r in law.spec.rules)
+    broken = DistLaw(replace(law.spec, rules=rules), law.alphabet, law.outputs)
+    return CorecSystem(sys.variables, sys.phi, broken, sys.theory)
+
+
+def commute_system(name: str) -> CorecSystem:
+    if name == "broken":
+        return broken_stream_system()
+    if name == "broken grammar":
+        return broken_grammar_system()
+    wb = load(example(name))
+    return wb.system if wb.system is not None else to_corec(wb.grammar)
+
+
 @pytest.mark.parametrize("name", ["stream.dsl", "convolution.dsl",
                                   "cfg.dsl", "balanced.dsl", "broken"])
 def test_memoised_commutation_matches_the_unmemoised_walk(name):
     # The check's memos change how often a subterm is stepped, never the
     # report: same count, same violations in the same order.
-    if name == "broken":
-        sys = broken_stream_system()
-    else:
-        wb = load(example(name))
-        sys = wb.system if wb.system is not None else to_corec(wb.grammar)
+    sys = commute_system(name)
     report = quotient_commute_check(sys, max_term_size=3, depth=4)
     assert report == reference_commute_check(sys, max_term_size=3, depth=4)
     assert report.ok == (name not in ("convolution.dsl", "broken"))
@@ -203,6 +221,51 @@ def test_commutation_steps_each_distinct_subterm_once(monkeypatch):
     assert (report.checked, report.ok) == (468, True)
     # The lower bound fails a walk that stops calling gsos.apply_rule.
     assert 1_000 <= calls <= 5_000
+
+
+@pytest.mark.parametrize("name, max_size, depth, checked", [
+    ("cfg.dsl", 3, 6, 4572),
+    ("balanced.dsl", 3, 6, 4572),
+    ("convolution.dsl", 3, 7, 624),
+    ("broken", 3, 5, 468),
+    ("broken grammar", 3, 5, 2268),
+    ("stream.dsl", 1, 30, 6 * 31),
+])
+def test_deeper_commutation_matches_the_unmemoised_walk(name, max_size, depth,
+                                                        checked):
+    # Deeper words share more (plain state, quotient state, depth left)
+    # triples, most of all on the grammars.  convolution.dsl (6
+    # violations) and the broken tables (248 on one letter, 129 on two)
+    # replay the violations found below a shared triple under other seeds
+    # and words, which must keep the labels, words and order of the
+    # unmemoised walk.  At max-size 1 each of stream.dsl's 6 seeds has one
+    # successor per step.
+    sys = commute_system(name)
+    report = quotient_commute_check(sys, max_term_size=max_size, depth=depth)
+    assert report.checked == checked
+    assert report == reference_commute_check(sys, max_term_size=max_size,
+                                             depth=depth)
+
+
+def test_commutation_checks_each_distinct_triple_once(monkeypatch):
+    # Counts congruence checks instead of timing them.  The 2,268
+    # term/word pairs here reach 262 distinct (plain state, quotient
+    # state, depth left) triples, and the walk asks Theory.equiv once per
+    # triple, not once per pair.
+    calls = 0
+    equiv = Theory.equiv
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return equiv(*args, **kwargs)
+
+    monkeypatch.setattr(Theory, "equiv", counting)
+    report = quotient_commute_check(to_corec(CFG.grammar), max_term_size=3,
+                                    depth=5)
+    assert (report.checked, report.ok) == (2268, True)
+    # The lower bound fails a walk that stops calling Theory.equiv.
+    assert 100 <= calls <= 262
 
 
 def test_induced_algebra_for_streams():
