@@ -51,10 +51,13 @@ class OutputAlgebra:
             raise ValueError("Boolean outputs are bits and have no atoms")
         return Poly.atom(name)
 
-    def apply(self, op: str, args: list) -> Any:
-        args = [self.coerce(a) for a in args]
+    def check_op(self, op: str) -> None:
         if op not in self.ops:
             raise UnknownSymbol(f"{op!r} is not an operation of the {self.kind} outputs")
+
+    def apply(self, op: str, args: list) -> Any:
+        args = [self.coerce(a) for a in args]
+        self.check_op(op)
         if not args:
             raise ValueError(f"{op} needs at least one argument")
         if op == "min":

@@ -15,6 +15,14 @@ every ``[c]``).  Successor templates may also embed output placeholders
 inside constant indices, which is how a rule like
 ``(x * y)' = x' * y + [x(0)] * y'`` mentions the head output ``[x(0)]``.
 
+A rule's output and successor templates are fixed data, so they are
+compiled once per law, on the rule's first application: each into a
+straight-line program over its placeholders' slots (``Reading``), in the
+output algebra and in terms for the law, and in the theory's semiring
+for a ``QuotientStepper``.  ``apply_rule`` runs the programs; a constant
+indexed by one output placeholder (``[a]``) takes that output as it is,
+without substituting into the index.
+
 ``extend_lambda`` pushes a whole term of observed leaves through the
 table: it is evaluation (``terms.evaluate``) in the algebra of (state,
 step) pairs whose operation is ``apply_rule``, the paper's extension of
@@ -35,7 +43,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Union
+from typing import Any, Callable, Collection, Mapping, Union
 
 from .behaviour import OutputAlgebra, Step
 from .errors import (
@@ -64,26 +72,208 @@ def _literal(alg: OutputAlgebra, text: str):
             f"{text!r} is not a literal of the {alg.kind} outputs") from None
 
 
-def eval_out(expr: Term, alg: OutputAlgebra, env: Mapping[str, Any]):
-    """Evaluate a rule's output term: a variable is an output placeholder,
-    a nullary symbol the literal its name spells, and any other
-    application an operation of the output algebra."""
-    def var(name: str):
-        try:
-            return env[name]
-        except KeyError:
+# -- compiled terms ------------------------------------------------------------
+#
+# A rule's output and successor templates are fixed data, so each is read
+# into its target algebra once, as a straight-line program, and a flat
+# loop runs the program per application.  Instruction i puts the value
+# of one distinct subterm in slot i, in post-order, so the root's value
+# is the last:
+#
+#   (_APPLY, fn, i, j)       fn of the values in slots i and j
+#   (_CALL, fn, slots, None) fn of the values in the listed slots
+#   (_BOUND, None, name, None)
+#                            the value bound to a placeholder
+#   (_FIXED, None, value, None)
+#                            a value known when the term is read
+#   (_INDEX, fn, name, None) fn of the output value bound to ``name``: a
+#                            constant whose index is that one placeholder
+#   (_SUBST, fn, index, None)
+#                            fn of a constant's polynomial index with the
+#                            output values substituted in
+_APPLY, _CALL, _BOUND, _FIXED, _INDEX, _SUBST = range(6)
+
+Program = tuple[tuple, ...]
+
+
+def _compile(term: Term, var: Callable[[str], tuple],
+             const: Callable[[Const], tuple],
+             app: Callable[[App, list[int]], tuple]) -> Program:
+    """The program of ``term``: ``var``, ``const`` and ``app`` give a
+    node's instruction, ``app`` from the slots of its arguments.  They
+    are called in ``evaluate``'s order, each distinct subterm once, so
+    any depth compiles, and a reading that raises while compiling raises
+    the error that evaluating the term would raise first."""
+    program: list[tuple] = []
+
+    def emit(instruction: tuple) -> int:
+        program.append(instruction)
+        return len(program) - 1
+
+    evaluate(term, lambda name: emit(var(name)), lambda t: emit(const(t)),
+             lambda t, slots: emit(app(t, slots)), {})
+    return tuple(program)
+
+
+def _run(program: Program, bound: Mapping[str, Any],
+         poly_env: Mapping[str, Poly]):
+    """The value a program computes with ``bound`` for its placeholders
+    and ``poly_env`` for the output values its constant indices name."""
+    values: list = []
+    push = values.append
+    for kind, fn, a, b in program:
+        if kind == _APPLY:
+            push(fn(values[a], values[b]))
+        elif kind == _BOUND:
+            push(bound[a])
+        elif kind == _FIXED:
+            push(a)
+        elif kind == _INDEX:
+            push(fn(poly_env[a]))
+        elif kind == _SUBST:
+            push(fn(a.substitute(poly_env)))
+        else:
+            push(fn(*[values[i] for i in a]))
+    return values[-1]
+
+
+def _operation(fn: Callable, slots: list[int]) -> tuple:
+    if len(slots) == 2:
+        return (_APPLY, fn, slots[0], slots[1])
+    return (_CALL, fn, tuple(slots), None)
+
+
+def _output_program(expr: Term, alg: OutputAlgebra,
+                    names: Collection[str]) -> Program:
+    """Read a rule's output term into the output algebra: a variable is
+    one of the output placeholders ``names``, a nullary symbol the
+    literal its name spells, and any other application an operation of
+    the output algebra."""
+    def var(name: str) -> tuple:
+        if name not in names:
             raise PlaceholderViolation(
-                f"output expression uses undeclared placeholder {name!r}"
-            ) from None
+                f"output expression uses undeclared placeholder {name!r}")
+        return (_BOUND, None, name, None)
 
     def const(t: Const):
         raise PlaceholderViolation(
             f"output expression cannot contain the constant {format_term(t)}")
 
-    def app(t: App, args: list):
-        return alg.apply(t.symbol, args) if args else _literal(alg, t.symbol)
+    def app(t: App, slots: list[int]) -> tuple:
+        if not slots:
+            return (_FIXED, None, _literal(alg, t.symbol), None)
+        symbol, apply = t.symbol, alg.apply
+        alg.check_op(symbol)
+        return _operation(lambda *args: apply(symbol, list(args)), slots)
 
-    return evaluate(expr, var, const, app)
+    return _compile(expr, var, const, app)
+
+
+def eval_out(expr: Term, alg: OutputAlgebra, env: Mapping[str, Any]):
+    """Evaluate an output term (``_output_program``) with ``env`` binding
+    its placeholders."""
+    return _run(_output_program(expr, alg, env), env, {})
+
+
+def _template_program(template: Term, names: Collection[str],
+                      rational: bool, leaf: Callable[[Term], Any],
+                      scalar: Callable[[Const], Callable[[Poly], Any]],
+                      operation: Callable[[App], Callable]) -> Program:
+    """Read a successor template into a target algebra: a variable is
+    one of the placeholders ``names``, bound per application; a constant
+    or nullary symbol is its ``leaf`` value, except that under
+    ``rational`` outputs a constant whose index mentions output values is
+    ``scalar(t)`` of the index with them substituted in; any other
+    application is its ``operation``.  A placeholder outside ``names``
+    raises ``KeyError``, as looking it up would."""
+    def var(name: str) -> tuple:
+        if name not in names:
+            raise KeyError(name)
+        return (_BOUND, None, name, None)
+
+    def const(t: Const) -> tuple:
+        value = leaf(t)  # also checks the family of an index read later
+        index = t.index
+        # A constant polynomial index is stored as its Fraction, so a Poly
+        # index mentions output values.
+        if rational and isinstance(index, Poly):
+            name = _placeholder(index)
+            if name is not None:
+                return (_INDEX, scalar(t), name, None)
+            return (_SUBST, scalar(t), index, None)
+        return (_FIXED, None, value, None)
+
+    def app(t: App, slots: list[int]) -> tuple:
+        if not slots:
+            return (_FIXED, None, leaf(t), None)
+        return _operation(operation(t), slots)
+
+    return _compile(template, var, const, app)
+
+
+def _placeholder(index: Poly) -> str | None:
+    """The placeholder an index is, when it is exactly one."""
+    if len(index.terms) == 1:
+        (mono, coeff), = index.terms
+        if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
+            return mono[0][0]
+    return None
+
+
+def _builder(t: App) -> Callable[..., Term]:
+    symbol = t.symbol
+    return lambda *args: App(symbol, args)
+
+
+def _term_program(template: Term, names: Collection[str],
+                  rational: bool) -> Program:
+    """The term reading of a successor template: placeholders become
+    their bound terms, and the output values a constant's index mentions
+    are substituted in."""
+    return _template_program(template, names, rational, lambda t: t,
+                             lambda t: functools.partial(Const, t.family),
+                             _builder)
+
+
+def _semiring_program(th: Theory, template: Term, names: Collection[str],
+                      rational: bool) -> Program:
+    """The reading of a successor template in a builtin theory's
+    semiring (``semiring_algebra``), placeholders read as their bound
+    values."""
+    _, const, app = th.algebra
+    ops = {"+": th.semiring.add, "*": th.semiring.mul}
+
+    def leaf(t: Term):
+        return const(t) if isinstance(t, Const) else app(t, [])
+
+    def operation(t: App) -> Callable:
+        if len(t.args) == 2 and t.symbol in ops:
+            return ops[t.symbol]
+        # No other application has a meaning in the semiring: the algebra
+        # raises its error, whatever the arguments.
+        return app(t, [None] * len(t.args))
+
+    return _template_program(template, names, rational, leaf,
+                             lambda t: th.semiring.const, operation)
+
+
+class Reading:
+    """A target algebra for a rule's terms, and the programs compiled
+    into it so far, per rule and term.  ``compile`` gets the rule and the
+    term; it is called once per pair, on the pair's first application."""
+
+    __slots__ = ("compile", "programs")
+
+    def __init__(self, compile: Callable[["Rule", Term], Program]):
+        self.compile = compile
+        self.programs: dict[tuple, Program] = {}
+
+    def program(self, rule: "Rule", term: Term) -> Program:
+        key = rule.symbol, rule.is_family, term
+        found = self.programs.get(key)
+        if found is None:
+            found = self.programs[key] = self.compile(rule, term)
+        return found
 
 
 @dataclass(frozen=True)
@@ -148,15 +338,16 @@ class GsosSpec:
     def __post_init__(self):
         if self.format not in (SIMPLE, GSOS):
             raise ValueError(f"unknown rule format {self.format!r}")
-        seen = set()
+        by_key: dict[tuple[str, bool], Rule] = {}
         for rule in self.rules:
             key = (rule.symbol, rule.is_family)
-            if key in seen:
+            if key in by_key:
                 raise PlaceholderViolation(
                     f"duplicate rule for {rule.symbol!r}"
                 )
-            seen.add(key)
+            by_key[key] = rule
             self._validate_rule(rule)
+        object.__setattr__(self, "_by_key", by_key)
 
     def _validate_rule(self, rule: Rule) -> None:
         sig = self.signature
@@ -237,17 +428,19 @@ class GsosSpec:
                 )
 
     def rule_for(self, symbol: str, family: bool = False) -> Rule:
-        for rule in self.rules:
-            if rule.symbol == symbol and rule.is_family == family:
-                return rule
-        kind = "family" if family else "symbol"
-        raise MissingRule(f"no rule for {kind} {symbol!r}")
+        rule = self._by_key.get((symbol, family))
+        if rule is None:
+            kind = "family" if family else "symbol"
+            raise MissingRule(f"no rule for {kind} {symbol!r}")
+        return rule
 
 
 @dataclass(frozen=True)
 class DistLaw:
     """A rule table together with the input alphabet and output algebra;
-    the data of a distributive law presented symbol by symbol."""
+    the data of a distributive law presented symbol by symbol.  The law
+    keeps its rules' outputs and successor templates as programs, read
+    into the output algebra and into terms on first use."""
 
     spec: GsosSpec
     alphabet: tuple[str, ...]
@@ -267,6 +460,14 @@ class DistLaw:
                 raise PlaceholderViolation(
                     f"family rule {rule.symbol!r} needs rational outputs"
                 )
+        alg = self.outputs
+        rational = alg.kind == "rational"
+        object.__setattr__(self, "_outputs", Reading(
+            lambda rule, term: _output_program(term, alg,
+                                               rule.placeholders()[1])))
+        object.__setattr__(self, "_terms", Reading(
+            lambda rule, term: _term_program(term, rule.placeholders()[0],
+                                             rational)))
 
     @property
     def signature(self) -> Signature:
@@ -275,30 +476,14 @@ class DistLaw:
 
 LeafObs = tuple[Term, Step]
 
-# How a successor template is read, given the terms or values bound to its
-# placeholders and the output values its constant indices may mention.
-Reader = Callable[[Term, Mapping[str, Any], Mapping[str, Poly]], Any]
-
-
-def _instantiate_template(template: Term, term_env: Mapping[str, Term],
-                          poly_env: Mapping[str, Poly]) -> Term:
-    """The term reading: placeholders become their bound terms, and the
-    output values a constant's index mentions are substituted in."""
-    def const(t: Const) -> Const:
-        if isinstance(t.index, Poly) and t.index.atoms():
-            return Const(t.family, t.index.substitute(poly_env))
-        return t
-
-    return evaluate(template, term_env.__getitem__, const, rebuild)
-
 
 def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Any, dict]],
                family: bool = False, index=None,
-               read: Reader = _instantiate_template) -> Step:
+               read: Reading | None = None) -> Step:
     """Instantiate one rule: ``args`` holds, per argument position, the
     argument itself, its output value and its successors per letter.
-    ``read`` turns each successor template into a successor; by default
-    it builds a term, and the quotient stepper folds it instead."""
+    ``read`` is the reading of the successor templates; by default they
+    are read as terms, and the quotient stepper folds them instead."""
     rule = law.spec.rule_for(symbol, family)
     alg = law.outputs
     out_env: dict[str, Any] = {}
@@ -307,7 +492,7 @@ def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Any, dict]],
     if rule.is_family:
         out_env[rule.index_name] = alg.coerce(index)
 
-    output = eval_out(rule.output, alg, out_env)
+    output = _run(law._outputs.program(rule, rule.output), out_env, {})
 
     poly_env = {name: value for name, value in out_env.items()
                 if isinstance(value, Poly)}
@@ -317,6 +502,7 @@ def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Any, dict]],
         body = template.if_one if out_env[template.scrutinee] else template.if_zero
     else:
         body = template.term
+    program = (law._terms if read is None else read).program(rule, body)
 
     moves = {}
     for letter in law.alphabet:
@@ -325,7 +511,7 @@ def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Any, dict]],
             bound[spec_arg.deriv] = deriv[letter]
             if spec_arg.name is not None:
                 bound[spec_arg.name] = state
-        moves[letter] = read(body, bound, poly_env)
+        moves[letter] = _run(program, bound, poly_env)
     return Step.of(output, moves)
 
 
@@ -398,11 +584,12 @@ class QuotientStepper:
     its summands' steps, the output operation over their outputs and one
     semiring ``sum`` of their successors per letter.  A summand, a product
     of leaves, is stepped as ``extend_lambda`` would, but with every
-    successor template read straight into the theory's semiring (``fold``)
-    and placeholders bound to folded values.  ``fold`` is a semiring
-    homomorphism and both semirings add commutatively, so the result
-    equals normalising ``extend_lambda`` at the canonical representative,
-    certified or not.  Each product suffix's step is cached under its
+    successor template read straight into the theory's semiring (the
+    reading ``fold`` makes, compiled once per stepper) and placeholders
+    bound to folded values.  ``fold`` is a semiring homomorphism and
+    both semirings add commutatively, so the result equals normalising
+    ``extend_lambda`` at the canonical representative, certified or not.
+    Each product suffix's step is cached under its
     factors (atoms, behind a leading scalar if any), so a summand costs
     one rule application per factor not seen before; the cache lives as
     long as the stepper, one run of a caller.
@@ -417,6 +604,9 @@ class QuotientStepper:
         self._leaves: dict[Term, _Folded] = {}
         self._products: dict[tuple, _Folded] = {}
         self._zero: _Folded | None = None
+        rational = law.outputs.kind == "rational"
+        self._read = Reading(lambda rule, term: _semiring_program(
+            th, term, rule.placeholders()[0], rational))
         # States matter only to gsos rules that name an argument.
         self._product_states = any(arg.name is not None
                                    for rule in law.spec.rules
@@ -441,21 +631,6 @@ class QuotientStepper:
             moves = {l: th.semiring.sum([s[2][l] for s in steps])
                      for l in moves}
         return Step.of(output, {l: th.form(v) for l, v in moves.items()})
-
-    def _read(self, template: Term, bound: Mapping[str, Any],
-              poly_env: Mapping[str, Poly]):
-        """Fold a template into the theory's semiring, each placeholder
-        read as its bound value; the ``read`` given to ``apply_rule``."""
-        _, const, app = self.th.algebra
-
-        def bound_const(t: Const):
-            value = const(t)  # checks the family
-            index = t.index
-            if isinstance(index, Poly) and index.atoms():
-                return self.th.semiring.const(index.substitute(poly_env))
-            return value
-
-        return evaluate(template, bound.__getitem__, bound_const, app)
 
     def _product(self, factors: tuple) -> _Folded:
         cache = self._products

@@ -17,7 +17,11 @@ repeated monomials.  Arithmetic builds its results through
 to ``Fraction`` coefficients, drops the zero coefficients and sorts the
 terms, and does nothing else; so ``Poly.sum`` (and ``+``, its two-operand
 case) merges term dicts, and ``*`` accumulates products of terms in one
-dict.  A polynomial's hash is computed once, when first asked for.
+dict.  The scalar product, ``*`` with a nonzero constant on either side,
+is the exception: it multiplies each coefficient by the constant and
+keeps the terms as they are, already sorted and nonzero, and a product
+by 1 is the other operand itself.  A polynomial's hash is computed once,
+when first asked for.
 
 These polynomials do double duty: they are the canonical forms of the
 commutative-semiring theory, the symbolic values of rational outputs, and
@@ -143,6 +147,10 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = _coerce(other)
+        if other._is_scalar():
+            return self._scaled(other)
+        if self._is_scalar():
+            return other._scaled(self)
         acc: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms:
             for m2, c2 in other._terms:
@@ -152,6 +160,24 @@ class Poly:
         return Poly._canonical(acc)
 
     __rmul__ = __mul__
+
+    def _is_scalar(self) -> bool:
+        terms = self._terms
+        return len(terms) == 1 and not terms[0][0]
+
+    def _scaled(self, scalar: "Poly") -> "Poly":
+        """The scalar product by a constant polynomial with one term:
+        every coefficient times the scalar's, in the same order, since
+        the monomials do not change and a product of nonzero rationals is
+        nonzero."""
+        factor = scalar._terms[0][1]
+        if factor == 1:
+            return self
+        poly = object.__new__(Poly)
+        poly._terms = tuple([(mono, coeff * factor)
+                             for mono, coeff in self._terms])
+        poly._hash = None
+        return poly
 
     def substitute(self, mapping) -> "Poly":
         """Replace atoms by polynomials; atoms absent from the mapping stay.

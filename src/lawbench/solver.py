@@ -177,19 +177,20 @@ def unfold(sys: CorecSystem, term: Term, word: Iterable[str]):
 
 def behaviour_table(sys: CorecSystem, term: Term,
                     maxlen: int) -> dict[tuple[str, ...], object]:
-    """Outputs at every word of length at most ``maxlen``."""
+    """Outputs at every word of length at most ``maxlen``, keyed in
+    depth-first order, letters in alphabet order; the walk keeps its
+    words on a stack, so any length runs."""
     alg = sys.law.outputs
     step_of = _stepper(sys)
     table: dict[tuple[str, ...], object] = {}
-
-    def walk(state: State, word: tuple[str, ...]) -> None:
+    todo: list[tuple[State, tuple[str, ...]]] = [(term, ())]
+    while todo:
+        state, word = todo.pop()
         step = step_of(state)
         table[word] = alg.concrete(step.output)
         if len(word) < maxlen:
-            for letter in sys.law.alphabet:
-                walk(step.next(letter), word + (letter,))
-
-    walk(term, ())
+            for letter in reversed(sys.law.alphabet):
+                todo.append((step.next(letter), word + (letter,)))
     return table
 
 

@@ -4,6 +4,15 @@
 it computes: no stack, no memo, so it walks a dag as a tree and cannot
 take deep terms.
 
+``reference_eval_out``, ``reference_instantiate_template`` and
+``reference_read`` are the three readings of a rule's terms as
+``evaluate`` walks, each node read afresh on every application: the
+output term in the output algebra, a successor template as a term, and
+a successor template in a builtin theory's semiring.
+``reference_apply_rule`` is ``apply_rule`` over them.  The library
+compiles each rule's terms once into programs; these must agree with
+the programs on every value and on the first error.
+
 ``positions``, ``subterm_at`` and ``replace_at`` address subterms by
 their paths from the root, for the reference rewrite search.
 ``position_walk`` is ``Theory._one_step`` as a walk over positions: no
@@ -29,10 +38,18 @@ triple.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Any, Iterator, Mapping
 
-from lawbench.behaviour import Step
-from lawbench.gsos import DistLaw, QuotientStepper, extend_lambda
+from lawbench.behaviour import OutputAlgebra, Step
+from lawbench.errors import PlaceholderViolation
+from lawbench.gsos import (
+    CaseSplit,
+    DistLaw,
+    QuotientStepper,
+    _literal,
+    extend_lambda,
+)
+from lawbench.polynomials import Poly
 from lawbench.preservation import SchemeCheck, _check_case
 from lawbench.solver import (
     CommuteReport,
@@ -63,6 +80,82 @@ def reference_evaluate(term: Term, var, const, app):
         return const(term)
     return app(term, [reference_evaluate(a, var, const, app)
                       for a in term.args])
+
+
+def reference_eval_out(expr: Term, alg: OutputAlgebra,
+                       env: Mapping[str, Any]):
+    def var(name: str):
+        try:
+            return env[name]
+        except KeyError:
+            raise PlaceholderViolation(
+                f"output expression uses undeclared placeholder {name!r}"
+            ) from None
+
+    def const(t: Const):
+        raise PlaceholderViolation(
+            f"output expression cannot contain the constant {format_term(t)}")
+
+    def app(t: App, args: list):
+        return alg.apply(t.symbol, args) if args else _literal(alg, t.symbol)
+
+    return evaluate(expr, var, const, app)
+
+
+def reference_instantiate_template(template: Term,
+                                   term_env: Mapping[str, Term],
+                                   poly_env: Mapping[str, Poly]) -> Term:
+    def const(t: Const) -> Const:
+        if isinstance(t.index, Poly) and t.index.atoms():
+            return Const(t.family, t.index.substitute(poly_env))
+        return t
+
+    return evaluate(template, term_env.__getitem__, const, rebuild)
+
+
+def reference_read(th: Theory, template: Term, bound: Mapping[str, Any],
+                   poly_env: Mapping[str, Poly]):
+    _, const, app = th.algebra
+
+    def bound_const(t: Const):
+        value = const(t)  # checks the family
+        index = t.index
+        if isinstance(index, Poly) and index.atoms():
+            return th.semiring.const(index.substitute(poly_env))
+        return value
+
+    return evaluate(template, bound.__getitem__, bound_const, app)
+
+
+def reference_apply_rule(law: DistLaw, symbol: str, args: list,
+                         family: bool = False, index=None,
+                         read=reference_instantiate_template) -> Step:
+    """``apply_rule`` with every term read afresh; ``read`` takes a
+    template, its bound placeholders and the output values."""
+    rule = law.spec.rule_for(symbol, family)
+    alg = law.outputs
+    out_env: dict[str, Any] = {}
+    for spec_arg, (_, out_value, _) in zip(rule.args, args):
+        out_env[spec_arg.out] = alg.coerce(out_value)
+    if rule.is_family:
+        out_env[rule.index_name] = alg.coerce(index)
+    output = reference_eval_out(rule.output, alg, out_env)
+    poly_env = {name: value for name, value in out_env.items()
+                if isinstance(value, Poly)}
+    template = rule.next
+    if isinstance(template, CaseSplit):
+        body = template.if_one if out_env[template.scrutinee] else template.if_zero
+    else:
+        body = template.term
+    moves = {}
+    for letter in law.alphabet:
+        bound: dict[str, Any] = {}
+        for spec_arg, (state, _, deriv) in zip(rule.args, args):
+            bound[spec_arg.deriv] = deriv[letter]
+            if spec_arg.name is not None:
+                bound[spec_arg.name] = state
+        moves[letter] = read(body, bound, poly_env)
+    return Step.of(output, moves)
 
 
 def positions(term: Term) -> Iterator[tuple[int, ...]]:

@@ -142,6 +142,24 @@ def test_algebra_check_command(capsys):
     assert "2 2 2 2 2" in out
 
 
+def test_algebra_check_runs_long_words(capsys, tmp_path):
+    # cfg.dsl cut to one letter, with the grammar S -> aS | eps: a table
+    # of 1201 words, up to 1200 letters long, kept on a stack.
+    text = pathlib.Path(example("cfg.dsl")).read_text()
+    grammar = text[text.index("grammar {"):]
+    text = text.replace("alphabet { a, b }", "alphabet { a }").replace(
+        grammar, "grammar {\n  S: empty=1;\n  S -a-> S;\n  start S\n}\n")
+    path = tmp_path / "one-letter.dsl"
+    path.write_text(text)
+    code = run(["algebra-check", str(path), "--outer", "S",
+                "--horizon", "1200"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.startswith("agree\n")
+    # Both rows list every word, the longest last.
+    assert captured.out.count(" " + "a" * 1200 + "\n") == 2
+
+
 def test_usage_and_load_errors(capsys):
     cases = (
         ["cfg-member", example("cfg.dsl"), "--word", "xz"],

@@ -5,11 +5,14 @@ substitution, identity on the copointed state component.  Frozen values
 below were derived by instantiating the stream rules by hand.
 """
 
+import functools
 import itertools
 from dataclasses import replace
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from lawbench.behaviour import BOOL_OUTPUTS, RATIONAL_OUTPUTS, Step
 from lawbench.dsl import load
@@ -27,9 +30,14 @@ from lawbench.gsos import (
     Plain,
     QuotientStepper,
     Rule,
+    _run,
+    _semiring_program,
+    _term_program,
+    apply_rule,
     eval_out,
     extend_lambda,
 )
+from lawbench.polynomials import Poly
 from lawbench.terms import (
     App,
     Const,
@@ -41,12 +49,19 @@ from lawbench.terms import (
 from lawbench.theories import Equiv, free_theory
 
 from conftest import example
-from oracles import morphism_square_check
+from oracles import (
+    morphism_square_check,
+    reference_apply_rule,
+    reference_eval_out,
+    reference_instantiate_template,
+    reference_read,
+)
 
 # ---------------------------------------------------------------- fixtures
 
 STREAM = load(example("stream.dsl"))
 CFG = load(example("cfg.dsl"))
+CONVOLUTION = load(example("convolution.dsl"))
 ZEROS = load(example("three-zeros.dsl"))
 
 # hand instantiation of the product rule at [2] x [3]:
@@ -246,3 +261,221 @@ def test_missing_rule_is_reported():
     with pytest.raises(MissingRule):
         extend_lambda(law, App("*", (Var("v"), Var("u"))), env)
 
+
+
+# ------------------------------------------- compiled rules, against oracles
+
+# A rule's terms are compiled once into programs; the reference readers
+# in oracles.py walk the term afresh.  They must agree on the value, and
+# on the type and message of the first error, which the reference meets
+# leftmost-innermost: the error leaves below come in pairs with distinct
+# messages, so a compiler that reads the right argument first fails.
+
+
+def outcome(read, *args):
+    try:
+        return "value", read(*args)
+    except Exception as exc:  # the error is what is compared
+        return type(exc), str(exc)
+
+
+def terms_over(leaves, ops):
+    """Terms over the ``leaves`` and the (symbol, arity) pairs ``ops``."""
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of([st.tuples(*[sub] * arity).map(
+            functools.partial(App, symbol)) for symbol, arity in ops]),
+        max_leaves=12)
+
+
+def maybe_dirty(clean_leaves, clean_ops, dirty_leaves, dirty_ops):
+    return st.booleans().flatmap(lambda dirty: terms_over(
+        clean_leaves + dirty_leaves * dirty, clean_ops + dirty_ops * dirty))
+
+
+def chain(op, left, right, n=2000):
+    """``left op (left op (... op right))``, ``n`` leaves."""
+    acc = right
+    for _ in range(n - 1):
+        acc = App(op, (left, acc))
+    return acc
+
+
+A, B = Poly.atom("a"), Poly.atom("b")
+POLYS = st.sampled_from([Poly(), Poly.const(1), Poly.const(Fraction(-2, 3)),
+                         Poly.atom("s"), Poly.atom("s") * 3 + 1])
+OUTPUT_ENVS = {
+    "rational": st.fixed_dictionaries({"a": POLYS, "b": POLYS}),
+    "bool": st.fixed_dictionaries({"a": st.sampled_from([0, 1]),
+                                   "b": st.sampled_from([0, 1])}),
+}
+OUTPUT_CLEAN = {
+    "rational": ([Var("a"), Var("b"), App("0"), App("1/2"), App("-3")],
+                 [("+", 2), ("*", 2)]),
+    "bool": ([Var("a"), Var("b"), App("0"), App("1")],
+             [("min", 2), ("max", 2)]),
+}
+# Undeclared placeholders, constants, nullaries that are no literal,
+# operations the outputs lack.
+OUTPUT_DIRTY = ([Var("u"), Var("w"), Const("c", 1), Const("c", 2), App("x"),
+                 App("1/0"), App("2")], [("g", 1), ("h", 2)])
+OUTPUTS = {"rational": RATIONAL_OUTPUTS, "bool": BOOL_OUTPUTS}
+
+
+@pytest.mark.parametrize("kind", ["rational", "bool"])
+@given(data=st.data())
+def test_compiled_outputs_match_the_reference(kind, data):
+    expr = data.draw(maybe_dirty(*OUTPUT_CLEAN[kind], *OUTPUT_DIRTY))
+    env = data.draw(OUTPUT_ENVS[kind])
+    alg = OUTPUTS[kind]
+    assert outcome(eval_out, expr, alg, env) == \
+        outcome(reference_eval_out, expr, alg, env)
+
+
+# Successor templates of the bundled shapes: the derivative placeholders
+# x and y, the generator X, literal constants and constants indexed by
+# output values, under + and *.
+TEMPLATE_CLEAN = ([Var("x"), Var("y"), App("X"), Const("c", 2), Const("c", A),
+                   Const("c", A * B), Const("c", A * 2), Const("c", A * A),
+                   Const("c", A * 2 + 1)],
+                  [("+", 2), ("*", 2)])
+# Undeclared placeholders, families outside the theory, a nullary symbol
+# and an operation the theory lacks.
+TEMPLATE_DIRTY = ([Var("u"), Var("w"), Const("d", 1), Const("e", A),
+                   App("Y")], [("g", 1), ("h", 3)])
+TERMS = st.sampled_from([Var("p"), App("X"), Const("c", 3),
+                         App("+", (Var("p"), Var("q")))])
+
+
+@given(template=maybe_dirty(*TEMPLATE_CLEAN, *TEMPLATE_DIRTY),
+       bound=st.fixed_dictionaries({"x": TERMS, "y": TERMS}),
+       poly_env=st.fixed_dictionaries({"a": POLYS, "b": POLYS}),
+       rational=st.booleans())
+def test_compiled_term_reading_matches_the_reference(template, bound,
+                                                     poly_env, rational):
+    # Under Boolean outputs no output value is a polynomial.
+    poly_env = poly_env if rational else {}
+
+    def compiled(template, bound, poly_env):
+        return _run(_term_program(template, bound, rational), bound, poly_env)
+
+    assert outcome(compiled, template, bound, poly_env) == \
+        outcome(reference_instantiate_template, template, bound, poly_env)
+
+
+@given(template=maybe_dirty(*TEMPLATE_CLEAN, *TEMPLATE_DIRTY),
+       bound=st.fixed_dictionaries({"x": POLYS, "y": POLYS}),
+       poly_env=st.fixed_dictionaries({"a": POLYS, "b": POLYS}))
+def test_compiled_semiring_reading_matches_the_reference(template, bound,
+                                                         poly_env):
+    th = STREAM.theory
+
+    def compiled(template, bound, poly_env):
+        return _run(_semiring_program(th, template, bound, True), bound,
+                    poly_env)
+
+    assert outcome(compiled, template, bound, poly_env) == \
+        outcome(reference_read, th, template, bound, poly_env)
+
+
+LANGUAGES = st.sampled_from([frozenset(), frozenset({()}),
+                             frozenset({("a",), ("a", "b")})])
+
+
+@given(template=maybe_dirty([Var("x"), Var("y"), App("0"), App("1")],
+                            [("+", 2), ("*", 2)],
+                            [Var("u"), Const("c", 1), Const("d", 2),
+                             App("X")], [("g", 1)]),
+       bound=st.fixed_dictionaries({"x": LANGUAGES, "y": LANGUAGES}))
+def test_compiled_language_reading_matches_the_reference(template, bound):
+    th = CFG.theory
+
+    def compiled(template, bound):
+        return _run(_semiring_program(th, template, bound, False), bound, {})
+
+    assert outcome(compiled, template, bound) == \
+        outcome(reference_read, th, template, bound, {})
+
+
+def test_compiled_readings_of_deep_chains():
+    # 2000 leaves deep; each compiles and runs without recursion.
+    th = STREAM.theory
+    out_env = {"a": Poly.const(1), "b": A}
+    deep_out = chain("+", Var("a"), Var("b"))
+    assert eval_out(deep_out, RATIONAL_OUTPUTS, out_env) == A + 1999
+    assert eval_out(deep_out, RATIONAL_OUTPUTS, out_env) == \
+        reference_eval_out(deep_out, RATIONAL_OUTPUTS, out_env)
+    deep = chain("*", Const("c", A), chain("+", Var("x"), Var("y")))
+    terms = {"x": Var("p"), "y": App("X")}
+    assert _run(_term_program(deep, terms, True), terms, out_env) == \
+        reference_instantiate_template(deep, terms, out_env)
+    values = {"x": Poly.atom("p"), "y": Poly.atom("X")}
+    assert _run(_semiring_program(th, deep, values, True), values,
+                out_env) == reference_read(th, deep, values, out_env)
+
+
+def random_rule(wb, output, next_):
+    """``wb``'s law with its ``*`` rule given another output and
+    successor."""
+    rules = tuple(replace(r, output=output, next=next_)
+                  if r.symbol == "*" else r for r in wb.law.spec.rules)
+    spec = GsosSpec(wb.signature, rules, wb.law.spec.format)
+    return replace(wb.law, spec=spec)
+
+
+@pytest.mark.parametrize("wb", [STREAM, CONVOLUTION], ids=["stream",
+                                                           "convolution"])
+@given(data=st.data())
+def test_compiled_rules_match_the_reference(wb, data):
+    rule = wb.law.spec.rule_for("*")
+    (left, right) = rule.args
+    outs = [Var(left.out), Var(right.out), App("1/2")]
+    derivs = [Var(left.deriv), Var(right.deriv)]
+    derivs += [Var(arg.name) for arg in rule.args if arg.name is not None]
+    indexed = [Const("c", Poly.atom(left.out)),
+               Const("c", Poly.atom(left.out) * Poly.atom(right.out)),
+               Const("c", 1)]
+    output = data.draw(terms_over(outs, [("+", 2), ("*", 2)]))
+    template = data.draw(terms_over(derivs + indexed + [App("X")],
+                                    [("+", 2), ("*", 2)]))
+    law = random_rule(wb, output, Plain(template))
+    th = wb.theory
+    outs_of = data.draw(st.tuples(POLYS, POLYS))
+    terms = [(Var(f"s{i}"), out, {"t": Var(f"d{i}")})
+             for i, out in enumerate(outs_of)]
+    assert apply_rule(law, "*", terms) == \
+        reference_apply_rule(law, "*", terms)
+    values = [(Poly.atom(f"s{i}"), out, {"t": Poly.atom(f"d{i}")})
+              for i, out in enumerate(outs_of)]
+    stepper = QuotientStepper(th, law, {})
+    assert apply_rule(law, "*", values, read=stepper._read) == \
+        reference_apply_rule(law, "*", values,
+                             read=functools.partial(reference_read, th))
+
+
+@given(data=st.data())
+def test_compiled_case_splits_match_the_reference(data):
+    rule = CFG.law.spec.rule_for("*")
+    (left, right) = rule.args
+    leaves = [Var(left.deriv), Var(right.deriv), Var(right.name), App("0"),
+              App("1")]
+    ops = [("+", 2), ("*", 2)]
+    output = data.draw(terms_over([Var(left.out), Var(right.out), App("0"),
+                                   App("1")], [("min", 2), ("max", 2)]))
+    split = CaseSplit(left.out, data.draw(terms_over(leaves, ops)),
+                      data.draw(terms_over(leaves, ops)))
+    law = random_rule(CFG, output, split)
+    bits = data.draw(st.tuples(st.sampled_from([0, 1]),
+                               st.sampled_from([0, 1])))
+    terms = [(Var(f"s{i}"), bit, {l: Var(f"d{i}{l}") for l in "ab"})
+             for i, bit in enumerate(bits)]
+    assert apply_rule(law, "*", terms) == \
+        reference_apply_rule(law, "*", terms)
+    values = [(frozenset({(f"s{i}",)}), bit,
+               {l: frozenset({(f"d{i}{l}",)}) for l in "ab"})
+              for i, bit in enumerate(bits)]
+    stepper = QuotientStepper(CFG.theory, law, {})
+    assert apply_rule(law, "*", values, read=stepper._read) == \
+        reference_apply_rule(law, "*", values,
+                             read=functools.partial(reference_read,
+                                                    CFG.theory))

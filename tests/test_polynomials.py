@@ -214,6 +214,18 @@ def test_sum_and_product_match_the_reference_constructor(e1, e2):
         assert_canonical(poly)
 
 
+@given(exprs, st.one_of(st.sampled_from([0, 1, -1]), fractions))
+def test_scalar_product_matches_the_reference_constructor(expr, c):
+    # A constant factor on either side takes the scaling path; 0 is the
+    # empty polynomial and takes the general one.
+    p, scalar = poly_of_expr(expr), Poly.const(c)
+    expected = Poly(naive_product(p.terms, scalar.terms)).terms
+    for product in (p * scalar, scalar * p, p * c, c * p):
+        assert product.terms == expected
+        assert_canonical(product)
+    assert p * 1 is p and 1 * p is p and p * Poly.const(1) is p
+
+
 @given(st.lists(exprs, max_size=5))
 def test_n_ary_sum_matches_the_reference_constructor(expr_list):
     polys = [poly_of_expr(e) for e in expr_list]
