@@ -28,8 +28,6 @@ from .cfg import (
     cfg_law,
     cfg_signature,
     cfg_theory,
-    cyk_member,
-    derivative_member,
     equiv_upto,
     member,
     to_corec,

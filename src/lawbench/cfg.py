@@ -6,11 +6,6 @@ sentential forms (words of nonterminals) it can step to.  ``to_corec``
 turns that into a corecursive equation system over the Boolean rule
 table ``cfg_law``: the sets become sums of products, normalised states
 are finite languages of nonterminals, and membership is plain unfolding.
-
-Two further recognizers over the same grammar serve as cross-checks:
-``derivative_member`` steps sets of sentential forms directly, and
-``cyk_member`` is a tabulated recognizer that never touches terms,
-rules or normal forms.
 """
 
 from __future__ import annotations
@@ -135,55 +130,6 @@ def member(g: GnfGrammar, word: Iterable[str]) -> int:
     sys = to_corec(g)
     out, _ = unfold(sys, g.start, tuple(word))
     return int(out)
-
-
-def _start_forms(g: GnfGrammar) -> frozenset[Body]:
-    """The start expression as a finite language of sentential forms."""
-    th = cfg_theory()
-    nf = th.normalize(g.start)
-    assert isinstance(nf, LangForm)
-    return nf.words
-
-
-def derivative_member(g: GnfGrammar, word: Iterable[str]) -> int:
-    """Direct recognizer on sets of sentential forms: consume a letter at
-    the first position not hidden behind a non-nullable symbol."""
-    forms = set(_start_forms(g))
-    for letter in word:
-        stepped: set[Body] = set()
-        for form in forms:
-            for i, head in enumerate(form):
-                for body in g.prods[head][letter]:
-                    stepped.add(body + form[i + 1:])
-                if not g.empty[head]:
-                    break
-        forms = stepped
-    return int(any(all(g.empty[s] for s in form) for form in forms))
-
-
-def cyk_member(g: GnfGrammar, word: Iterable[str]) -> int:
-    """Tabulated recognizer straight off the grammar: can a sentential
-    form derive the remaining suffix?  Shares nothing with the rule-table
-    or derivative paths."""
-    w = tuple(word)
-    memo: dict[tuple[Body, int], bool] = {}
-
-    def derives(form: Body, i: int) -> bool:
-        key = (form, i)
-        if key in memo:
-            return memo[key]
-        if not form:
-            result = i == len(w)
-        else:
-            head, rest = form[0], form[1:]
-            result = bool(g.empty[head]) and derives(rest, i)
-            if not result and i < len(w):
-                result = any(derives(body + rest, i + 1)
-                             for body in g.prods[head][w[i]])
-        memo[key] = result
-        return result
-
-    return int(any(derives(form, 0) for form in _start_forms(g)))
 
 
 @dataclass(frozen=True)

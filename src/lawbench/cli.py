@@ -5,20 +5,21 @@ Every command reads one workbench file and exits 0 when the check passes,
 usage or load errors, a bound out of range among them, and 4 on an
 internal error: an exception that is not a ``LawbenchError``, whose
 traceback goes to stderr followed by ``internal error: <type>:
-<message>``.  ``--json`` replaces the human-readable output with a
-structured report; the shape of every report is pinned by the bundled
-``schema/report.schema.json``.
+<message>``.  A reader that closes stdout early (``| head``) ends the
+command quietly, with the command's own exit code.  ``--json`` replaces
+the human-readable output with a structured report; the shape of every
+report is pinned by the bundled ``schema/report.schema.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
-from importlib import resources
 
-from .cfg import equiv_upto, member
+from .cfg import cfg_signature, equiv_upto, member, to_corec
 from .dsl import Workbench, load, term_from_string
 from .errors import LawbenchError, MissingSection
 from .preservation import Verdict, check_preservation
@@ -107,8 +108,6 @@ def _system(wb: Workbench) -> CorecSystem:
     if wb.system is not None:
         return wb.system
     if wb.grammar is not None:
-        from .cfg import to_corec
-
         return to_corec(wb.grammar)
     raise MissingSection("this command needs a system or grammar block")
 
@@ -180,8 +179,6 @@ def _cmd_cfg_member(wb: Workbench, ns) -> tuple[int, dict, str]:
 
 def _cmd_cfg_equiv(wb: Workbench, ns) -> tuple[int, dict, str]:
     grammar = _grammar(wb)
-    from .cfg import cfg_signature
-
     left = term_from_string(ns.left, cfg_signature(), grammar.nonterminals)
     right = term_from_string(ns.right, cfg_signature(), grammar.nonterminals)
     result = equiv_upto(grammar, left, right, ns.maxlen)
@@ -259,33 +256,30 @@ _COMMANDS = {
 }
 
 
-def schema_path():
-    """Filesystem path of the bundled JSON report schema."""
-    return resources.files("lawbench") / "schema" / "report.schema.json"
-
-
 def run(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         wb = load(ns.file)
         code, payload, text = _COMMANDS[ns.command](wb, ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except LawbenchError as exc:
+    except (_UsageError, FileNotFoundError, LawbenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    if ns.as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    try:
+        if ns.as_json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe: send what is still buffered to
+        # devnull, so that flushing at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

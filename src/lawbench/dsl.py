@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .behaviour import Step, output_algebra
 from .cfg import GnfGrammar, cfg_signature
-from .errors import ArityMismatch, LawbenchError, MissingSection, ParseError
+from .errors import ArityMismatch, MissingSection, ParseError
 from .gsos import (
     GSOS,
     SIMPLE,
@@ -45,7 +45,7 @@ from .gsos import (
 )
 from .polynomials import Poly
 from .solver import CorecSystem
-from .terms import App, Const, ConstantFamily, Signature, Term, Var, format_term
+from .terms import App, Const, ConstantFamily, Signature, Term, Var
 from .theories import (
     COMMUTATIVE,
     EquationScheme,
@@ -827,111 +827,12 @@ class Workbench:
     law: DistLaw | None = None
     system: CorecSystem | None = None
     grammar: GnfGrammar | None = None
-    path: str | None = field(default=None, compare=False)
-
-    def pretty(self) -> str:
-        out: list[str] = []
-        multi = self.signature is not None and len(self.signature.families) > 1
-        if self.signature is not None:
-            out.append("signature {")
-            for name, arity in self.signature.ops:
-                out.append(f"  op {name}/{arity};")
-            for fam in self.signature.families:
-                samples = ", ".join(str(s) for s in fam.samples)
-                out.append(f"  family {fam.name} samples {samples};")
-            out.append("}")
-        if self.outputs is not None:
-            out.append(f"outputs {self.outputs};")
-        if self.alphabet is not None:
-            out.append("alphabet { " + ", ".join(self.alphabet) + " }")
-        if self.theory is not None:
-            out.append(_pretty_theory(self.theory, multi))
-        if self.law is not None:
-            out.append(_pretty_rules(self.law, multi))
-        if self.system is not None:
-            out.append(_pretty_system(self.system, multi))
-        if self.grammar is not None:
-            out.append(_pretty_grammar(self.grammar))
-        return "\n".join(out) + "\n"
 
 
-def _pretty_term(term: Term, multi: bool) -> str:
-    if multi:
-        raise LawbenchError(
-            "pretty-printing with several constant families is not supported")
-    return format_term(term)
-
-
-def _pretty_theory(theory: Theory, multi: bool) -> str:
-    if theory.kind in (COMMUTATIVE, IDEMPOTENT):
-        return f"theory {theory.kind};"
-    if not theory.schemes:
-        return "theory free;"
-    lines = ["theory generic {"]
-    for scheme in theory.schemes:
-        lines.append(f"  eq {scheme.name}: {_pretty_term(scheme.lhs, multi)}"
-                     f" = {_pretty_term(scheme.rhs, multi)};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _pretty_rules(law: DistLaw, multi: bool) -> str:
-    lines = [f"rules {law.spec.format} {{"]
-    for rule in law.spec.rules:
-        head = rule.symbol
-        if rule.is_family:
-            head += f"[{rule.index_name}]"
-        elif rule.args:
-            rendered = []
-            for arg in rule.args:
-                prefix = f"{arg.name}: " if arg.name is not None else ""
-                rendered.append(f"{prefix}o={arg.out}, d={arg.deriv}")
-            head += "(" + "; ".join(rendered) + ")"
-        lines.append(f"  rule {head} =>")
-        lines.append(f"    out = {format_term(rule.output)};")
-        if isinstance(rule.next, CaseSplit):
-            lines.append(f"    next({rule.binder}) = case {rule.next.scrutinee} {{")
-            lines.append(f"      0 => {_pretty_term(rule.next.if_zero, multi)};")
-            lines.append(f"      1 => {_pretty_term(rule.next.if_one, multi)};")
-            lines.append("    };")
-        else:
-            lines.append(f"    next({rule.binder}) = "
-                         f"{_pretty_term(rule.next.term, multi)};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _pretty_system(system: CorecSystem, multi: bool) -> str:
-    alg = system.law.outputs
-    lines = ["system {"]
-    for name in system.variables:
-        step = system.phi[name]
-        lines.append(f"  var {name}: out = {alg.concrete(step.output)};")
-        for letter, succ in step.moves:
-            lines.append(f"    next({letter}) = {_pretty_term(succ, multi)};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _pretty_grammar(grammar: GnfGrammar) -> str:
-    lines = ["grammar {"]
-    for x in grammar.nonterminals:
-        lines.append(f"  {x}: empty={grammar.empty[x]};")
-    for x in grammar.nonterminals:
-        for letter in grammar.alphabet:
-            for body in sorted(grammar.prods[x][letter],
-                               key=lambda b: (len(b), b)):
-                rhs = " ".join(body) if body else "eps"
-                lines.append(f"  {x} -{letter}-> {rhs};")
-    lines.append(f"  start {format_term(grammar.start)};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def loads(text: str, path: str | None = None) -> Workbench:
+def loads(text: str) -> Workbench:
     """Parse workbench text; every diagnostic carries line:column."""
     sections = _split_sections(_tokenize(text))
-    wb = Workbench(path=path)
+    wb = Workbench()
     if "signature" in sections:
         wb.signature = _parse_signature(sections["signature"])
     if "outputs" in sections:
@@ -956,7 +857,7 @@ def load(path) -> Workbench:
     """Read and parse one workbench file."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return loads(text, path=str(path))
+    return loads(text)
 
 
 def term_from_string(text: str, signature: Signature,

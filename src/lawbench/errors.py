@@ -23,10 +23,6 @@ class UnboundVariable(LawbenchError):
     """A leaf token has no binding in the substitution or environment."""
 
 
-class SignatureMismatch(LawbenchError):
-    """A substitution produced a term outside the governing signature."""
-
-
 class UnknownSymbol(LawbenchError):
     """An operation symbol or constant family is not declared."""
 

@@ -143,22 +143,12 @@ def _operation(fn: Callable, slots: list[int]) -> tuple:
     return (_CALL, fn, tuple(slots), None)
 
 
-def _output_program(expr: Term, alg: OutputAlgebra,
-                    names: Collection[str]) -> Program:
+def _output_program(expr: Term, alg: OutputAlgebra) -> Program:
     """Read a rule's output term into the output algebra: a variable is
-    one of the output placeholders ``names``, a nullary symbol the
-    literal its name spells, and any other application an operation of
-    the output algebra."""
-    def var(name: str) -> tuple:
-        if name not in names:
-            raise PlaceholderViolation(
-                f"output expression uses undeclared placeholder {name!r}")
-        return (_BOUND, None, name, None)
-
-    def const(t: Const):
-        raise PlaceholderViolation(
-            f"output expression cannot contain the constant {format_term(t)}")
-
+    an output placeholder, a nullary symbol the literal its name spells,
+    and any other application an operation of the output algebra.
+    ``GsosSpec`` has already rejected constants and undeclared
+    placeholders in outputs, so none is met here."""
     def app(t: App, slots: list[int]) -> tuple:
         if not slots:
             return (_FIXED, None, _literal(alg, t.symbol), None)
@@ -166,13 +156,7 @@ def _output_program(expr: Term, alg: OutputAlgebra,
         alg.check_op(symbol)
         return _operation(lambda *args: apply(symbol, list(args)), slots)
 
-    return _compile(expr, var, const, app)
-
-
-def eval_out(expr: Term, alg: OutputAlgebra, env: Mapping[str, Any]):
-    """Evaluate an output term (``_output_program``) with ``env`` binding
-    its placeholders."""
-    return _run(_output_program(expr, alg, env), env, {})
+    return _compile(expr, lambda name: (_BOUND, None, name, None), None, app)
 
 
 def _template_program(template: Term, names: Collection[str],
@@ -463,8 +447,7 @@ class DistLaw:
         alg = self.outputs
         rational = alg.kind == "rational"
         object.__setattr__(self, "_outputs", Reading(
-            lambda rule, term: _output_program(term, alg,
-                                               rule.placeholders()[1])))
+            lambda rule, term: _output_program(term, alg)))
         object.__setattr__(self, "_terms", Reading(
             lambda rule, term: _term_program(term, rule.placeholders()[0],
                                              rational)))

@@ -39,44 +39,25 @@ class Verdict(enum.Enum):
 Branch = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class GenericInstance:
-    """Fresh leaves standing in for arbitrary observed arguments."""
-
-    env: tuple[tuple[str, LeafObs], ...]
-    state_tokens: tuple[str, ...]
-    out_tokens: tuple[str, ...]
-    deriv_tokens: tuple[str, ...]
-
-    @property
-    def env_map(self) -> dict[str, LeafObs]:
-        return dict(self.env)
-
-
 def generic_instance(scheme: EquationScheme, alphabet: tuple[str, ...],
-                     alg, branch: Branch | None = None) -> GenericInstance:
-    """One leaf per metavariable with deterministic fresh tokens: state
-    ``x_v``, output ``b_v`` and derivative ``d_v`` (suffixed by the letter
-    when the alphabet has more than one).  The output is the atom ``b_v``,
-    or under a ``branch`` the bit it assigns to ``b_v``."""
+                     alg, branch: Branch | None = None) -> dict[str, LeafObs]:
+    """The leaf environment of one generic input: per metavariable, a
+    leaf with deterministic fresh tokens, state ``x_v``, output ``b_v``
+    and derivative ``d_v`` (suffixed by the letter when the alphabet has
+    more than one).  The output is the atom ``b_v``, or under a
+    ``branch`` the bit it assigns to ``b_v``."""
     bits = dict(branch) if branch is not None else None
-    env = []
-    states, outs, derivs = [], [], []
+    env = {}
     for v in scheme.metavars:
-        state = f"x_{v}"
-        out = f"b_{v}"
         if len(alphabet) == 1:
             moves = {alphabet[0]: f"d_{v}"}
         else:
             moves = {a: f"d_{v}_{a}" for a in alphabet}
-        states.append(state)
-        outs.append(out)
-        derivs.extend(moves.values())
+        out = f"b_{v}"
         value = alg.atom(out) if bits is None else alg.coerce(bits[out])
         step = Step.of(value, {a: Var(t) for a, t in moves.items()})
-        env.append((v, (Var(state), step)))
-    return GenericInstance(tuple(env), tuple(states), tuple(outs),
-                           tuple(derivs))
+        env[v] = (Var(f"x_{v}"), step)
+    return env
 
 
 @dataclass(frozen=True)
@@ -119,15 +100,6 @@ class PreservationReport:
         if any(r.verdict is Verdict.UNKNOWN for r in self.results):
             return Verdict.UNKNOWN
         return Verdict.HOLDS
-
-    def scheme_names(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for r in self.results:
-            seen.setdefault(r.scheme)
-        return tuple(seen)
-
-    def for_scheme(self, name: str) -> list[SchemeCheck]:
-        return [r for r in self.results if r.scheme == name]
 
     def to_json(self, trace: bool = False) -> dict:
         results = []
@@ -190,7 +162,7 @@ class PreservationReport:
 def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
                 branch: Branch | None) -> SchemeCheck:
     alg = law.outputs
-    env = generic_instance(scheme, law.alphabet, alg, branch).env_map
+    env = generic_instance(scheme, law.alphabet, alg, branch)
     _, lhs_step = extend_lambda(law, scheme.lhs, env)
     _, rhs_step = extend_lambda(law, scheme.rhs, env)
 

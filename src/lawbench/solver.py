@@ -37,7 +37,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Union
 
 from .behaviour import Step
 from .errors import AlphabetMismatch, LawbenchError, UnboundVariable
@@ -49,7 +49,6 @@ from .terms import (
     Var,
     enumerate_terms,
     format_term,
-    substitute,
     variables,
 )
 from .theories import (
@@ -376,10 +375,7 @@ _TRUNCATIONS = {
 }
 
 
-def _atom_state(sys: CorecSystem, atom: str,
-                leaf_env: Mapping[str, Term]) -> Term:
-    if atom in leaf_env:
-        return leaf_env[atom]
+def _atom_state(sys: CorecSystem, atom: str) -> Term:
     if atom in sys.variables:
         return Var(atom)
     if sys.law.signature.has_op(atom, 0):
@@ -388,7 +384,6 @@ def _atom_state(sys: CorecSystem, atom: str,
 
 
 def induced_algebra_check(sys: CorecSystem, outer: Term,
-                          leaf_env: Mapping[str, Term] | None = None,
                           horizon: int = 5) -> AlgebraReport:
     """Behaviour of the flattened composite versus the induced algebra on
     the leaves' behaviours, both truncated at the horizon: the normal
@@ -402,17 +397,14 @@ def induced_algebra_check(sys: CorecSystem, outer: Term,
             "the induced algebra is only computed for the builtin theories"
         )
     truncate, observe, report = _TRUNCATIONS[th.semiring]
-    leaf_env = dict(leaf_env or {})
-    for token in variables(outer):
-        leaf_env.setdefault(token, Var(token))
     rep = th.representative(th.normalize(outer))
-    operational = observe(sys, substitute(outer, leaf_env), horizon)
+    operational = observe(sys, outer, horizon)
 
     leaves: dict[str, object] = {}
 
     def leaf(atom: str):
         if atom not in leaves:
-            state = _atom_state(sys, atom, leaf_env)
+            state = _atom_state(sys, atom)
             leaves[atom] = observe(sys, state, horizon)
         return leaves[atom]
 

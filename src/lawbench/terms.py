@@ -38,12 +38,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator, Mapping, Union
 from weakref import ref
 
-from .errors import (
-    ArityMismatch,
-    SignatureMismatch,
-    UnboundVariable,
-    UnknownSymbol,
-)
+from .errors import ArityMismatch, UnboundVariable, UnknownSymbol
 from .polynomials import Poly
 
 
@@ -278,13 +273,11 @@ def rebuild(t: Term, args: list | tuple = ()) -> Term:
     return App(t.symbol, args) if args else t
 
 
-def substitute(term: Term, mapping: Mapping[str, Term],
-               signature: Signature | None = None) -> Term:
+def substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
     """Replace every leaf token by its image; the monad multiplication.
 
-    Every variable of ``term`` must be in the mapping.  When a signature is
-    supplied the result is validated against it and a failure is reported
-    as ``SignatureMismatch``.  Each distinct subterm is rebuilt once.
+    Every variable of ``term`` must be in the mapping.  Each distinct
+    subterm is rebuilt once.
     """
     def var(name: str) -> Term:
         try:
@@ -292,13 +285,7 @@ def substitute(term: Term, mapping: Mapping[str, Term],
         except KeyError:
             raise UnboundVariable(f"no binding for variable {name!r}") from None
 
-    result = evaluate(term, var, rebuild, rebuild, {})
-    if signature is not None:
-        try:
-            signature.validate(result)
-        except (UnknownSymbol, ArityMismatch) as exc:
-            raise SignatureMismatch(str(exc)) from exc
-    return result
+    return evaluate(term, var, rebuild, rebuild, {})
 
 
 def variables(term: Term) -> tuple[str, ...]:

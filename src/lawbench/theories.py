@@ -101,13 +101,6 @@ class EquationScheme:
             )
 
 
-def instantiate_scheme(scheme: EquationScheme,
-                       assignment: Mapping[str, Term]) -> tuple[Term, Term]:
-    """Substitute terms for the metavariables on both sides."""
-    return (substitute(scheme.lhs, assignment),
-            substitute(scheme.rhs, assignment))
-
-
 def _shortlex(word: tuple[str, ...]):
     return (len(word), word)
 

@@ -33,15 +33,26 @@ its depth is bounded by the recursion limit.  Its report (count,
 violations and their order) must equal the one the check gives by
 replaying each distinct (plain state, quotient state, depth left)
 triple.
+
+``pretty`` prints a workbench back as text that ``loads`` reads to an
+equal workbench: the parser's round-trip oracle.  It refuses signatures
+with several constant families, whose constants it cannot qualify.
+
+``derivative_member`` and ``cyk_member`` are two recognizers for a
+grammar that share nothing with ``cfg.member``'s rule table: the first
+steps sets of sentential forms directly, the second tabulates which
+suffixes a sentential form derives, by recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from lawbench.behaviour import OutputAlgebra, Step
-from lawbench.errors import PlaceholderViolation
+from lawbench.cfg import Body, GnfGrammar, cfg_theory
+from lawbench.dsl import Workbench
+from lawbench.errors import LawbenchError
 from lawbench.gsos import (
     CaseSplit,
     DistLaw,
@@ -68,7 +79,14 @@ from lawbench.terms import (
     format_term,
     rebuild,
 )
-from lawbench.theories import Equiv, Theory, _match
+from lawbench.theories import (
+    COMMUTATIVE,
+    IDEMPOTENT,
+    Equiv,
+    LangForm,
+    Theory,
+    _match,
+)
 
 
 def reference_evaluate(term: Term, var, const, app):
@@ -84,22 +102,10 @@ def reference_evaluate(term: Term, var, const, app):
 
 def reference_eval_out(expr: Term, alg: OutputAlgebra,
                        env: Mapping[str, Any]):
-    def var(name: str):
-        try:
-            return env[name]
-        except KeyError:
-            raise PlaceholderViolation(
-                f"output expression uses undeclared placeholder {name!r}"
-            ) from None
-
-    def const(t: Const):
-        raise PlaceholderViolation(
-            f"output expression cannot contain the constant {format_term(t)}")
-
     def app(t: App, args: list):
         return alg.apply(t.symbol, args) if args else _literal(alg, t.symbol)
 
-    return evaluate(expr, var, const, app)
+    return evaluate(expr, env.__getitem__, None, app)
 
 
 def reference_instantiate_template(template: Term,
@@ -320,3 +326,152 @@ def reference_commute_check(sys: CorecSystem, max_term_size: int,
                                 max_term_size):
         walk(format_term(term), (), term, term)
     return CommuteReport(checked, violations)
+
+
+def pretty(wb: Workbench) -> str:
+    """Workbench text that ``loads`` reads back to ``wb``."""
+    out: list[str] = []
+    multi = wb.signature is not None and len(wb.signature.families) > 1
+    if wb.signature is not None:
+        out.append("signature {")
+        for name, arity in wb.signature.ops:
+            out.append(f"  op {name}/{arity};")
+        for fam in wb.signature.families:
+            samples = ", ".join(str(s) for s in fam.samples)
+            out.append(f"  family {fam.name} samples {samples};")
+        out.append("}")
+    if wb.outputs is not None:
+        out.append(f"outputs {wb.outputs};")
+    if wb.alphabet is not None:
+        out.append("alphabet { " + ", ".join(wb.alphabet) + " }")
+    if wb.theory is not None:
+        out.append(_pretty_theory(wb.theory, multi))
+    if wb.law is not None:
+        out.append(_pretty_rules(wb.law, multi))
+    if wb.system is not None:
+        out.append(_pretty_system(wb.system, multi))
+    if wb.grammar is not None:
+        out.append(_pretty_grammar(wb.grammar))
+    return "\n".join(out) + "\n"
+
+
+def _pretty_term(term: Term, multi: bool) -> str:
+    if multi:
+        raise LawbenchError(
+            "pretty-printing with several constant families is not supported")
+    return format_term(term)
+
+
+def _pretty_theory(theory: Theory, multi: bool) -> str:
+    if theory.kind in (COMMUTATIVE, IDEMPOTENT):
+        return f"theory {theory.kind};"
+    if not theory.schemes:
+        return "theory free;"
+    lines = ["theory generic {"]
+    for scheme in theory.schemes:
+        lines.append(f"  eq {scheme.name}: {_pretty_term(scheme.lhs, multi)}"
+                     f" = {_pretty_term(scheme.rhs, multi)};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _pretty_rules(law: DistLaw, multi: bool) -> str:
+    lines = [f"rules {law.spec.format} {{"]
+    for rule in law.spec.rules:
+        head = rule.symbol
+        if rule.is_family:
+            head += f"[{rule.index_name}]"
+        elif rule.args:
+            rendered = []
+            for arg in rule.args:
+                prefix = f"{arg.name}: " if arg.name is not None else ""
+                rendered.append(f"{prefix}o={arg.out}, d={arg.deriv}")
+            head += "(" + "; ".join(rendered) + ")"
+        lines.append(f"  rule {head} =>")
+        lines.append(f"    out = {format_term(rule.output)};")
+        if isinstance(rule.next, CaseSplit):
+            lines.append(f"    next({rule.binder}) = case {rule.next.scrutinee} {{")
+            lines.append(f"      0 => {_pretty_term(rule.next.if_zero, multi)};")
+            lines.append(f"      1 => {_pretty_term(rule.next.if_one, multi)};")
+            lines.append("    };")
+        else:
+            lines.append(f"    next({rule.binder}) = "
+                         f"{_pretty_term(rule.next.term, multi)};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _pretty_system(system: CorecSystem, multi: bool) -> str:
+    alg = system.law.outputs
+    lines = ["system {"]
+    for name in system.variables:
+        step = system.phi[name]
+        lines.append(f"  var {name}: out = {alg.concrete(step.output)};")
+        for letter, succ in step.moves:
+            lines.append(f"    next({letter}) = {_pretty_term(succ, multi)};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _pretty_grammar(grammar: GnfGrammar) -> str:
+    lines = ["grammar {"]
+    for x in grammar.nonterminals:
+        lines.append(f"  {x}: empty={grammar.empty[x]};")
+    for x in grammar.nonterminals:
+        for letter in grammar.alphabet:
+            for body in sorted(grammar.prods[x][letter],
+                               key=lambda b: (len(b), b)):
+                rhs = " ".join(body) if body else "eps"
+                lines.append(f"  {x} -{letter}-> {rhs};")
+    lines.append(f"  start {format_term(grammar.start)};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _start_forms(g: GnfGrammar) -> frozenset[Body]:
+    """The start expression as a finite language of sentential forms."""
+    th = cfg_theory()
+    nf = th.normalize(g.start)
+    assert isinstance(nf, LangForm)
+    return nf.words
+
+
+def derivative_member(g: GnfGrammar, word: Iterable[str]) -> int:
+    """Direct recognizer on sets of sentential forms: consume a letter at
+    the first position not hidden behind a non-nullable symbol."""
+    forms = set(_start_forms(g))
+    for letter in word:
+        stepped: set[Body] = set()
+        for form in forms:
+            for i, head in enumerate(form):
+                for body in g.prods[head][letter]:
+                    stepped.add(body + form[i + 1:])
+                if not g.empty[head]:
+                    break
+        forms = stepped
+    return int(any(all(g.empty[s] for s in form) for form in forms))
+
+
+def cyk_member(g: GnfGrammar, word: Iterable[str]) -> int:
+    """Tabulated recognizer straight off the grammar: can a sentential
+    form derive the remaining suffix?  Shares nothing with the rule-table
+    or derivative paths."""
+    w = tuple(word)
+    memo: dict[tuple[Body, int], bool] = {}
+
+    def derives(form: Body, i: int) -> bool:
+        key = (form, i)
+        if key in memo:
+            return memo[key]
+        if not form:
+            result = i == len(w)
+        else:
+            head, rest = form[0], form[1:]
+            result = bool(g.empty[head]) and derives(rest, i)
+            if not result and i < len(w):
+                result = any(derives(body + rest, i + 1)
+                             for body in g.prods[head][w[i]])
+        memo[key] = result
+        return result
+
+    return int(any(derives(form, 0) for form in _start_forms(g)))

@@ -12,20 +12,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from lawbench.cfg import (
-    GnfGrammar,
-    cyk_member,
-    derivative_member,
-    equiv_upto,
-    member,
-    to_corec,
-)
+from lawbench.cfg import GnfGrammar, equiv_upto, member, to_corec
 from lawbench.dsl import load
 from lawbench.errors import InvalidGrammar, LawbenchError
 from lawbench.solver import operational_model
 from lawbench.terms import App, Var, term_size
 
 from conftest import example
+from oracles import cyk_member, derivative_member
 
 # ---------------------------------------------------------------- oracles
 

@@ -15,9 +15,9 @@ import jsonschema
 import pytest
 
 from lawbench import cli
-from lawbench.cli import run, schema_path
+from lawbench.cli import run
 
-from conftest import example
+from conftest import EXAMPLES, example
 
 UNDECIDED = """signature { op ca/0; op cb/0; op g/1; op h/1; }
 outputs rational;
@@ -207,7 +207,8 @@ def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch):
     assert captured.out == ""
 
 
-SCHEMA = json.loads(schema_path().read_text())
+SCHEMA = json.loads(
+    (EXAMPLES.parent / "schema" / "report.schema.json").read_text())
 
 JSON_INVOCATIONS = (
     ["check-preservation", example("stream.dsl")],
@@ -262,6 +263,23 @@ def test_output_is_the_same_in_fresh_interpreters(argv, code):
         assert (done.returncode, done.stderr) == (code, b"")
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_a_closed_pipe_ends_the_command_quietly():
+    # Over 100 kB of violations, more than a pipe holds: closing the pipe
+    # after the first line makes the final print meet a broken pipe.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "lawbench", "quotient-commute",
+         example("convolution.dsl"), "--max-size", "3", "--depth", "12"],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert first == b"checked 1014 term/word pairs; 11 violations\n"
+    assert (child.wait(timeout=300), err) == (1, b"")
 
 
 def test_trace_includes_both_one_step_results(capsys):

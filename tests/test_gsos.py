@@ -30,11 +30,11 @@ from lawbench.gsos import (
     Plain,
     QuotientStepper,
     Rule,
+    _output_program,
     _run,
     _semiring_program,
     _term_program,
     apply_rule,
-    eval_out,
     extend_lambda,
 )
 from lawbench.polynomials import Poly
@@ -226,18 +226,22 @@ def test_a_constant_in_a_rule_output_is_rejected():
     with pytest.raises(PlaceholderViolation, match=r"output contains the "
                        r"constant \[1\]"):
         GsosSpec(sig, rules, STREAM.law.spec.format)
-    with pytest.raises(PlaceholderViolation, match="cannot contain"):
-        eval_out(Const("c", 1), RATIONAL_OUTPUTS, {})
+
+
+def compiled_output(expr, alg, env):
+    """The output term's value in the output algebra, through its
+    compiled program."""
+    return _run(_output_program(expr, alg), env, {})
 
 
 def test_a_nullary_output_is_a_literal():
-    assert eval_out(App("2/4"), RATIONAL_OUTPUTS, {}) == \
+    assert compiled_output(App("2/4"), RATIONAL_OUTPUTS, {}) == \
         RATIONAL_OUTPUTS.coerce(Fraction(1, 2))
-    assert eval_out(App("1"), BOOL_OUTPUTS, {}) == BOOL_OUTPUTS.coerce(1)
+    assert compiled_output(App("1"), BOOL_OUTPUTS, {}) == BOOL_OUTPUTS.coerce(1)
     for alg, text in ((RATIONAL_OUTPUTS, "x"), (RATIONAL_OUTPUTS, "1/0"),
                       (BOOL_OUTPUTS, "2")):
         with pytest.raises(UnknownSymbol, match="is not a literal"):
-            eval_out(App(text), alg, {})
+            compiled_output(App(text), alg, {})
 
 
 def test_case_splits_need_boolean_outputs():
@@ -315,10 +319,10 @@ OUTPUT_CLEAN = {
     "bool": ([Var("a"), Var("b"), App("0"), App("1")],
              [("min", 2), ("max", 2)]),
 }
-# Undeclared placeholders, constants, nullaries that are no literal,
-# operations the outputs lack.
-OUTPUT_DIRTY = ([Var("u"), Var("w"), Const("c", 1), Const("c", 2), App("x"),
-                 App("1/0"), App("2")], [("g", 1), ("h", 2)])
+# Nullaries that are no literal, operations the outputs lack.  Constants
+# and undeclared placeholders never reach an output program: ``GsosSpec``
+# rejects them first (tested above).
+OUTPUT_DIRTY = ([App("x"), App("1/0"), App("2")], [("g", 1), ("h", 2)])
 OUTPUTS = {"rational": RATIONAL_OUTPUTS, "bool": BOOL_OUTPUTS}
 
 
@@ -328,7 +332,7 @@ def test_compiled_outputs_match_the_reference(kind, data):
     expr = data.draw(maybe_dirty(*OUTPUT_CLEAN[kind], *OUTPUT_DIRTY))
     env = data.draw(OUTPUT_ENVS[kind])
     alg = OUTPUTS[kind]
-    assert outcome(eval_out, expr, alg, env) == \
+    assert outcome(compiled_output, expr, alg, env) == \
         outcome(reference_eval_out, expr, alg, env)
 
 
@@ -402,8 +406,8 @@ def test_compiled_readings_of_deep_chains():
     th = STREAM.theory
     out_env = {"a": Poly.const(1), "b": A}
     deep_out = chain("+", Var("a"), Var("b"))
-    assert eval_out(deep_out, RATIONAL_OUTPUTS, out_env) == A + 1999
-    assert eval_out(deep_out, RATIONAL_OUTPUTS, out_env) == \
+    assert compiled_output(deep_out, RATIONAL_OUTPUTS, out_env) == A + 1999
+    assert compiled_output(deep_out, RATIONAL_OUTPUTS, out_env) == \
         reference_eval_out(deep_out, RATIONAL_OUTPUTS, out_env)
     deep = chain("*", Const("c", A), chain("+", Var("x"), Var("y")))
     terms = {"x": Var("p"), "y": App("X")}
