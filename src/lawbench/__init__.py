@@ -76,9 +76,9 @@ from .terms import (
     variables,
 )
 from .theories import (
+    Answer,
     EquationScheme,
     Equiv,
-    FiniteModel,
     LangForm,
     PolyForm,
     TermForm,

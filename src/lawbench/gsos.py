@@ -578,7 +578,8 @@ class QuotientStepper:
     long as the stepper, one run of a caller.
 
     Every other theory or rule table takes the term path: representative,
-    extension, normalisation."""
+    extension, normalisation, with one ``normalize`` memo (``memo``) for
+    the stepper's run."""
 
     def __init__(self, th: Theory, law: DistLaw,
                  env: Mapping[str, LeafObs]):
@@ -587,6 +588,7 @@ class QuotientStepper:
         self._leaves: dict[Term, _Folded] = {}
         self._products: dict[tuple, _Folded] = {}
         self._zero: _Folded | None = None
+        self.memo: dict = {}
         rational = law.outputs.kind == "rational"
         self._read = Reading(lambda rule, term: _semiring_program(
             th, term, rule.placeholders()[0], rational))
@@ -600,7 +602,8 @@ class QuotientStepper:
         if self._plus is None:
             _, step = extend_lambda(self.law, th.representative(nf), self.env)
             return Step.of(step.output,
-                           {l: th.normalize(s) for l, s in step.moves})
+                           {l: th.normalize(s, self.memo)
+                            for l, s in step.moves})
         steps = [self._product(atoms if scalar is None else (scalar, *atoms))
                  for scalar, atoms in nf.summands()]
         if not steps:

@@ -15,7 +15,10 @@ are polynomial atoms, compared symbolically in one pass.
 
 Verdicts are per scheme and branch: Holds, Fails with a replayable
 witness, or Unknown when the theory's bounded search cannot decide a
-successor pair.
+successor pair.  A generic theory's answer carries its grounds into the
+witness: the cause that left a search Unknown, or, for a Distinct found
+by rewriting, that the normal forms differ and the index values under
+which they do.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .behaviour import Step
 from .gsos import DistLaw, LeafObs, extend_lambda
@@ -67,6 +71,18 @@ class FailPoint:
     left: str
     right: str
     equiv: str | None
+    reason: str | None = None
+    values: tuple[tuple[str, Fraction], ...] = ()
+
+    def grounds(self) -> str:
+        """The equiv answer with its reason and index values, if any."""
+        text = self.equiv or ""
+        if self.reason:
+            text += f": {self.reason}"
+        if self.values:
+            text += " at " + ", ".join(f"{name} = {value}"
+                                       for name, value in self.values)
+        return text
 
 
 @dataclass(frozen=True)
@@ -111,13 +127,18 @@ class PreservationReport:
                 "witness": None,
             }
             if r.fail is not None:
-                entry["witness"] = {
+                witness = entry["witness"] = {
                     "kind": r.fail.kind,
                     "letter": r.fail.letter,
                     "left": r.fail.left,
                     "right": r.fail.right,
                     "equiv": r.fail.equiv,
                 }
+                if r.fail.reason is not None:
+                    witness["reason"] = r.fail.reason
+                if r.fail.values:
+                    witness["values"] = {name: str(value)
+                                         for name, value in r.fail.values}
             if trace:
                 entry["trace"] = {
                     "lhs": r.lhs,
@@ -152,7 +173,7 @@ class PreservationReport:
             if r.fail is not None:
                 where = ("outputs" if r.fail.kind == "output"
                          else f"next({r.fail.letter})")
-                verdict = f" ({r.fail.equiv})" if r.fail.equiv else ""
+                verdict = f" ({r.fail.grounds()})" if r.fail.equiv else ""
                 lines.append(f"  {where}: {r.fail.left}  vs  "
                              f"{r.fail.right}{verdict}")
         lines.append(f"overall: {self.verdict.value}")
@@ -166,12 +187,12 @@ def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
     _, lhs_step = extend_lambda(law, scheme.lhs, env)
     _, rhs_step = extend_lambda(law, scheme.rhs, env)
 
-    # One fold memo for the case: the trace's normal forms and ``equiv``
-    # fold each successor of a builtin theory once between them.
-    folds: dict = {}
-    lhs_normal = tuple((l, str(th.normalize(s, folds)))
+    # One memo for the case: the trace's normal forms and ``equiv`` fold,
+    # rewrite or search each successor once between them.
+    memo: dict = {}
+    lhs_normal = tuple((l, str(th.normalize(s, memo)))
                        for l, s in lhs_step.moves)
-    rhs_normal = tuple((l, str(th.normalize(s, folds)))
+    rhs_normal = tuple((l, str(th.normalize(s, memo)))
                        for l, s in rhs_step.moves)
 
     verdict = Verdict.HOLDS
@@ -183,12 +204,13 @@ def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
     else:
         for letter in law.alphabet:
             left, right = lhs_step.next(letter), rhs_step.next(letter)
-            answer = th.equiv(left, right, folds)
-            if answer is Equiv.EQUAL:
+            answer = th.equiv(left, right, memo, explain=True)
+            if answer.equiv is Equiv.EQUAL:
                 continue
             fail = FailPoint("next", letter, format_term(left),
-                             format_term(right), answer.value)
-            verdict = (Verdict.FAILS if answer is Equiv.DISTINCT
+                             format_term(right), answer.value,
+                             answer.reason, answer.values)
+            verdict = (Verdict.FAILS if answer.equiv is Equiv.DISTINCT
                        else Verdict.UNKNOWN)
             break
 

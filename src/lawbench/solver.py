@@ -138,7 +138,8 @@ def _stepper(sys: CorecSystem) -> Callable[[State], Step]:
     """One step of the model, for one run.  Without a theory a state is a
     term.  With one, a term (the start state) goes through the rule table
     and its successors are normalised; a normal form is stepped by the
-    quotient law, whose cache lasts for the run."""
+    quotient law, whose caches, and ``normalize`` memo, last for the
+    run."""
     if sys.theory is None:
         return lambda state: operational_model(sys, state)
     th = sys.theory
@@ -148,7 +149,8 @@ def _stepper(sys: CorecSystem) -> Callable[[State], Step]:
         if isinstance(state, _TERMS):
             first = operational_model(sys, state)
             return Step.of(first.output,
-                           {l: th.normalize(s) for l, s in first.moves})
+                           {l: th.normalize(s, quotient.memo)
+                            for l, s in first.moves})
         return quotient.step(state)
 
     return step

@@ -22,14 +22,32 @@ right-nested sum of right-nested products:
     sets of words over the variables and generators
     (``1 + x * (y + x)`` normalises to ``{eps, xy, xx}``).
 
-Everything else goes through the generic kind: a bounded bidirectional
-rewrite search over the schemes.  Its ``equiv`` answers Equal when the
-searches meet, Distinct only on a sound separator (both equivalence
-classes exhausted and disjoint, or differing values in a user-supplied
-finite model), and Unknown otherwise.  A term's one-step rewrites are its
-value in an algebra, so a search steps each distinct subterm once; they
-come in a fixed order, so a class cut off at ``max_visited``, and its
-normal form, are deterministic.
+Everything else goes through the generic kind, by one of two routes.
+
+  * Rewriting, when the schemes are a convergent rewrite system (Knuth &
+    Bendix 1970; Baader & Nipkow, *Term Rewriting and All That*, ch. 6):
+    every scheme orients into a rule ``l -> r`` with ``l`` larger than
+    ``r``, ``l`` not a variable and no metavariable more often in ``r``
+    than in ``l``, so every step shrinks the term and rewriting
+    terminates; no scheme has index parameters; and every critical pair
+    of the rules joins, so by Newman's lemma the normal form is unique.
+    ``normalize`` is that normal form, the unique least member of the
+    class, and ``equiv`` compares normal forms.  Distinct always comes
+    with a witness: fresh rationals for the index symbols of the two
+    terms under which the normal forms still differ; without one the
+    search below decides.  Of the ten commutative-semiring axioms taken
+    alone, plus-unit, times-unit, times-zero and distrib (read as
+    factoring) orient.
+
+  * A bounded bidirectional rewrite search over the schemes otherwise.
+    Its ``equiv`` answers Equal when the searches meet, Distinct when both
+    equivalence classes are exhausted and disjoint, and Unknown otherwise,
+    naming the cause: ``max_visited`` or the depth bound reached, or a
+    direction skipped because its target has metavariables its pattern
+    does not bind.  A term's one-step rewrites are its value in an
+    algebra, so a search steps each distinct subterm once; they come in a
+    fixed order, so a class cut off at ``max_visited``, and its normal
+    form, are deterministic.
 """
 
 from __future__ import annotations
@@ -37,15 +55,13 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Mapping, Union
 
-from .errors import (
-    NotInTheorySignature,
-    UnboundVariable,
-    UnknownSymbol,
-)
+from .errors import NotInTheorySignature, UnboundVariable
 from .polynomials import Poly
 from .terms import (
     App,
@@ -58,6 +74,7 @@ from .terms import (
     index_atoms,
     rebuild,
     substitute,
+    subterms,
     term_size,
     term_sort_key,
     variables,
@@ -68,6 +85,26 @@ class Equiv(enum.Enum):
     EQUAL = "equal"
     DISTINCT = "distinct"
     UNKNOWN = "unknown"
+
+
+@dataclass(frozen=True)
+class Answer:
+    """An ``equiv`` verdict with its grounds, for a generic theory:
+    ``reason`` names the bound or skipped direction that left a search
+    Unknown, or says that rewriting found distinct normal forms, and
+    ``values`` are the index values under which those differ."""
+
+    equiv: Equiv
+    reason: str | None = None
+    values: tuple[tuple[str, Fraction], ...] = ()
+
+    @property
+    def value(self) -> str:
+        """The verdict's name, as ``Equiv.value``."""
+        return self.equiv.value
+
+
+_ANSWERS = {e: Answer(e) for e in Equiv}
 
 
 @dataclass(frozen=True)
@@ -149,28 +186,6 @@ class TermForm:
 
 
 NormalForm = Union[PolyForm, LangForm, TermForm]
-
-
-@dataclass(frozen=True)
-class FiniteModel:
-    """A finite interpretation of the signature, used as a sound separator."""
-
-    carrier: tuple
-    ops: Mapping[str, Callable]
-    families: Mapping[str, Callable] = field(default_factory=dict)
-
-    def evaluate(self, term: Term, assignment: Mapping[str, object]):
-        def meaning(table: Mapping[str, Callable], kind: str, name: str):
-            try:
-                return table[name]
-            except KeyError:
-                raise UnknownSymbol(
-                    f"model does not interpret {kind} {name!r}") from None
-
-        return evaluate(
-            term, assignment.__getitem__,
-            lambda t: meaning(self.families, "family", t.family)(t.index),
-            lambda t, args: meaning(self.ops, "symbol", t.symbol)(*args))
 
 
 @dataclass(frozen=True)
@@ -287,7 +302,6 @@ class Theory:
 
     def __init__(self, kind: str, signature: Signature,
                  schemes: tuple[EquationScheme, ...],
-                 model: FiniteModel | None = None,
                  max_depth: int = 5, max_visited: int = 10_000):
         if kind not in _NORMAL_FORMS:
             raise ValueError(f"unknown theory kind {kind!r}")
@@ -295,10 +309,8 @@ class Theory:
         self.semiring, self.form = _NORMAL_FORMS[kind]
         self.signature = signature
         self.schemes = tuple(schemes)
-        self.model = model
         self.max_depth = max_depth
         self.max_visited = max_visited
-        self._explore_cache: dict[Term, tuple[frozenset, bool]] = {}
         self.family: str | None = None
         self.generators: tuple[str, ...] = ()
         self.algebra = None  # semiring_algebra, for the builtin kinds
@@ -350,16 +362,21 @@ class Theory:
 
     def normalize(self, term: Term,
                   memo: dict[Term, Any] | None = None) -> NormalForm:
-        """The canonical normal form of ``term``.  ``memo`` is a ``fold``
-        memo the caller keeps across calls; the bounded search has its
-        own cache and ignores it."""
-        if self.semiring is None:
-            cls, _ = self._explore(term)
-            least = min(map(term_size, cls))
-            return TermForm(min((t for t in cls if term_size(t) == least),
-                                key=term_sort_key))
-        return self.form(evaluate(term, *self.algebra,
-                                  {} if memo is None else memo))
+        """The canonical normal form of ``term``.  ``memo`` is a memo the
+        caller keeps across calls, keyed by the term: a builtin kind's
+        ``fold`` memo, or the generic kind's normal forms or searched
+        classes."""
+        if memo is None:
+            memo = {}
+        if self.semiring is not None:
+            return self.form(evaluate(term, *self.algebra, memo))
+        rules = self._convergent
+        if rules is not None:
+            return TermForm(_normal_form(term, rules, memo))
+        cls, _ = self._explore(term, memo)
+        least = min(map(term_size, cls))
+        return TermForm(min((t for t in cls if term_size(t) == least),
+                            key=term_sort_key))
 
     def representative(self, nf: NormalForm) -> Term:
         """A term that normalises back to ``nf``; the canonical section:
@@ -385,36 +402,97 @@ class Theory:
     # -- the congruence ------------------------------------------------------
 
     def equiv(self, left: Term, right: Term,
-              memo: dict[Term, Any] | None = None) -> Equiv:
+              memo: dict[Term, Any] | None = None,
+              explain: bool = False) -> Equiv | Answer:
         """Whether the theory identifies the two terms.  ``memo`` is a
         ``normalize`` memo that serves both sides, kept by a caller that
-        compares many terms: a builtin kind's fold depends on the term
-        alone, so a subterm met on either side, or again in a later call,
-        is folded once.  The bounded search ignores it."""
+        compares many terms: what it holds depends on the term alone, so a
+        subterm met on either side, or again in a later call, is worked
+        out once.  With ``explain`` the result is an ``Answer``, which
+        gives the grounds of a generic Distinct or Unknown."""
+        if memo is None:
+            memo = {}
         if self.semiring is not None:
-            if memo is None:
-                memo = {}
-            return Equiv.EQUAL if self.normalize(left, memo) \
-                == self.normalize(right, memo) else Equiv.DISTINCT
-        if left == right:
-            return Equiv.EQUAL
-        left_cls, left_done = self._explore(left)
-        right_cls, right_done = self._explore(right)
-        if left_cls & right_cls:
-            return Equiv.EQUAL
-        if left_done and right_done:
-            return Equiv.DISTINCT
-        if self.model is not None and self._model_separates(left, right):
-            return Equiv.DISTINCT
-        return Equiv.UNKNOWN
+            answer = _ANSWERS[Equiv.EQUAL if self.normalize(left, memo)
+                              == self.normalize(right, memo)
+                              else Equiv.DISTINCT]
+        elif left == right:
+            answer = _ANSWERS[Equiv.EQUAL]
+        else:
+            answer = None
+            if self._convergent is not None:
+                answer = self._rewrite_answer(left, right, memo)
+            if answer is None:
+                answer = self._search_answer(left, right, memo)
+        return answer if explain else answer.equiv
 
-    def _model_separates(self, left: Term, right: Term) -> bool:
-        names = sorted(set(variables(left)) | set(variables(right)))
-        for values in itertools.product(self.model.carrier, repeat=len(names)):
-            env = dict(zip(names, values))
-            if self.model.evaluate(left, env) != self.model.evaluate(right, env):
-                return True
-        return False
+    def _rewrite_answer(self, left: Term, right: Term,
+                        memo: dict) -> Answer | None:
+        """Equal when the normal forms are; Distinct when they still
+        differ once each index symbol of the two terms is given a fresh
+        rational, distinct from the others and from the schemes' literal
+        indices; None, for the search to decide, when they do not."""
+        rules = self._convergent
+        if _normal_form(left, rules, memo) == _normal_form(right, rules, memo):
+            return _ANSWERS[Equiv.EQUAL]
+        names = sorted(index_atoms(left) | index_atoms(right))
+        fresh = (v for v in map(Fraction, itertools.count(2))
+                 if v not in self._literals)
+        values = dict(zip(names, fresh))
+        if values:
+            def const(t: Const) -> Const:
+                if isinstance(t.index, Poly):
+                    return Const(t.family, t.index.evaluate(values))
+                return t
+
+            concrete: dict[Term, Term] = {}
+            left, right = (evaluate(t, Var, const, rebuild, concrete)
+                           for t in (left, right))
+            if _normal_form(left, rules, memo) \
+                    == _normal_form(right, rules, memo):
+                return None
+        return Answer(Equiv.DISTINCT, "normal forms differ",
+                      tuple(values.items()))
+
+    def _search_answer(self, left: Term, right: Term, memo: dict) -> Answer:
+        left_cls, left_cut = self._explore(left, memo)
+        right_cls, right_cut = self._explore(right, memo)
+        if left_cls & right_cls:
+            return _ANSWERS[Equiv.EQUAL]
+        if left_cut is None and right_cut is None:
+            return _ANSWERS[Equiv.DISTINCT]
+        return Answer(Equiv.UNKNOWN, "; ".join(
+            f"{side} side: {cut}"
+            for side, cut in (("left", left_cut), ("right", right_cut))
+            if cut is not None))
+
+    @cached_property
+    def _convergent(self) -> dict[str, tuple[tuple[Term, Term], ...]] | None:
+        """The schemes as convergent rewrite rules ``(l, r)``, grouped by
+        the root symbol of ``l`` (every ``l`` is an application with
+        arguments, being larger than ``r``); None when some scheme does
+        not orient, has index parameters, or a critical pair does not
+        join, which leaves the generic kind to the bounded search.  Built
+        on first use, once per theory."""
+        rules = []
+        for scheme in self.schemes:
+            rule = None if scheme.index_metavars else (
+                _orient(scheme.lhs, scheme.rhs)
+                or _orient(scheme.rhs, scheme.lhs))
+            if rule is None:
+                return None
+            rules.append(rule)
+        by_root: dict[str, tuple] = {}
+        for rule in rules:
+            by_root[rule[0].symbol] = by_root.get(rule[0].symbol, ()) + (rule,)
+        return by_root if _critical_pairs_join(rules, by_root) else None
+
+    @cached_property
+    def _literals(self) -> frozenset:
+        """The indices of the constants the schemes mention."""
+        return frozenset(t.index for scheme in self.schemes
+                         for side in (scheme.lhs, scheme.rhs)
+                         for t in subterms(side) if isinstance(t, Const))
 
     @cached_property
     def _rewrites(self):
@@ -487,41 +565,50 @@ class Theory:
         steps.pop(term, None)
         return steps, complete
 
-    def _explore(self, term: Term) -> tuple[frozenset, bool]:
-        """The equivalence class reachable within the search bounds and
-        whether it was exhausted (making negative answers sound).  The
-        frontier is walked, and each term's steps taken, in generation
-        order, so a class cut off at ``max_visited`` depends on the term
-        alone, not on hash values.  One ``_one_step`` memo serves the whole
-        search and is dropped with it."""
-        if term in self._explore_cache:
-            return self._explore_cache[term]
+    def _explore(self, term: Term, memo: dict[Term, Any] | None = None
+                 ) -> tuple[frozenset, str | None]:
+        """The equivalence class reachable within the search bounds, and
+        the cause that left it possibly incomplete, or None when it was
+        exhausted (which makes negative answers sound).  The frontier is
+        walked, and each term's steps taken, in generation order, so a
+        class cut off at ``max_visited`` depends on the term alone, not on
+        hash values.  ``memo`` keeps each term's result for the caller;
+        one ``_one_step`` memo serves the whole search and is dropped with
+        it."""
+        if memo is None:
+            memo = {}
+        found = memo.get(term)
+        if found is not None:
+            return found
         seen = {term}
         frontier = [term]
-        exhausted = True
-        memo: dict[Term, Any] = {}
+        skipped = False
+        cause = None
+        steps_memo: dict[Term, Any] = {}
         for _ in range(self.max_depth):
             if not frontier:
                 break
             new = []
             for t in frontier:
-                steps, complete = self._one_step(t, memo)
-                if not complete:
-                    exhausted = False
+                steps, complete = self._one_step(t, steps_memo)
+                skipped = skipped or not complete
                 for s in steps:
                     if s not in seen:
                         seen.add(s)
                         new.append(s)
                 if len(seen) > self.max_visited:
-                    exhausted = False
+                    cause = (f"max_visited {self.max_visited} reached "
+                             f"at {len(seen)} terms")
                     new = []
                     break
             frontier = new
         if frontier:
-            exhausted = False
-        result = (frozenset(seen), exhausted)
-        self._explore_cache[term] = result
-        return result
+            cause = (f"depth bound {self.max_depth} reached "
+                     f"at {len(seen)} terms")
+        elif skipped and cause is None:
+            cause = "a direction with unbound metavariables skipped"
+        memo[term] = found = (frozenset(seen), cause)
+        return found
 
     # -- quotient monad structure ---------------------------------------------
 
@@ -540,8 +627,7 @@ class Theory:
         return (isinstance(other, Theory)
                 and self.kind == other.kind
                 and self.signature == other.signature
-                and self.schemes == other.schemes
-                and self.model == other.model)
+                and self.schemes == other.schemes)
 
     def __repr__(self) -> str:
         return f"Theory({self.kind!r}, {len(self.schemes)} schemes)"
@@ -551,7 +637,10 @@ def _match(pattern: Term, term: Term,
            binding: dict[str, Term]) -> dict[str, Term] | None:
     """Extend ``binding`` so that the pattern instantiates to ``term``;
     every variable of a scheme is a metavariable.  The (pattern, term)
-    pairs still to match are on an explicit stack, left argument on top."""
+    pairs still to match are on an explicit stack, left argument on top.
+    A term smaller than the pattern is no instance of it."""
+    if pattern._size > term._size:
+        return None
     stack = [(pattern, term)]
     while stack:
         pattern, term = stack.pop()
@@ -571,6 +660,273 @@ def _match(pattern: Term, term: Term,
         else:
             stack.extend(zip(pattern.args[::-1], term.args[::-1]))
     return binding
+
+
+# -- convergent rewriting ------------------------------------------------------
+
+
+def _occurrences(term: Term) -> Counter:
+    """How often each variable occurs in the term, read as a tree."""
+    return evaluate(term, lambda name: Counter((name,)), lambda t: Counter(),
+                    lambda t, args: sum(args, Counter()), {})
+
+
+def _orient(big: Term, small: Term) -> tuple[Term, Term] | None:
+    """``big -> small`` as a rule whose every step shrinks the term: the
+    left side larger and not a variable, and no variable more often on the
+    right than on the left."""
+    if big.__class__ is Var or term_size(big) <= term_size(small):
+        return None
+    have, need = _occurrences(big), _occurrences(small)
+    if any(count > have[name] for name, count in need.items()):
+        return None
+    return big, small
+
+
+def _normal_form(term: Term, rules: Mapping[str, tuple],
+                 memo: dict[Term, Term]) -> Term:
+    """The normal form of ``term`` under ``rules`` (by root symbol),
+    innermost first.  ``memo`` maps every term met to its normal form.
+    The walk keeps an explicit stack of (term, alias) entries: a term to
+    normalise once its arguments are (alias None), or a term whose normal
+    form is that of its alias, taken when the alias is done."""
+    stack: list = [(term, None)]
+    while stack:
+        t, alias = stack.pop()
+        if alias is not None:
+            memo[t] = memo[alias]
+            continue
+        if t in memo:
+            continue
+        if t.__class__ is not App or not t.args:
+            memo[t] = t  # every rule's left side has arguments
+            continue
+        missing = [(a, None) for a in t.args if a not in memo]
+        if missing:
+            stack.append((t, None))
+            stack.extend(reversed(missing))
+            continue
+        s = App(t.symbol, tuple(memo[a] for a in t.args))
+        if s in memo:
+            memo[t] = memo[s]
+            continue
+        reduct = _root_step(s, rules)
+        if reduct is None:
+            memo[s] = memo[t] = s
+            continue
+        if s is not t:
+            stack.append((t, s))
+        stack += [(s, reduct), (reduct, None)]
+    return memo[term]
+
+
+def _root_step(term: App, rules: Mapping[str, tuple]) -> Term | None:
+    """The first rule's rewrite of ``term`` at its root, if one applies."""
+    for lhs, rhs in rules.get(term.symbol, ()):
+        binding = _match(lhs, term, {})
+        if binding is not None:
+            return evaluate(rhs, binding.__getitem__, rebuild, rebuild, {})
+    return None
+
+
+def _variables(term: Term, memo: dict[Term, frozenset]) -> frozenset:
+    return evaluate(term, lambda name: frozenset((name,)),
+                    lambda t: frozenset(),
+                    lambda t, args: frozenset().union(*args), memo)
+
+
+def _run(term: Term, runs: dict[Term, tuple]) -> tuple[list, list, int]:
+    """The run of one-argument applications from ``term`` down, as
+    (nodes, symbols, index of ``term``): ``nodes`` ends with the first
+    node below that is not one, and ``symbols`` are the run's symbols.
+    Every node of a run maps to the same lists in ``runs``, so a deep
+    spine is walked once, and two runs compare by one comparison of list
+    slices, in C, not level by level."""
+    found = runs.get(term)
+    if found is not None:
+        return found
+    nodes, t = [], term
+    while t.__class__ is App and len(t.args) == 1 and t not in runs:
+        nodes.append(t)
+        t = t.args[0]
+    fresh = len(nodes)
+    if t in runs:
+        below, _, i = runs[t]
+        nodes += below[i:]
+    else:
+        nodes.append(t)
+        fresh += 1
+    symbols = [n.symbol for n in nodes[:-1]]
+    for i in range(fresh):
+        runs[nodes[i]] = (nodes, symbols, i)
+    return runs[term]
+
+
+def _unify(left: Term, right: Term, free: dict[Term, frozenset],
+           runs: dict[Term, tuple]) -> dict[str, Term] | None:
+    """A most general unifier of the two terms, as triangular bindings (a
+    bound term may mention bound variables), or None.  The pairs still to
+    unify are on an explicit stack, the leftmost taken at once; two runs
+    of one-argument applications (``_run``) are passed in one step.
+    ``free`` is a ``_variables`` memo for the occurs check."""
+    sigma: dict[str, Term] = {}
+    stack = [(left, right)]
+    while stack:
+        a, b = stack.pop()
+        while True:
+            while a.__class__ is Var and a.name in sigma:
+                a = sigma[a.name]
+            while b.__class__ is Var and b.name in sigma:
+                b = sigma[b.name]
+            if a is b:
+                break
+            if b.__class__ is Var:
+                a, b = b, a
+            if a.__class__ is Var:
+                if _occurs(a.name, b, sigma, free):
+                    return None
+                sigma[a.name] = b
+                break
+            if a.__class__ is not App or b.__class__ is not App \
+                    or a.symbol != b.symbol or len(a.args) != len(b.args):
+                return None
+            if len(a.args) == 1:
+                nodes_a, symbols_a, i = _run(a, runs)
+                nodes_b, symbols_b, j = _run(b, runs)
+                n = min(len(symbols_a) - i, len(symbols_b) - j)
+                if symbols_a[i:i + n] != symbols_b[j:j + n]:
+                    return None
+                a, b = nodes_a[i + n], nodes_b[j + n]
+                continue
+            stack.extend(zip(a.args[:0:-1], b.args[:0:-1]))
+            a, b = a.args[0], b.args[0]
+    return sigma
+
+
+def _occurs(name: str, term: Term, sigma: Mapping[str, Term],
+            free: dict[Term, frozenset]) -> bool:
+    """Whether the variable occurs in ``term`` with ``sigma`` applied."""
+    todo, seen = [term], set()
+    while todo:
+        for x in _variables(todo.pop(), free):
+            if x == name:
+                return True
+            if x in sigma and x not in seen:
+                seen.add(x)
+                todo.append(sigma[x])
+    return False
+
+
+def _instance(term: Term, sigma: Mapping[str, Term],
+              free: dict[Term, frozenset], memo: dict[Term, Term]) -> Term:
+    """``term`` with the triangular bindings applied through; a subterm
+    without bound variables is its own instance and is not walked."""
+    if sigma.keys().isdisjoint(_variables(term, free)):
+        return term
+
+    def var(name: str) -> Term:
+        bound = sigma.get(name)
+        return Var(name) if bound is None \
+            else _instance(bound, sigma, free, memo)
+
+    return evaluate(term, var, rebuild, rebuild, memo)
+
+
+# A position in a term, found without walking its spine level by level:
+# (top, depth, above) is ``depth`` one-argument steps below ``top``, and
+# ``above`` is None when ``top`` is the root, else (node, k, position of
+# node) when ``top`` is argument ``k`` of ``node``.
+
+
+def _positions(term: Term, runs: dict[Term, tuple]):
+    """(subterm, position) for every application in ``term``."""
+    stack = [(term, None)]
+    while stack:
+        top, above = stack.pop()
+        nodes, _, start = _run(top, runs)
+        for depth in range(len(nodes) - start):
+            sub = nodes[start + depth]
+            if sub.__class__ is App:
+                yield sub, (top, depth, above)
+        node = nodes[-1]
+        if node.__class__ is App:
+            here = (top, len(nodes) - 1 - start, above)
+            stack.extend((arg, (node, k, here))
+                         for k, arg in enumerate(node.args))
+
+
+def _wrapped(term: Term, symbols: list, runs: dict[Term, tuple]) -> Term:
+    """``term`` under one-argument applications of ``symbols``, outermost
+    first: taken from the run ``term`` was met in when that run has them
+    above it (one slice comparison), else built."""
+    found, n = runs.get(term), len(symbols)
+    if found is not None:
+        nodes, run_symbols, i = found
+        if i >= n and run_symbols[i - n:i] == symbols:
+            return nodes[i - n]
+    for symbol in reversed(symbols):
+        term = App(symbol, (term,))
+    return term
+
+
+def _filled(position: tuple, hole: Term, inst,
+            runs: dict[Term, tuple]) -> Term:
+    """The image under ``inst`` of the term the position is in, with
+    ``hole`` at the position, built from the hole up."""
+    top, depth, above = position
+    term = hole
+    while True:
+        _, symbols, j = _run(top, runs)
+        term = _wrapped(term, symbols[j:j + depth], runs)
+        if above is None:
+            return term
+        node, k, (top, depth, above) = above
+        term = App(node.symbol, tuple(term if x == k else inst(arg)
+                                      for x, arg in enumerate(node.args)))
+
+
+def _critical_pairs_join(rules: list[tuple[Term, Term]],
+                         by_root: Mapping[str, tuple]) -> bool:
+    """Whether every critical pair of the terminating ``rules`` joins,
+    which by Newman's lemma makes them confluent.  A pair comes from each
+    position ``p`` of a left side ``l1`` that is not a variable, and each
+    left side ``l2`` (renamed apart; not ``l1`` itself at the root) that
+    unifies with ``l1|p`` under ``sigma``: it is ``sigma(r1)`` against
+    ``sigma(l1)`` with ``sigma(r2)`` at ``p``.  It joins when the two are
+    equal or have one normal form."""
+    taken = {x for rule in rules for side in rule for x in variables(side)}
+    free: dict[Term, frozenset] = {}
+    runs: dict[Term, tuple] = {}
+    normal: dict[Term, Term] = {}
+    for l1, r1 in rules:
+        for rule in rules:
+            same = rule == (l1, r1)
+            l2, r2 = rule
+            renaming = {}
+            for x in variables(l2):
+                fresh = x + "'"
+                while fresh in taken:
+                    fresh += "'"
+                renaming[x] = Var(fresh)
+            l2, r2 = substitute(l2, renaming), substitute(r2, renaming)
+            for sub, position in _positions(l1, runs):
+                if sub.symbol != l2.symbol or len(sub.args) != len(l2.args) \
+                        or (same and position == (l1, 0, None)):
+                    continue
+                sigma = _unify(sub, l2, free, runs)
+                if sigma is None:
+                    continue
+                memo: dict[Term, Term] = {}
+
+                def inst(t: Term) -> Term:
+                    return _instance(t, sigma, free, memo)
+
+                left = inst(r1)
+                right = _filled(position, inst(r2), inst, runs)
+                if left is not right and _normal_form(left, by_root, normal) \
+                        is not _normal_form(right, by_root, normal):
+                    return False
+    return True
 
 
 def commutative_semiring(signature: Signature) -> Theory:
@@ -634,9 +990,8 @@ def idempotent_semiring(signature: Signature) -> Theory:
 
 
 def generic_theory(signature: Signature, schemes: tuple[EquationScheme, ...],
-                   model: FiniteModel | None = None,
                    max_depth: int = 5, max_visited: int = 10_000) -> Theory:
-    return Theory(GENERIC, signature, schemes, model=model,
+    return Theory(GENERIC, signature, schemes,
                   max_depth=max_depth, max_visited=max_visited)
 
 

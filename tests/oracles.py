@@ -20,6 +20,13 @@ memo, and each rewrite rebuilds the spine above its position, so its
 cost is quadratic in the depth; it generates the steps in the order
 ``_one_step`` must.
 
+``reference_convergent`` decides whether size-decreasing rules are
+confluent as the textbook states it: every critical pair, from plain
+recursive unification at every position, rewritten to one normal form
+outermost first.  ``Theory._convergent`` unifies and compares a run of
+one-argument applications in one step, and rewrites innermost first; the
+two must agree.
+
 ``replay`` re-runs one recorded preservation case and compares the whole
 record with the stored one.
 
@@ -78,6 +85,8 @@ from lawbench.terms import (
     evaluate,
     format_term,
     rebuild,
+    substitute,
+    variables,
 )
 from lawbench.theories import (
     COMMUTATIVE,
@@ -184,6 +193,76 @@ def replace_at(term: Term, pos: tuple[int, ...], new: Term) -> Term:
     args = list(term.args)
     args[pos[0]] = replace_at(args[pos[0]], pos[1:], new)
     return App(term.symbol, tuple(args))
+
+
+def _reference_unify(left: Term, right: Term) -> dict[str, Term] | None:
+    sigma: dict[str, Term] = {}
+
+    def resolve(t: Term) -> Term:
+        if isinstance(t, Var):
+            return resolve(sigma[t.name]) if t.name in sigma else t
+        if isinstance(t, App):
+            return App(t.symbol, tuple(resolve(a) for a in t.args))
+        return t
+
+    def unify(a: Term, b: Term) -> bool:
+        a, b = resolve(a), resolve(b)
+        if a == b:
+            return True
+        if isinstance(b, Var):
+            a, b = b, a
+        if isinstance(a, Var):
+            if a.name in variables(b):
+                return False
+            sigma[a.name] = b
+            return True
+        if not (isinstance(a, App) and isinstance(b, App)) \
+                or a.symbol != b.symbol or len(a.args) != len(b.args):
+            return False
+        return all(unify(x, y) for x, y in zip(a.args, b.args))
+
+    if not unify(left, right):
+        return None
+    return {name: resolve(t) for name, t in sigma.items()}
+
+
+def _reference_normal_form(term: Term, rules) -> Term:
+    while True:
+        for pos in positions(term):
+            sub = subterm_at(term, pos)
+            found = next(((b, r) for l, r in rules
+                          for b in [_match(l, sub, {})] if b is not None),
+                         None)
+            if found is not None:
+                binding, rhs = found
+                term = replace_at(term, pos, substitute(rhs, binding))
+                break
+        else:
+            return term
+
+
+def reference_convergent(rules) -> bool:
+    """Whether the size-decreasing ``rules`` ((lhs, rhs) pairs) are
+    confluent: every critical pair has one normal form."""
+    for i, (l1, r1) in enumerate(rules):
+        for j, (l2, r2) in enumerate(rules):
+            fresh = {x: Var(x + "#") for x in variables(l2)}
+            l2, r2 = substitute(l2, fresh), substitute(r2, fresh)
+            for pos in positions(l1):
+                sub = subterm_at(l1, pos)
+                if not isinstance(sub, App) or (i == j and pos == ()):
+                    continue
+                sigma = _reference_unify(sub, l2)
+                if sigma is None:
+                    continue
+                total = {x: sigma.get(x, Var(x))
+                         for t in (l1, r1, r2) for x in variables(t)}
+                left = substitute(r1, total)
+                right = substitute(replace_at(l1, pos, r2), total)
+                if _reference_normal_form(left, rules) \
+                        != _reference_normal_form(right, rules):
+                    return False
+    return True
 
 
 def position_walk(th: Theory, term: Term) -> tuple[dict[Term, None], bool]:

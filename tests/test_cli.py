@@ -293,3 +293,29 @@ def test_trace_includes_both_one_step_results(capsys):
         "(d_v * [b_u] + d_v * X * d_u + [b_v] * d_u)" \
         " + d_v * [b_w] + d_v * X * d_w + [b_v] * d_w"
     assert trace["lhs_normal"] == trace["rhs_normal"]
+
+def test_new_answers_give_their_grounds(capsys, undecided_file, tmp_path):
+    times_unit = tmp_path / "times-unit.dsl"
+    times_unit.write_text(pathlib.Path(example("stream.dsl")).read_text()
+                          .replace("theory commutative-semiring;",
+                                   "theory generic {\n"
+                                   "  eq times-unit: [1] * r = r;\n}"))
+    assert run(["check-preservation", str(times_unit)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "  next(t): [0] * [b_r] + [0] * X * d_r + [1] * d_r  vs  d_r"
+        " (distinct: normal forms differ at b_r = 2)")
+    assert run(["check-preservation", undecided_file]) == 2
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "  next(t): g(ca)  vs  h(cb) (unknown: left side: depth bound 5"
+        " reached at 11 terms; right side: depth bound 5 reached at 11"
+        " terms)")
+    witnesses = []
+    for path in (times_unit, undecided_file):
+        run(["check-preservation", str(path), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        jsonschema.validate(payload, SCHEMA)
+        witnesses.append(payload["results"][0]["witness"])
+    assert (witnesses[0]["reason"], witnesses[0]["values"]) == \
+        ("normal forms differ", {"b_r": "2"})
+    assert witnesses[1]["reason"].startswith("left side: depth bound 5")
+    assert "values" not in witnesses[1]

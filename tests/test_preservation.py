@@ -7,6 +7,7 @@ the trace strings are the exact derivations the checker must print.
 
 import itertools
 import pathlib
+import time
 from fractions import Fraction
 
 from lawbench import theories
@@ -18,6 +19,7 @@ from lawbench.gsos import (
     GsosSpec,
     Plain,
     Rule,
+    extend_lambda,
 )
 from lawbench.preservation import (
     Verdict,
@@ -25,7 +27,7 @@ from lawbench.preservation import (
     generic_instance,
 )
 from lawbench.terms import App, Signature, Var, enumerate_terms
-from lawbench.theories import EquationScheme, PolyForm, generic_theory
+from lawbench.theories import EquationScheme, Equiv, PolyForm, generic_theory
 
 from conftest import example
 from oracles import morphism_square_check, replay
@@ -190,8 +192,6 @@ def test_generic_failure_has_a_concrete_instance():
     right = dict(r.rhs_normal)[r.fail.letter]
     assert left != right
 
-    from lawbench.gsos import extend_lambda
-
     scheme = next(s for s in th.schemes if s.name == r.scheme)
     env = generic_instance(scheme, law.alphabet, law.outputs)
     _, lhs_step = extend_lambda(law, scheme.lhs, env)
@@ -250,6 +250,12 @@ def test_unknown_verdict_when_the_search_cannot_decide():
     assert not report.certified
     verdicts = {r.scheme: r.verdict for r in report.results}
     assert verdicts["a-is-b"] is Verdict.UNKNOWN
+    # The witness names the bound that cut each search off, and replays.
+    (undecided,) = [r for r in report.results if r.scheme == "a-is-b"]
+    assert undecided.fail.reason == (
+        "left side: depth bound 5 reached at 11 terms; "
+        "right side: depth bound 5 reached at 11 terms")
+    assert replay(th, law, undecided)
     assert verdicts["pad-g"] is Verdict.HOLDS
     assert verdicts["pad-h"] is Verdict.HOLDS
 
@@ -257,11 +263,17 @@ def test_the_search_matches_each_distinct_subterm_once(monkeypatch):
     # times-unit alone: r -> [1] * r applies at every position, so the
     # search stops at max_visited.  Matching every position of every term
     # it steps makes 47,840 _match calls; matching each distinct subterm
-    # once per search makes 3,637.
+    # once per search makes 3,637.  Rewriting decides this case (see
+    # test_one_way_axioms_fail_with_a_witness), so the search is called on
+    # its successor pair directly.
     text = pathlib.Path(example("stream.dsl")).read_text().replace(
         "theory commutative-semiring;",
         "theory generic {\n  eq times-unit: r = [1] * r;\n}")
     wb = loads(text)
+    (scheme,) = wb.theory.schemes
+    env = generic_instance(scheme, wb.law.alphabet, wb.law.outputs)
+    _, lhs_step = extend_lambda(wb.law, scheme.lhs, env)
+    _, rhs_step = extend_lambda(wb.law, scheme.rhs, env)
     calls = 0
     match = theories._match
 
@@ -271,7 +283,12 @@ def test_the_search_matches_each_distinct_subterm_once(monkeypatch):
         return match(*args)
 
     monkeypatch.setattr(theories, "_match", counting)
-    assert check_preservation(wb.theory, wb.law).verdict is Verdict.UNKNOWN
+    answer = wb.theory._search_answer(lhs_step.next("t"), rhs_step.next("t"),
+                                      {})
+    assert answer.equiv is Equiv.UNKNOWN
+    assert answer.reason == ("left side: depth bound 5 reached at 65 terms; "
+                             "right side: max_visited 10000 reached "
+                             "at 10004 terms")
     # The lower bound fails a search that stops calling theories._match.
     assert 1_000 <= calls <= 10_000
 
@@ -287,7 +304,7 @@ def _deep_scheme_law(depth, successor):
         Rule("g", (ArgObs("o", "dx"),), Var("o"), Plain(successor)),
     )
     law = DistLaw(GsosSpec(sig, rules), ("t",), RATIONAL_OUTPUTS)
-    return generic_theory(sig, (scheme,), max_depth=1), law
+    return generic_theory(sig, (scheme,)), law
 
 
 def test_a_deep_scheme_side_loads_extends_and_prints():
@@ -305,12 +322,53 @@ def test_a_deep_scheme_side_loads_extends_and_prints():
 
 def test_a_deep_scheme_side_is_searched_to_a_verdict():
     # g^300(v) = v under g's successor g(dx): the successors g^300(d_v)
-    # and d_v differ, so the search must match the deep side.  Each
-    # search level matches and instantiates the side at every position,
-    # so the depth is kept at 300 (under 0.5 s); 2000 takes about 15 s.
+    # and d_v differ, so the theory must apply the deep side.  The scheme
+    # orients into a convergent rule, g^300(v) -> v, so rewriting decides
+    # the case in one pass.  The bounded search matches and instantiates
+    # the side at every position of every term it steps: with max_depth 1
+    # it took about 15 s at depth 2000.
     th, law = _deep_scheme_law(300, App("g", (Var("dx"),)))
     report = check_preservation(th, law)
     assert report.verdict is Verdict.HOLDS
     (r,) = report.results
     assert r.lhs_next == (("t", "g(" * 300 + "d_v" + ")" * 300),)
     assert r.rhs_next == (("t", "d_v"),)
+
+
+def test_a_2000_deep_scheme_side_is_decided_in_seconds():
+    # The default bounds let the search run about 220 s here.  Rewriting
+    # checks the rule's 1999 overlaps with itself, each unified and
+    # compared along the 2000-deep spine in one step per run of
+    # one-argument applications.
+    th, law = _deep_scheme_law(2000, App("g", (Var("dx"),)))
+    start = time.perf_counter()
+    report = check_preservation(th, law)
+    assert time.perf_counter() - start < 2
+    assert report.verdict is Verdict.HOLDS
+    assert th._convergent is not None
+
+
+def _one_axiom(example_name, axiom):
+    text = pathlib.Path(example(example_name)).read_text().replace(
+        "theory commutative-semiring;",
+        "theory generic {\n  eq " + axiom + ";\n}")
+    return loads(text)
+
+
+def test_one_way_axioms_fail_with_a_witness():
+    # Each axiom alone, under both rule tables: the search left these
+    # cases Unknown (times-unit at max_visited, times-zero because
+    # [0] -> [0] * r has an unbound metavariable).  Rewriting separates
+    # the successors, under a value for b_r where the successors have it
+    # (the stream product reads the right factor's output, convolution's
+    # only the left's).
+    for name, values in (("stream.dsl", (("b_r", Fraction(2)),)),
+                         ("convolution.dsl", ())):
+        for axiom in ("times-unit: r = [1] * r", "times-zero: [0] * r = [0]"):
+            wb = _one_axiom(name, axiom)
+            report = check_preservation(wb.theory, wb.law)
+            (r,) = report.results
+            assert r.verdict is Verdict.FAILS
+            assert (r.fail.equiv, r.fail.reason, r.fail.values) == \
+                ("distinct", "normal forms differ", values)
+            assert replay(wb.theory, wb.law, r)

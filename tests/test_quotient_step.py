@@ -286,3 +286,28 @@ def test_language_constants_are_not_in_the_idempotent_semiring():
     assert got == raised(lambda: reference_step(CFG_THEORY, law, nf, env))
     assert got == (NotInTheorySignature, "idempotent-semiring terms "
                    "cannot contain indexed constants")
+
+
+def test_a_generic_theory_is_searched_once_per_term_in_a_run(monkeypatch):
+    # Three-zeros' n1 = n2 does not orient, so normalising n2, and then
+    # its successor n1, searches their class {n1, n2} from each: two
+    # one-step calls a search.  The stepper's memo keeps both searches
+    # for its run, however long; nothing keeps them past the run.
+    zeros = load(example("three-zeros.dsl"))
+    th, law = zeros.theory, zeros.law
+    calls = 0
+    one_step = type(th)._one_step
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return one_step(self, *args)
+
+    monkeypatch.setattr(type(th), "_one_step", counting)
+    for _ in range(2):
+        stepper = QuotientStepper(th, law, {})
+        state = th.normalize(App("n2"), stepper.memo)
+        for _ in range(5):
+            state = stepper.step(state).next("t")
+        assert state == th.normalize(App("n1"))
+    assert calls == 2 * (2 * 2 + 2)

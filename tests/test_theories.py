@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from lawbench.errors import NotInTheorySignature
 from lawbench.polynomials import Poly
@@ -30,19 +30,25 @@ from lawbench.terms import (
 from lawbench.theories import (
     EquationScheme,
     Equiv,
-    FiniteModel,
     LangForm,
     PolyForm,
     TermForm,
     Theory,
     _match,
+    _orient,
     commutative_semiring,
     free_theory,
     generic_theory,
     idempotent_semiring,
 )
 
-from oracles import position_walk, positions, replace_at, subterm_at
+from oracles import (
+    position_walk,
+    positions,
+    reference_convergent,
+    replace_at,
+    subterm_at,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -236,30 +242,24 @@ def test_generic_distinct_needs_exhausted_classes():
     assert th.normalize(App("n2")) == TermForm(App("n1"))
 
 
-def test_finite_model_separates_when_search_cannot():
+def test_rewriting_separates_when_search_cannot():
+    # v = f(f(v)) read left to right grows every term, so the search never
+    # exhausts a class; read right to left it is a convergent rule.
     sig = Signature((("f", 1), ("a", 0)))
     grow = EquationScheme("grow", ("v",), Var("v"),
                           App("f", (App("f", (Var("v"),)),)))
-    blind = generic_theory(sig, (grow,))
-    assert blind.equiv(App("a"), App("f", (App("a"),))) is Equiv.UNKNOWN
-
-    parity = FiniteModel(
-        carrier=(0, 1),
-        ops={"f": lambda x: 1 - x, "a": lambda: 0},
-    )
-    sighted = generic_theory(sig, (grow,), model=parity)
-    assert sighted.equiv(App("a"), App("f", (App("a"),))) is Equiv.DISTINCT
-
-
-def test_a_deep_term_evaluates_in_a_finite_model():
-    parity = FiniteModel(carrier=(0, 1), ops={"f": lambda x: 1 - x,
-                                              "+": lambda x, y: x ^ y},
-                         families={"c": lambda index: int(index) % 2})
-    deep = Var("v")
-    for i in range(3000):
-        deep = App("f", (deep,)) if i % 3 else App("+", (Const("c", 1), deep))
-    # 2000 flips and 1000 additions of 1 leave the parity of v.
-    assert [parity.evaluate(deep, {"v": v}) for v in (0, 1)] == [0, 1]
+    a, fa = App("a"), App("f", (App("a"),))
+    th = generic_theory(sig, (grow,))
+    answer = th.equiv(a, fa, explain=True)
+    assert answer.equiv is Equiv.DISTINCT
+    assert (answer.reason, answer.values) == ("normal forms differ", ())
+    assert th.equiv(a, App("f", (fa,))) is Equiv.EQUAL
+    assert th.normalize(App("f", (App("f", (fa,)),))) == TermForm(fa)
+    # The search alone leaves the pair open, and says why.
+    search = th._search_answer(a, fa, {})
+    assert search.equiv is Equiv.UNKNOWN
+    assert search.reason == ("left side: depth bound 5 reached at 6 terms; "
+                             "right side: depth bound 5 reached at 6 terms")
 
 
 def test_match_a_deep_pattern():
@@ -435,7 +435,8 @@ def test_one_step_generates_in_the_order_of_the_position_walk(term, data):
 def test_explore_matches_the_reference(term, schemes, depth, max_visited):
     search = generic_theory(CSIG, schemes, max_depth=depth,
                             max_visited=max_visited)
-    cls, exhausted = search._explore(term)
+    cls, cut = search._explore(term)
+    exhausted = cut is None
     want_cls, want_exhausted = reference_explore(search, term)
     assert exhausted == want_exhausted
     normal = search.normalize(term)
@@ -478,6 +479,85 @@ def test_one_step_on_a_deep_term_builds_a_few_nodes_per_level(monkeypatch):
 def test_explore_exhausts_finite_classes():
     term = App("+", (Var("v"), App("*", (Var("u"), App("X")))))
     search = generic_theory(CSIG, AC_SCHEMES, max_depth=5)
-    cls, exhausted = search._explore(term)
-    assert exhausted and len(cls) == 4
-    assert (cls, exhausted) == reference_explore(search, term)
+    cls, cut = search._explore(term)
+    assert cut is None and len(cls) == 4
+    assert (cls, True) == reference_explore(search, term)
+
+
+# ------------------------------------------------- the rewriting route
+
+# Each commutative axiom that orients into a size-decreasing rule, alone:
+# small search bounds keep the oracle quick, and the route ignores them.
+ORIENTED = tuple(generic_theory(CSIG, (s,), max_depth=3, max_visited=300)
+                 for s in CTH.schemes
+                 if s.name in ("plus-unit", "times-unit", "times-zero",
+                               "distrib"))
+
+
+def test_exactly_four_commutative_axioms_orient():
+    routes = {s.name: generic_theory(CSIG, (s,))._convergent is not None
+              for s in CTH.schemes}
+    assert [name for name, rewrites in routes.items() if rewrites] == \
+        ["plus-unit", "times-unit", "distrib", "times-zero"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ORIENTED), st.sampled_from(small_cterms), st.data())
+def test_rewriting_never_contradicts_the_search(th, term, data):
+    cls, cut = th._explore(term, {})
+    # A partner from the term's searched class, or any small term.
+    other = data.draw(st.sampled_from(sorted(cls, key=term_sort_key))
+                      | st.sampled_from(small_cterms))
+    search = th._search_answer(term, other, {})
+    rewriting = th.equiv(term, other)
+    if search.equiv is Equiv.EQUAL:
+        assert rewriting is Equiv.EQUAL
+    elif search.equiv is Equiv.DISTINCT:
+        assert rewriting is Equiv.DISTINCT
+    if cut is None:
+        assert th.normalize(term) == TermForm(min(cls, key=term_sort_key))
+
+
+def test_a_non_confluent_pair_stays_on_the_search():
+    # f(g(v)) -> v and g(h(v)) -> h(v) both shrink terms, but f(g(h(x)))
+    # rewrites to h(x) and to f(h(x)), two normal forms of one class.
+    sig = Signature((("f", 1), ("g", 1), ("h", 1)))
+    v, x = Var("v"), Var("x")
+    th = generic_theory(sig, (
+        EquationScheme("fg", ("v",), App("f", (App("g", (v,)),)), v),
+        EquationScheme("gh", ("v",), App("g", (App("h", (v,)),)),
+                       App("h", (v,)))))
+    assert th._convergent is None
+    hx = App("h", (x,))
+    assert th.equiv(hx, App("f", (hx,))) is Equiv.EQUAL
+
+
+RSIG = Signature((("f", 1), ("g", 1), ("h", 2), ("a", 0)))
+
+
+def _chain(symbol, n, term):
+    for _ in range(n):
+        term = App(symbol, (term,))
+    return term
+
+
+# Rule sides over RSIG, with runs of one-argument applications up to 12
+# deep, which the critical-pair check passes in one step.
+RULE_SIDES = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), App("a")]),
+    lambda inner: st.one_of(
+        st.builds(lambda s, t: App(s, (t,)), st.sampled_from("fg"), inner),
+        st.builds(lambda t, u: App("h", (t, u)), inner, inner),
+        st.builds(_chain, st.sampled_from("fg"), st.integers(2, 12), inner)),
+    max_leaves=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(RULE_SIDES, RULE_SIDES), min_size=1, max_size=3))
+def test_the_critical_pair_check_matches_the_reference(pairs):
+    rules = [_orient(a, b) or _orient(b, a) for a, b in pairs]
+    assume(all(rules))
+    th = generic_theory(RSIG, tuple(
+        EquationScheme(f"r{i}", variables(lhs), lhs, rhs)
+        for i, (lhs, rhs) in enumerate(rules)))
+    assert (th._convergent is not None) == reference_convergent(rules)
