@@ -455,6 +455,7 @@ class Theory:
                       tuple(values.items()))
 
     def _search_answer(self, left: Term, right: Term, memo: dict) -> Answer:
+        """The bounded search's answer; an Unknown names each side's cut."""
         left_cls, left_cut = self._explore(left, memo)
         right_cls, right_cut = self._explore(right, memo)
         if left_cls & right_cls:
