@@ -204,7 +204,7 @@ def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
     else:
         for letter in law.alphabet:
             left, right = lhs_step.next(letter), rhs_step.next(letter)
-            answer = th.equiv(left, right, memo, explain=True)
+            answer = th.equiv(left, right, memo)
             if answer.equiv is Equiv.EQUAL:
                 continue
             fail = FailPoint("next", letter, format_term(left),

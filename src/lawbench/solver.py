@@ -279,7 +279,7 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
         own: tuple = ()
         if out_plain != out_quot:
             own = (("", "output", str(out_plain), str(out_quot)),)
-        elif th.equiv(state_plain, term_quot, folds) is not Equiv.EQUAL:
+        elif th.equiv(state_plain, term_quot, folds).equiv is not Equiv.EQUAL:
             own = (("", "state", format_term(state_plain),
                     format_term(term_quot)),)
         children: tuple = ()

@@ -37,7 +37,11 @@ Everything else goes through the generic kind, by one of two routes.
     terms under which the normal forms still differ; without one the
     search below decides.  Of the ten commutative-semiring axioms taken
     alone, plus-unit, times-unit, times-zero and distrib (read as
-    factoring) orient.
+    factoring) orient.  The critical-pair check treats one shape
+    specially: a run of one-argument applications, such as the side
+    ``g(g(...g(v)))``, is unified and compared in one step, so such a
+    side is checked in time linear in its depth; any other deep side,
+    such as a spine of binary applications, is walked level by level.
 
   * A bounded bidirectional rewrite search over the schemes otherwise.
     Its ``equiv`` answers Equal when the searches meet, Distinct when both
@@ -402,14 +406,12 @@ class Theory:
     # -- the congruence ------------------------------------------------------
 
     def equiv(self, left: Term, right: Term,
-              memo: dict[Term, Any] | None = None,
-              explain: bool = False) -> Equiv | Answer:
-        """Whether the theory identifies the two terms.  ``memo`` is a
-        ``normalize`` memo that serves both sides, kept by a caller that
-        compares many terms: what it holds depends on the term alone, so a
-        subterm met on either side, or again in a later call, is worked
-        out once.  With ``explain`` the result is an ``Answer``, which
-        gives the grounds of a generic Distinct or Unknown."""
+              memo: dict[Term, Any] | None = None) -> Answer:
+        """Whether the theory identifies the two terms, with the grounds
+        of a generic Distinct or Unknown.  ``memo`` is a ``normalize``
+        memo that serves both sides, kept by a caller that compares many
+        terms: what it holds depends on the term alone, so a subterm met
+        on either side, or again in a later call, is worked out once."""
         if memo is None:
             memo = {}
         if self.semiring is not None:
@@ -422,9 +424,12 @@ class Theory:
             answer = None
             if self._convergent is not None:
                 answer = self._rewrite_answer(left, right, memo)
+                # ``memo`` holds normal forms here, so the search that
+                # decides instead keeps its classes apart.
+                memo = {}
             if answer is None:
                 answer = self._search_answer(left, right, memo)
-        return answer if explain else answer.equiv
+        return answer
 
     def _rewrite_answer(self, left: Term, right: Term,
                         memo: dict) -> Answer | None:

@@ -392,7 +392,7 @@ def reference_commute_check(sys: CorecSystem, max_term_size: int,
             violations.append(CommuteViolation(
                 label, "".join(word), "output",
                 str(out_plain), str(out_quot)))
-        elif th.equiv(state_plain, term_quot) is not Equiv.EQUAL:
+        elif th.equiv(state_plain, term_quot).equiv is not Equiv.EQUAL:
             violations.append(CommuteViolation(
                 label, "".join(word), "state",
                 format_term(state_plain), format_term(term_quot)))

@@ -293,18 +293,27 @@ def test_the_search_matches_each_distinct_subterm_once(monkeypatch):
     assert 1_000 <= calls <= 10_000
 
 
-def _deep_scheme_law(depth, successor):
-    sig = Signature((("a", 0), ("g", 1)))
+def _deep_scheme_law(depth, successor, search=False):
+    """g^depth(v) = v; with ``search``, beside p(v, u) = p(u, v), which
+    does not orient, so the theory keeps the bounded search."""
+    sig = Signature((("a", 0), ("g", 1), ("p", 2)))
     deep = Var("v")
     for _ in range(depth):
         deep = App("g", (deep,))
-    scheme = EquationScheme("deep", ("v",), deep, Var("v"))
+    v, u = Var("v"), Var("u")
+    schemes = (EquationScheme("deep", ("v",), deep, v),)
+    if search:
+        schemes += (EquationScheme("swap", ("v", "u"), App("p", (v, u)),
+                                   App("p", (u, v))),)
     rules = (
         Rule("a", (), App("1"), Plain(App("a"))),
         Rule("g", (ArgObs("o", "dx"),), Var("o"), Plain(successor)),
+        Rule("p", (ArgObs("o", "dx"), ArgObs("q", "dy")),
+             App("+", (Var("o"), Var("q"))),
+             Plain(App("p", (Var("dx"), Var("dy"))))),
     )
     law = DistLaw(GsosSpec(sig, rules), ("t",), RATIONAL_OUTPUTS)
-    return generic_theory(sig, (scheme,)), law
+    return generic_theory(sig, schemes, max_depth=1 if search else 5), law
 
 
 def test_a_deep_scheme_side_loads_extends_and_prints():
@@ -322,15 +331,15 @@ def test_a_deep_scheme_side_loads_extends_and_prints():
 
 def test_a_deep_scheme_side_is_searched_to_a_verdict():
     # g^300(v) = v under g's successor g(dx): the successors g^300(d_v)
-    # and d_v differ, so the theory must apply the deep side.  The scheme
-    # orients into a convergent rule, g^300(v) -> v, so rewriting decides
-    # the case in one pass.  The bounded search matches and instantiates
-    # the side at every position of every term it steps: with max_depth 1
-    # it took about 15 s at depth 2000.
-    th, law = _deep_scheme_law(300, App("g", (Var("dx"),)))
+    # and d_v differ, so the theory must apply the deep side.  The swap
+    # scheme beside it does not orient, so the bounded search decides.
+    # It matches and instantiates the side at every position of every
+    # term it steps: with max_depth 1 it took about 15 s at depth 2000.
+    th, law = _deep_scheme_law(300, App("g", (Var("dx"),)), search=True)
     report = check_preservation(th, law)
+    assert th._convergent is None
     assert report.verdict is Verdict.HOLDS
-    (r,) = report.results
+    r = next(r for r in report.results if r.scheme == "deep")
     assert r.lhs_next == (("t", "g(" * 300 + "d_v" + ")" * 300),)
     assert r.rhs_next == (("t", "d_v"),)
 
