@@ -28,7 +28,8 @@ from .polynomials import Poly
 
 class OutputAlgebra:
     """Operations and constants for one output kind, and symbolic atoms
-    for rational outputs."""
+    for rational outputs.  Each kind has one shared instance
+    (``output_algebra``), so algebras compare by identity."""
 
     def __init__(self, kind: str):
         if kind not in ("bool", "rational"):
@@ -82,12 +83,6 @@ class OutputAlgebra:
     def format(self, value) -> str:
         return str(self.coerce(value))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OutputAlgebra) and other.kind == self.kind
-
-    def __hash__(self) -> int:
-        return hash(("OutputAlgebra", self.kind))
-
     def __repr__(self) -> str:
         return f"OutputAlgebra({self.kind!r})"
 
@@ -106,25 +101,18 @@ def output_algebra(kind: str) -> OutputAlgebra:
 
 @dataclass(frozen=True)
 class Step:
-    """One observation: an output plus a successor per input letter."""
+    """One observation: an output plus a successor per input letter.
+    ``moves`` maps the letters, in sorted order, to their successors and
+    is never mutated; ``of`` sorts a mapping built elsewhere."""
 
     output: Any
-    moves: tuple[tuple[str, Any], ...]
+    moves: dict[str, Any]
 
     @staticmethod
-    def of(output, next_map: Mapping[str, Any]) -> "Step":
-        return Step(output, tuple(sorted(next_map.items())))
-
-    @property
-    def letters(self) -> tuple[str, ...]:
-        return tuple(letter for letter, _ in self.moves)
-
-    @property
-    def next_map(self) -> dict[str, Any]:
-        return dict(self.moves)
+    def of(output, moves: Mapping[str, Any]) -> "Step":
+        return Step(output, dict(sorted(moves.items())))
 
     def next(self, letter: str):
-        for name, succ in self.moves:
-            if name == letter:
-                return succ
+        if letter in self.moves:
+            return self.moves[letter]
         raise AlphabetMismatch(f"step has no successor for letter {letter!r}")

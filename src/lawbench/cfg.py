@@ -169,7 +169,7 @@ def equiv_upto(g: GnfGrammar, t1: Term, t2: Term, maxlen: int) -> EquivResult:
             return EquivResult(False, word)
         if len(word) == maxlen:
             continue
-        for letter in sorted(sys.law.alphabet):
+        for letter in sys.law.letters:
             l_next = left_step.next(letter)
             r_next = right_step.next(letter)
             pair = (l_next.words, r_next.words)

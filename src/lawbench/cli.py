@@ -261,7 +261,7 @@ def run(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
         wb = load(ns.file)
         code, payload, text = _COMMANDS[ns.command](wb, ns)
-    except (_UsageError, FileNotFoundError, LawbenchError) as exc:
+    except (_UsageError, LawbenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .behaviour import Step, output_algebra
 from .cfg import GnfGrammar, cfg_signature
-from .errors import ArityMismatch, MissingSection, ParseError
+from .errors import ArityMismatch, LawbenchError, MissingSection, ParseError
 from .gsos import (
     GSOS,
     SIMPLE,
@@ -854,9 +854,15 @@ def loads(text: str) -> Workbench:
 
 
 def load(path) -> Workbench:
-    """Read and parse one workbench file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    """Read and parse one workbench file; a file that cannot be read as
+    UTF-8 text is a ``LawbenchError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise LawbenchError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise LawbenchError(f"{path}: not UTF-8 text: {exc}") from exc
     return loads(text)
 
 

@@ -15,13 +15,16 @@ every ``[c]``).  Successor templates may also embed output placeholders
 inside constant indices, which is how a rule like
 ``(x * y)' = x' * y + [x(0)] * y'`` mentions the head output ``[x(0)]``.
 
-A rule's output and successor templates are fixed data, so they are
-compiled once per law, on the rule's first application: each into a
-straight-line program over its placeholders' slots (``Reading``), in the
-output algebra and in terms for the law, and in the theory's semiring
-for a ``QuotientStepper``.  ``apply_rule`` runs the programs; a constant
-indexed by one output placeholder (``[a]``) takes that output as it is,
-without substituting into the index.
+``apply_rule`` is the rule table lambda : Sigma(X x BX) => BTX at one
+symbol: it takes one observed state, a (state, ``Step``) pair, per
+argument.  A rule's output and successor templates are fixed data, so
+they are compiled when the law is built (``DistLaw.compiled``): each into
+a straight-line program over its placeholders' slots, the output in the
+output algebra and the templates in terms; a ``QuotientStepper`` on the
+folded route compiles the templates into the theory's semiring when it
+is built.  ``apply_rule`` runs the programs; a constant indexed by one
+output placeholder (``[a]``) takes that output as it is, without
+substituting into the index.
 
 ``extend_lambda`` pushes a whole term of observed leaves through the
 table: it is evaluation (``terms.evaluate``) in the algebra of (state,
@@ -33,17 +36,17 @@ distributive-law component at that term.
 ``QuotientStepper`` is the law on the quotient by a theory: it steps
 normal forms.  For the builtin theories under a pointwise ``+`` rule it
 adds up the steps of a form's products, read straight into the theory's
-semiring (``apply_rule`` with a folded reading instead of the term
-reading), so no successor term is built; otherwise it normalises the
+semiring (``apply_rule`` with the semiring programs instead of the term
+programs), so no successor term is built; otherwise it normalises the
 step of the canonical representative.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Collection, Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 from .behaviour import OutputAlgebra, Step
 from .errors import (
@@ -56,7 +59,7 @@ from .errors import (
 )
 from .polynomials import Poly
 from .terms import (App, Const, Signature, Term, Var, evaluate, format_term,
-                    rebuild, subterms, variables)
+                    rebuild, subterms)
 from .theories import NormalForm, Theory, fold
 
 SIMPLE = "simple"
@@ -137,6 +140,10 @@ def _run(program: Program, bound: Mapping[str, Any],
     return values[-1]
 
 
+def _bound(name: str) -> tuple:
+    return (_BOUND, None, name, None)
+
+
 def _operation(fn: Callable, slots: list[int]) -> tuple:
     if len(slots) == 2:
         return (_APPLY, fn, slots[0], slots[1])
@@ -156,25 +163,19 @@ def _output_program(expr: Term, alg: OutputAlgebra) -> Program:
         alg.check_op(symbol)
         return _operation(lambda *args: apply(symbol, list(args)), slots)
 
-    return _compile(expr, lambda name: (_BOUND, None, name, None), None, app)
+    return _compile(expr, _bound, None, app)
 
 
-def _template_program(template: Term, names: Collection[str],
-                      rational: bool, leaf: Callable[[Term], Any],
+def _template_program(template: Term, rational: bool,
+                      leaf: Callable[[Term], Any],
                       scalar: Callable[[Const], Callable[[Poly], Any]],
                       operation: Callable[[App], Callable]) -> Program:
-    """Read a successor template into a target algebra: a variable is
-    one of the placeholders ``names``, bound per application; a constant
-    or nullary symbol is its ``leaf`` value, except that under
-    ``rational`` outputs a constant whose index mentions output values is
-    ``scalar(t)`` of the index with them substituted in; any other
-    application is its ``operation``.  A placeholder outside ``names``
-    raises ``KeyError``, as looking it up would."""
-    def var(name: str) -> tuple:
-        if name not in names:
-            raise KeyError(name)
-        return (_BOUND, None, name, None)
-
+    """Read a successor template into a target algebra: a variable is a
+    placeholder, bound per application (``GsosSpec`` has already rejected
+    undeclared ones); a constant or nullary symbol is its ``leaf`` value,
+    except that under ``rational`` outputs a constant whose index
+    mentions output values is ``scalar(t)`` of the index with them
+    substituted in; any other application is its ``operation``."""
     def const(t: Const) -> tuple:
         value = leaf(t)  # also checks the family of an index read later
         index = t.index
@@ -192,7 +193,7 @@ def _template_program(template: Term, names: Collection[str],
             return (_FIXED, None, leaf(t), None)
         return _operation(operation(t), slots)
 
-    return _compile(template, var, const, app)
+    return _compile(template, _bound, const, app)
 
 
 def _placeholder(index: Poly) -> str | None:
@@ -209,18 +210,16 @@ def _builder(t: App) -> Callable[..., Term]:
     return lambda *args: App(symbol, args)
 
 
-def _term_program(template: Term, names: Collection[str],
-                  rational: bool) -> Program:
+def _term_program(template: Term, rational: bool) -> Program:
     """The term reading of a successor template: placeholders become
     their bound terms, and the output values a constant's index mentions
     are substituted in."""
-    return _template_program(template, names, rational, lambda t: t,
+    return _template_program(template, rational, lambda t: t,
                              lambda t: functools.partial(Const, t.family),
                              _builder)
 
 
-def _semiring_program(th: Theory, template: Term, names: Collection[str],
-                      rational: bool) -> Program:
+def _semiring_program(th: Theory, template: Term, rational: bool) -> Program:
     """The reading of a successor template in a builtin theory's
     semiring (``semiring_algebra``), placeholders read as their bound
     values."""
@@ -237,27 +236,8 @@ def _semiring_program(th: Theory, template: Term, names: Collection[str],
         # raises its error, whatever the arguments.
         return app(t, [None] * len(t.args))
 
-    return _template_program(template, names, rational, leaf,
+    return _template_program(template, rational, leaf,
                              lambda t: th.semiring.const, operation)
-
-
-class Reading:
-    """A target algebra for a rule's terms, and the programs compiled
-    into it so far, per rule and term.  ``compile`` gets the rule and the
-    term; it is called once per pair, on the pair's first application."""
-
-    __slots__ = ("compile", "programs")
-
-    def __init__(self, compile: Callable[["Rule", Term], Program]):
-        self.compile = compile
-        self.programs: dict[tuple, Program] = {}
-
-    def program(self, rule: "Rule", term: Term) -> Program:
-        key = rule.symbol, rule.is_family, term
-        found = self.programs.get(key)
-        if found is None:
-            found = self.programs[key] = self.compile(rule, term)
-        return found
 
 
 @dataclass(frozen=True)
@@ -383,20 +363,15 @@ class GsosSpec:
                 f"rule for {rule.symbol!r}: case split on undeclared "
                 f"placeholder {rule.next.scrutinee!r}"
             )
-        for template in rule.templates():
-            for token in variables(template):
-                if token not in term_ph:
-                    raise PlaceholderViolation(
-                        f"rule for {rule.symbol!r}: successor uses "
-                        f"undeclared placeholder {token!r}"
-                    )
-            self._validate_template_spine(rule, template, out_ph)
-
-    def _validate_template_spine(self, rule: Rule, template: Term,
-                                 out_ph: set[str]) -> None:
-        for t in subterms(template):
+        for t in (t for template in rule.templates()
+                  for t in subterms(template)):
+            if isinstance(t, Var) and t.name not in term_ph:
+                raise PlaceholderViolation(
+                    f"rule for {rule.symbol!r}: successor uses "
+                    f"undeclared placeholder {t.name!r}"
+                )
             if isinstance(t, Const):
-                self.signature.family(t.family)
+                sig.family(t.family)
                 if isinstance(t.index, Poly):
                     stray = t.index.atoms() - out_ph
                     if stray:
@@ -404,8 +379,7 @@ class GsosSpec:
                             f"rule for {rule.symbol!r}: constant index uses "
                             f"undeclared placeholders {sorted(stray)}"
                         )
-            elif isinstance(t, App) \
-                    and self.signature.arity(t.symbol) != len(t.args):
+            elif isinstance(t, App) and sig.arity(t.symbol) != len(t.args):
                 raise PlaceholderViolation(
                     f"rule for {rule.symbol!r}: successor applies "
                     f"{t.symbol!r} at the wrong arity"
@@ -422,13 +396,18 @@ class GsosSpec:
 @dataclass(frozen=True)
 class DistLaw:
     """A rule table together with the input alphabet and output algebra;
-    the data of a distributive law presented symbol by symbol.  The law
-    keeps its rules' outputs and successor templates as programs, read
-    into the output algebra and into terms on first use."""
+    the data of a distributive law presented symbol by symbol.
+
+    ``letters`` is the alphabet sorted, the order of every step's moves.
+    ``compiled`` maps (symbol, is_family) to the rule, its output's
+    program in the output algebra and its templates' programs in terms,
+    keyed by template; all are compiled when the law is built."""
 
     spec: GsosSpec
     alphabet: tuple[str, ...]
     outputs: OutputAlgebra
+    letters: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    compiled: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -444,13 +423,13 @@ class DistLaw:
                 raise PlaceholderViolation(
                     f"family rule {rule.symbol!r} needs rational outputs"
                 )
-        alg = self.outputs
-        rational = alg.kind == "rational"
-        object.__setattr__(self, "_outputs", Reading(
-            lambda rule, term: _output_program(term, alg)))
-        object.__setattr__(self, "_terms", Reading(
-            lambda rule, term: _term_program(term, rule.placeholders()[0],
-                                             rational)))
+        rational = self.outputs.kind == "rational"
+        object.__setattr__(self, "letters", tuple(sorted(self.alphabet)))
+        object.__setattr__(self, "compiled", {
+            (rule.symbol, rule.is_family): (
+                rule, _output_program(rule.output, self.outputs),
+                {t: _term_program(t, rational) for t in rule.templates()})
+            for rule in self.spec.rules})
 
     @property
     def signature(self) -> Signature:
@@ -460,22 +439,26 @@ class DistLaw:
 LeafObs = tuple[Term, Step]
 
 
-def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Any, dict]],
+def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Step]],
                family: bool = False, index=None,
-               read: Reading | None = None) -> Step:
+               programs: Mapping | None = None) -> Step:
     """Instantiate one rule: ``args`` holds, per argument position, the
-    argument itself, its output value and its successors per letter.
-    ``read`` is the reading of the successor templates; by default they
-    are read as terms, and the quotient stepper folds them instead."""
-    rule = law.spec.rule_for(symbol, family)
+    argument's state and its step.  ``programs`` holds the successor
+    templates' programs per rule; by default they are the law's, read
+    as terms, and the quotient stepper passes its semiring programs."""
+    key = symbol, family
+    compiled = law.compiled.get(key)
+    if compiled is None:
+        law.spec.rule_for(symbol, family)  # raises MissingRule
+    rule, output_program, templates = compiled
     alg = law.outputs
     out_env: dict[str, Any] = {}
-    for spec_arg, (_, out_value, _) in zip(rule.args, args):
-        out_env[spec_arg.out] = alg.coerce(out_value)
+    for spec_arg, (_, step) in zip(rule.args, args):
+        out_env[spec_arg.out] = alg.coerce(step.output)
     if rule.is_family:
         out_env[rule.index_name] = alg.coerce(index)
 
-    output = _run(law._outputs.program(rule, rule.output), out_env, {})
+    output = _run(output_program, out_env, {})
 
     poly_env = {name: value for name, value in out_env.items()
                 if isinstance(value, Poly)}
@@ -485,17 +468,17 @@ def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Any, dict]],
         body = template.if_one if out_env[template.scrutinee] else template.if_zero
     else:
         body = template.term
-    program = (law._terms if read is None else read).program(rule, body)
+    program = (templates if programs is None else programs[key])[body]
 
     moves = {}
-    for letter in law.alphabet:
+    for letter in law.letters:
         bound: dict[str, Any] = {}
-        for spec_arg, (state, _, deriv) in zip(rule.args, args):
-            bound[spec_arg.deriv] = deriv[letter]
+        for spec_arg, (state, step) in zip(rule.args, args):
+            bound[spec_arg.deriv] = step.moves[letter]
             if spec_arg.name is not None:
                 bound[spec_arg.name] = state
         moves[letter] = _run(program, bound, poly_env)
-    return Step.of(output, moves)
+    return Step(output, moves)
 
 
 def extend_lambda(law: DistLaw, term: Term, env: Mapping[str, LeafObs],
@@ -523,16 +506,10 @@ def extend_lambda(law: DistLaw, term: Term, env: Mapping[str, LeafObs],
         return t, apply_rule(law, t.family, [], family=True, index=t.index)
 
     def app(t: App, pieces: list[tuple[Term, Step]]) -> tuple[Term, Step]:
-        step = apply_rule(law, t.symbol, [(state, s.output, s.next_map)
-                                          for state, s in pieces])
-        return rebuild(t, [state for state, _ in pieces]), step
+        return (rebuild(t, [state for state, _ in pieces]),
+                apply_rule(law, t.symbol, pieces))
 
     return evaluate(term, var, const, app, {} if memo is None else memo)
-
-
-# A folded observation: the state's value, its output and its successors'
-# values per letter; the shape ``apply_rule`` takes per argument.
-_Folded = tuple[Any, Any, dict]
 
 
 def pointwise_plus(law: DistLaw) -> str | None:
@@ -568,14 +545,14 @@ class QuotientStepper:
     semiring ``sum`` of their successors per letter.  A summand, a product
     of leaves, is stepped as ``extend_lambda`` would, but with every
     successor template read straight into the theory's semiring (the
-    reading ``fold`` makes, compiled once per stepper) and placeholders
-    bound to folded values.  ``fold`` is a semiring homomorphism and
-    both semirings add commutatively, so the result equals normalising
-    ``extend_lambda`` at the canonical representative, certified or not.
-    Each product suffix's step is cached under its
-    factors (atoms, behind a leading scalar if any), so a summand costs
-    one rule application per factor not seen before; the cache lives as
-    long as the stepper, one run of a caller.
+    reading ``fold`` makes, compiled when the stepper is built) and
+    placeholders bound to folded values.  ``fold`` is a semiring
+    homomorphism and both semirings add commutatively, so the result
+    equals normalising ``extend_lambda`` at the canonical representative,
+    certified or not.  Each product suffix's observed state, (folded value,
+    step), is cached under its factors (atoms, behind a leading scalar if
+    any), so a summand costs one rule application per factor not seen
+    before; the cache lives as long as the stepper, one run of a caller.
 
     Every other theory or rule table takes the term path: representative,
     extension, normalisation, with one ``normalize`` memo (``memo``) for
@@ -585,13 +562,18 @@ class QuotientStepper:
                  env: Mapping[str, LeafObs]):
         self.th, self.law, self.env = th, law, env
         self._plus = pointwise_plus(law) if th.semiring is not None else None
-        self._leaves: dict[Term, _Folded] = {}
-        self._products: dict[tuple, _Folded] = {}
-        self._zero: _Folded | None = None
+        self._leaves: dict[Term, tuple[Any, Step]] = {}
+        self._products: dict[tuple, tuple[Any, Step]] = {}
+        self._zero: tuple[Any, Step] | None = None
         self.memo: dict = {}
-        rational = law.outputs.kind == "rational"
-        self._read = Reading(lambda rule, term: _semiring_program(
-            th, term, rule.placeholders()[0], rational))
+        if self._plus is not None:
+            # The rules this route applies: ``*`` and the leaves'.
+            rational = law.outputs.kind == "rational"
+            self._programs = {
+                key: {t: _semiring_program(th, t, rational)
+                      for t in rule.templates()}
+                for key, (rule, _, _) in law.compiled.items()
+                if rule.symbol == "*" or not rule.args}
         # States matter only to gsos rules that name an argument.
         self._product_states = any(arg.name is not None
                                    for rule in law.spec.rules
@@ -601,9 +583,8 @@ class QuotientStepper:
         th = self.th
         if self._plus is None:
             _, step = extend_lambda(self.law, th.representative(nf), self.env)
-            return Step.of(step.output,
-                           {l: th.normalize(s, self.memo)
-                            for l, s in step.moves})
+            return Step(step.output, {l: th.normalize(s, self.memo)
+                                      for l, s in step.moves.items()})
         steps = [self._product(atoms if scalar is None else (scalar, *atoms))
                  for scalar, atoms in nf.summands()]
         if not steps:
@@ -611,14 +592,16 @@ class QuotientStepper:
             if self._zero is None:
                 self._zero = self._leaf(th.representative(nf))
             steps = [self._zero]
-        _, output, moves = steps[0]
+        _, step = steps[0]
+        output, moves = step.output, step.moves
         if len(steps) > 1:
-            output = self.law.outputs.apply(self._plus, [s[1] for s in steps])
-            moves = {l: th.semiring.sum([s[2][l] for s in steps])
+            output = self.law.outputs.apply(self._plus,
+                                            [s.output for _, s in steps])
+            moves = {l: th.semiring.sum([s.moves[l] for _, s in steps])
                      for l in moves}
-        return Step.of(output, {l: th.form(v) for l, v in moves.items()})
+        return Step(output, {l: th.form(v) for l, v in moves.items()})
 
-    def _product(self, factors: tuple) -> _Folded:
+    def _product(self, factors: tuple) -> tuple[Any, Step]:
         cache = self._products
         found = cache.get(factors)
         if found is not None:
@@ -639,14 +622,15 @@ class QuotientStepper:
             if acc is None:
                 acc = leaf
             else:
-                step = apply_rule(self.law, "*", [leaf, acc], read=self._read)
+                step = apply_rule(self.law, "*", [leaf, acc],
+                                  programs=self._programs)
                 state = (self.th.semiring.mul(leaf[0], acc[0])
                          if self._product_states else None)
-                acc = (state, step.output, step.next_map)
+                acc = state, step
             cache[factors[i:]] = acc
         return acc
 
-    def _leaf(self, t: Term) -> _Folded:
+    def _leaf(self, t: Term) -> tuple[Any, Step]:
         found = self._leaves.get(t)
         if found is not None:
             return found
@@ -662,14 +646,15 @@ class QuotientStepper:
                 raise UnboundVariable(
                     f"no observation for leaf {t.name!r}"
                 ) from None
-            found = (value(state), step.output,
-                     {l: value(s) for l, s in step.moves})
+            found = value(state), Step(step.output, {
+                l: value(s) for l, s in step.moves.items()})
         else:
             if isinstance(t, Const):
                 step = apply_rule(self.law, t.family, [], family=True,
-                                  index=t.index, read=self._read)
+                                  index=t.index, programs=self._programs)
             else:
-                step = apply_rule(self.law, t.symbol, [], read=self._read)
-            found = (value(t), step.output, step.next_map)
+                step = apply_rule(self.law, t.symbol, [],
+                                  programs=self._programs)
+            found = value(t), step
         self._leaves[t] = found
         return found

@@ -53,14 +53,11 @@ def generic_instance(scheme: EquationScheme, alphabet: tuple[str, ...],
     bits = dict(branch) if branch is not None else None
     env = {}
     for v in scheme.metavars:
-        if len(alphabet) == 1:
-            moves = {alphabet[0]: f"d_{v}"}
-        else:
-            moves = {a: f"d_{v}_{a}" for a in alphabet}
+        moves = {a: Var(f"d_{v}" if len(alphabet) == 1 else f"d_{v}_{a}")
+                 for a in alphabet}
         out = f"b_{v}"
         value = alg.atom(out) if bits is None else alg.coerce(bits[out])
-        step = Step.of(value, {a: Var(t) for a, t in moves.items()})
-        env[v] = (Var(f"x_{v}"), step)
+        env[v] = (Var(f"x_{v}"), Step.of(value, moves))
     return env
 
 
@@ -191,9 +188,9 @@ def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
     # rewrite or search each successor once between them.
     memo: dict = {}
     lhs_normal = tuple((l, str(th.normalize(s, memo)))
-                       for l, s in lhs_step.moves)
+                       for l, s in lhs_step.moves.items())
     rhs_normal = tuple((l, str(th.normalize(s, memo)))
-                       for l, s in rhs_step.moves)
+                       for l, s in rhs_step.moves.items())
 
     verdict = Verdict.HOLDS
     fail: FailPoint | None = None
@@ -202,7 +199,7 @@ def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
         fail = FailPoint("output", None, alg.format(lhs_step.output),
                          alg.format(rhs_step.output), None)
     else:
-        for letter in law.alphabet:
+        for letter in law.letters:
             left, right = lhs_step.next(letter), rhs_step.next(letter)
             answer = th.equiv(left, right, memo)
             if answer.equiv is Equiv.EQUAL:
@@ -222,8 +219,8 @@ def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
         rhs=format_term(scheme.rhs),
         lhs_output=alg.format(lhs_step.output),
         rhs_output=alg.format(rhs_step.output),
-        lhs_next=tuple((l, format_term(t)) for l, t in lhs_step.moves),
-        rhs_next=tuple((l, format_term(t)) for l, t in rhs_step.moves),
+        lhs_next=tuple((l, format_term(t)) for l, t in lhs_step.moves.items()),
+        rhs_next=tuple((l, format_term(t)) for l, t in rhs_step.moves.items()),
         lhs_normal=lhs_normal,
         rhs_normal=rhs_normal,
         fail=fail,

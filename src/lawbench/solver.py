@@ -94,17 +94,17 @@ class CorecSystem:
             )
         coerced = {}
         for name, step in self.phi.items():
-            if step.letters != tuple(sorted(self.law.alphabet)):
+            if tuple(step.moves) != self.law.letters:
                 raise AlphabetMismatch(
                     f"variable {name!r} does not observe the alphabet "
-                    f"{sorted(self.law.alphabet)}"
+                    f"{list(self.law.letters)}"
                 )
             output = alg.coerce(step.output)
             if not alg.is_concrete(output):
                 raise LawbenchError(
                     f"variable {name!r} needs a concrete output"
                 )
-            for _, succ in step.moves:
+            for succ in step.moves.values():
                 self._check_term(succ)
             coerced[name] = Step(output, step.moves)
         self.phi = coerced
@@ -148,9 +148,8 @@ def _stepper(sys: CorecSystem) -> Callable[[State], Step]:
     def step(state: State) -> Step:
         if isinstance(state, _TERMS):
             first = operational_model(sys, state)
-            return Step.of(first.output,
-                           {l: th.normalize(s, quotient.memo)
-                            for l, s in first.moves})
+            return Step(first.output, {l: th.normalize(s, quotient.memo)
+                                       for l, s in first.moves.items()})
         return quotient.step(state)
 
     return step
@@ -287,7 +286,7 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
             children = tuple(
                 (letter, (step_plain.next(letter), step_quot.next(letter),
                           left - 1))
-                for letter in step_plain.letters)
+                for letter in step_plain.moves)
         return own, children
 
     checked = 0

@@ -150,8 +150,8 @@ def reference_apply_rule(law: DistLaw, symbol: str, args: list,
     rule = law.spec.rule_for(symbol, family)
     alg = law.outputs
     out_env: dict[str, Any] = {}
-    for spec_arg, (_, out_value, _) in zip(rule.args, args):
-        out_env[spec_arg.out] = alg.coerce(out_value)
+    for spec_arg, (_, step) in zip(rule.args, args):
+        out_env[spec_arg.out] = alg.coerce(step.output)
     if rule.is_family:
         out_env[rule.index_name] = alg.coerce(index)
     output = reference_eval_out(rule.output, alg, out_env)
@@ -165,8 +165,8 @@ def reference_apply_rule(law: DistLaw, symbol: str, args: list,
     moves = {}
     for letter in law.alphabet:
         bound: dict[str, Any] = {}
-        for spec_arg, (state, _, deriv) in zip(rule.args, args):
-            bound[spec_arg.deriv] = deriv[letter]
+        for spec_arg, (state, step) in zip(rule.args, args):
+            bound[spec_arg.deriv] = step.next(letter)
             if spec_arg.name is not None:
                 bound[spec_arg.name] = state
         moves[letter] = read(body, bound, poly_env)
@@ -344,7 +344,8 @@ def morphism_square_check(th: Theory, law: DistLaw,
     for term, env in samples:
         checked += 1
         _, step = extend_lambda(law, term, env)
-        left = Step.of(step.output, {l: th.normalize(s) for l, s in step.moves})
+        left = Step.of(step.output,
+                       {l: th.normalize(s) for l, s in step.moves.items()})
         right = QuotientStepper(th, law, env).step(th.normalize(term))
         if not alg.equal(left.output, right.output):
             violations.append(SquareViolation(
@@ -375,7 +376,8 @@ def reference_commute_check(sys: CorecSystem, max_term_size: int,
         if isinstance(state, (Var, App, Const)):
             first = operational_model(sys, state)
             return Step.of(first.output,
-                           {l: th.normalize(s) for l, s in first.moves})
+                           {l: th.normalize(s)
+                            for l, s in first.moves.items()})
         return quotient.step(state)
 
     def walk(label: str, word: tuple[str, ...], state_plain: Term,
@@ -397,7 +399,7 @@ def reference_commute_check(sys: CorecSystem, max_term_size: int,
                 label, "".join(word), "state",
                 format_term(state_plain), format_term(term_quot)))
         if len(word) < depth:
-            for letter in step_plain.letters:
+            for letter in step_plain.moves:
                 walk(label, word + (letter,), step_plain.next(letter),
                      step_quot.next(letter))
 
@@ -486,7 +488,7 @@ def _pretty_system(system: CorecSystem, multi: bool) -> str:
     for name in system.variables:
         step = system.phi[name]
         lines.append(f"  var {name}: out = {alg.concrete(step.output)};")
-        for letter, succ in step.moves:
+        for letter, succ in step.moves.items():
             lines.append(f"    next({letter}) = {_pretty_term(succ, multi)};")
     lines.append("}")
     return "\n".join(lines)

@@ -238,7 +238,7 @@ def test_criterion_09_law_axioms_and_monad_laws():
     problems: list = []
     law = STREAM.law
     env = {v: (Var(f"x_{v}"),
-               Step(RATIONAL_OUTPUTS.atom(f"b_{v}"), (("t", Var(f"d_{v}")),)))
+               Step(RATIONAL_OUTPUTS.atom(f"b_{v}"), {"t": Var(f"d_{v}")}))
            for v in ("v", "u")}
     terms4 = list(enumerate_terms(law.signature, {"v", "u"}, 4))
 

@@ -56,9 +56,9 @@ def test_output_algebras_are_shared():
 def test_step_accessors():
     succ_a, succ_b = object(), object()
     step = Step.of(1, {"b": succ_b, "a": succ_a})
-    assert step.letters == ("a", "b")  # sorted on construction
+    assert list(step.moves) == ["a", "b"]  # sorted on construction
     assert step.next("a") is succ_a
-    assert step.next_map == {"a": succ_a, "b": succ_b}
+    assert step.moves == {"a": succ_a, "b": succ_b}
     with pytest.raises(AlphabetMismatch):
         step.next("c")
 

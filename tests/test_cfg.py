@@ -88,7 +88,7 @@ def test_grammar_successors_are_their_own_normal_forms():
         sys = to_corec(g)
         th = sys.theory
         for x in g.nonterminals:
-            for _, succ in sys.phi[x].moves:
+            for succ in sys.phi[x].moves.values():
                 assert th.representative(th.normalize(succ)) == succ
 
 

@@ -14,7 +14,7 @@ import sys
 import jsonschema
 import pytest
 
-from lawbench import cli
+from lawbench import cli, gsos
 from lawbench.cli import run
 
 from conftest import EXAMPLES, example
@@ -160,11 +160,69 @@ def test_algebra_check_runs_long_words(capsys, tmp_path):
     assert captured.out.count(" " + "a" * 1200 + "\n") == 2
 
 
-def test_usage_and_load_errors(capsys):
+@pytest.mark.parametrize("args", (
+    ["check-preservation", "--trace"],
+    ["quotient-commute", "--max-size", "3", "--depth", "3"],
+    ["cfg-equiv", "--left", "S", "--right", "1"],
+    ["run", "--state", "S", "--word", "aab"],
+    ["algebra-check", "--outer", "S * B", "--horizon", "4"],
+), ids=("preservation", "commute", "equiv", "run", "algebra"))
+def test_output_does_not_depend_on_the_declared_letter_order(capsys, tmp_path,
+                                                             args):
+    # Steps keep their moves in sorted-letter order, whatever order the
+    # alphabet block declares.
+    text = pathlib.Path(example("cfg.dsl")).read_text()
+    assert "alphabet { a, b }" in text
+    path = tmp_path / "b-before-a.dsl"
+    path.write_text(text.replace("alphabet { a, b }", "alphabet { b, a }"))
+    outputs = []
+    for file in (example("cfg.dsl"), str(path)):
+        code = run([args[0], file, *args[1:]])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append((code, captured.out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["stream", "stream.dsl", "--state", "ones * ones * ones", "--n", "30"],
+     1679),
+    (["run", "stream.dsl", "--state", "ones * ones", "--word", "tt"], 10),
+    (["quotient-commute", "stream.dsl", "--max-size", "3", "--depth", "3"],
+     561),
+    (["check-preservation", "stream.dsl"], 32),
+    (["cfg-member", "cfg.dsl", "--word", "aabb"], 4),
+    (["cfg-equiv", "cfg.dsl", "--left", "S", "--right", "1"], 5),
+    (["quotient-commute", "cfg.dsl", "--max-size", "3", "--depth", "3"], 196),
+    (["check-preservation", "cfg.dsl"], 178),
+    (["algebra-check", "cfg.dsl", "--outer", "S * B", "--horizon", "4"], 22),
+], ids=lambda v: f"{v[0]}:{v[1]}" if isinstance(v, list) else None)
+def test_rule_applications_per_command(capsys, monkeypatch, argv, calls):
+    # Every rule application goes through gsos.apply_rule, once per
+    # (symbol, observed arguments) that a command's caches have not seen.
+    count = 0
+    apply_rule = gsos.apply_rule
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return apply_rule(*args, **kwargs)
+
+    monkeypatch.setattr(gsos, "apply_rule", counting)
+    run([argv[0], example(argv[1]), *argv[2:]])
+    capsys.readouterr()
+    assert count == calls
+
+
+def test_usage_and_load_errors(capsys, tmp_path):
+    not_utf8 = tmp_path / "utf16.dsl"
+    not_utf8.write_bytes(b"\xff\xfesignature")
     cases = (
         ["cfg-member", example("cfg.dsl"), "--word", "xz"],
         ["run", example("stream.dsl"), "--state", "ones", "--word", "q"],
         ["check-preservation", "/no/such/file.dsl"],
+        ["check-preservation", str(EXAMPLES)],  # a directory
+        ["check-preservation", str(not_utf8)],
         ["run", example("three-zeros.dsl"), "--state", "n1"],
         ["cfg-member", example("stream.dsl"), "--word", "t"],
         ["stream", example("stream.dsl"), "--state", "nope"],
@@ -175,6 +233,7 @@ def test_usage_and_load_errors(capsys):
         assert run(argv) == 3, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error:"), argv
+        assert captured.err.count("\n") == 1, argv
         assert captured.out == "", argv
 
 

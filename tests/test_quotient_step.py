@@ -42,7 +42,8 @@ LEAVES = ("v", "u", "w")
 
 def reference_step(th, law, nf, env) -> Step:
     _, step = extend_lambda(law, th.representative(nf), env)
-    return Step.of(step.output, {l: th.normalize(s) for l, s in step.moves})
+    return Step.of(step.output,
+                   {l: th.normalize(s) for l, s in step.moves.items()})
 
 
 def assert_same_step(law, left: Step, right: Step) -> None:
