@@ -44,6 +44,7 @@ step of the canonical representative.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Union
@@ -150,10 +151,15 @@ def _operation(fn: Callable, slots: list[int]) -> tuple:
     return (_CALL, fn, tuple(slots), None)
 
 
+# The output algebras' operations on two coerced values.
+_BINARY = {"min": min, "max": max, "+": operator.add, "*": operator.mul}
+
+
 def _output_program(expr: Term, alg: OutputAlgebra) -> Program:
     """Read a rule's output term into the output algebra: a variable is
     an output placeholder, a nullary symbol the literal its name spells,
-    and any other application an operation of the output algebra.
+    and any other application an operation of the output algebra, a
+    binary one the operation itself, since every value is coerced.
     ``GsosSpec`` has already rejected constants and undeclared
     placeholders in outputs, so none is met here."""
     def app(t: App, slots: list[int]) -> tuple:
@@ -161,6 +167,8 @@ def _output_program(expr: Term, alg: OutputAlgebra) -> Program:
             return (_FIXED, None, _literal(alg, t.symbol), None)
         symbol, apply = t.symbol, alg.apply
         alg.check_op(symbol)
+        if len(slots) == 2:
+            return _operation(_BINARY[symbol], slots)
         return _operation(lambda *args: apply(symbol, list(args)), slots)
 
     return _compile(expr, _bound, None, app)
@@ -460,8 +468,6 @@ def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Step]],
 
     output = _run(output_program, out_env, {})
 
-    poly_env = {name: value for name, value in out_env.items()
-                if isinstance(value, Poly)}
     template = rule.next
     if isinstance(template, CaseSplit):
         # Case splits need Boolean outputs (``DistLaw``), so this is a bit.
@@ -470,14 +476,15 @@ def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Step]],
         body = template.term
     program = (templates if programs is None else programs[key])[body]
 
+    named = {a.name: state for a, (state, _) in zip(rule.args, args)
+             if a.name is not None}
     moves = {}
     for letter in law.letters:
-        bound: dict[str, Any] = {}
-        for spec_arg, (state, step) in zip(rule.args, args):
+        bound = named.copy()
+        for spec_arg, (_, step) in zip(rule.args, args):
             bound[spec_arg.deriv] = step.moves[letter]
-            if spec_arg.name is not None:
-                bound[spec_arg.name] = state
-        moves[letter] = _run(program, bound, poly_env)
+        # Only rational outputs, all Polys, have programs that read them.
+        moves[letter] = _run(program, bound, out_env)
     return Step(output, moves)
 
 
@@ -579,12 +586,16 @@ class QuotientStepper:
                                    for rule in law.spec.rules
                                    if rule.symbol == "*" for arg in rule.args)
 
+    def normalized(self, step: Step) -> Step:
+        """A step of terms with its successors normalised under ``memo``."""
+        return Step(step.output, {l: self.th.normalize(s, self.memo)
+                                  for l, s in step.moves.items()})
+
     def step(self, nf: NormalForm) -> Step:
         th = self.th
         if self._plus is None:
-            _, step = extend_lambda(self.law, th.representative(nf), self.env)
-            return Step(step.output, {l: th.normalize(s, self.memo)
-                                      for l, s in step.moves.items()})
+            return self.normalized(extend_lambda(
+                self.law, th.representative(nf), self.env)[1])
         steps = [self._product(atoms if scalar is None else (scalar, *atoms))
                  for scalar, atoms in nf.summands()]
         if not steps:

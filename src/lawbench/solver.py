@@ -20,10 +20,10 @@ preserves the theory:
 
   * ``quotient_commute_check``: unfolding terms without a theory and
     normal forms under the quotient law gives the same outputs and
-    congruent states.  It checks each distinct (plain state, quotient
-    state, depth left) triple once, steps and folds each distinct plain subterm
-    once and steps each quotient state once; its memos last for one
-    check;
+    congruent states.  Each distinct (plain state, quotient state, depth
+    left) triple is checked, each start term extended, each plain subterm
+    stepped and folded and each quotient state stepped once; states
+    compare by folded value, and the memos last for one check;
 
   * ``induced_algebra_check``: the behaviour of a composite state equals
     the semantic composition of its leaves' behaviours, computed by
@@ -35,13 +35,13 @@ preserves the theory:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .behaviour import Step
 from .errors import AlphabetMismatch, LawbenchError, UnboundVariable
-from .gsos import DistLaw, QuotientStepper, extend_lambda
+from .gsos import DistLaw, LeafObs, QuotientStepper, extend_lambda
 from .terms import (
     App,
     Const,
@@ -69,12 +69,14 @@ _TERMS = (Var, App, Const)
 @dataclass
 class CorecSystem:
     """Variables with one defining observation each, plus the rule table
-    (and optionally the theory) everything runs against."""
+    (and optionally the theory) everything runs against.  ``leaves``, the
+    leaf environment of every model, pairs each variable with its step."""
 
     variables: tuple[str, ...]
     phi: dict[str, Step]
     law: DistLaw
     theory: Theory | None = None
+    leaves: dict[str, LeafObs] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
@@ -108,6 +110,7 @@ class CorecSystem:
                 self._check_term(succ)
             coerced[name] = Step(output, step.moves)
         self.phi = coerced
+        self.leaves = {x: (Var(x), coerced[x]) for x in self.variables}
 
     def _check_term(self, term: Term) -> None:
         self.law.signature.validate(term)
@@ -122,16 +125,14 @@ def operational_model(sys: CorecSystem, term: Term,
                       memo: dict | None = None) -> Step:
     """The unique extension of the system's observations to terms;
     ``memo`` is an ``extend_lambda`` memo for this system."""
-    env = {x: (Var(x), sys.phi[x]) for x in sys.variables}
-    _, step = extend_lambda(sys.law, term, env, memo)
+    _, step = extend_lambda(sys.law, term, sys.leaves, memo)
     return step
 
 
 def quotient_model(sys: CorecSystem) -> QuotientStepper:
     """The model on normal forms of the system's theory: the quotient law
     with every variable observed through its defining step."""
-    env = {x: (Var(x), sys.phi[x]) for x in sys.variables}
-    return QuotientStepper(sys.theory, sys.law, env)
+    return QuotientStepper(sys.theory, sys.law, sys.leaves)
 
 
 def _stepper(sys: CorecSystem) -> Callable[[State], Step]:
@@ -142,14 +143,11 @@ def _stepper(sys: CorecSystem) -> Callable[[State], Step]:
     run."""
     if sys.theory is None:
         return lambda state: operational_model(sys, state)
-    th = sys.theory
     quotient = quotient_model(sys)
 
     def step(state: State) -> Step:
         if isinstance(state, _TERMS):
-            first = operational_model(sys, state)
-            return Step(first.output, {l: th.normalize(s, quotient.memo)
-                                       for l, s in first.moves.items()})
+            return quotient.normalized(operational_model(sys, state))
         return quotient.step(state)
 
     return step
@@ -238,11 +236,13 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
     The plain side steps terms through the rule table with no theory and
     normalises them only to compare.  Its states are dags that share most
     of their subterms with one another, so the check keeps one
-    ``extend_lambda`` memo and one ``fold`` memo, both keyed by the term,
-    for the whole walk and drops them when it returns: each distinct
-    subterm is stepped and folded once per check.  The ``fold`` memo also
-    serves the quotient side's representatives in ``Theory.equiv``, and
-    each quotient state is stepped once.
+    ``extend_lambda`` memo and the quotient stepper's ``normalize`` memo,
+    both keyed by the term, for the whole walk and drops them when it
+    returns: each distinct subterm is stepped and folded once per check.
+    A start term is extended once: its quotient step is its plain step,
+    normalised.  Below it, ``Theory.equiv`` compares the plain state with
+    the quotient state's representative (a builtin theory by their folded
+    values), and each quotient state is stepped once.
 
     What the check finds below a node depends only on the node's plain
     state, its quotient state and the depth left, not on the seed or the
@@ -256,31 +256,33 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
     if sys.theory is None:
         raise LawbenchError("quotient commutation needs a theory")
     th = sys.theory
-    plain = replace(sys, theory=None)
     alg = sys.law.outputs
     steps: dict = {}
-    folds: dict = {}
-    step_quot_of = _stepper(sys)
-    quot: dict[State, tuple[Step, Term]] = {}
+    quotient = quotient_model(sys)
+    quot: dict[NormalForm, tuple[Step, Term]] = {}
     # (plain state, quotient state, depth left) -> (nodes, violations)
     below: dict[tuple, tuple[int, tuple]] = {}
 
     def check(node: tuple) -> tuple[tuple, tuple]:
         """The node's own violations and its children as (letter, node)."""
         state_plain, state_quot, left = node
-        step_plain = operational_model(plain, state_plain, steps)
-        if state_quot not in quot:
-            quot[state_quot] = (step_quot_of(state_quot),
-                                _as_term(sys, state_quot))
-        step_quot, term_quot = quot[state_quot]
-        out_plain = alg.concrete(step_plain.output)
-        out_quot = alg.concrete(step_quot.output)
+        step_plain = operational_model(sys, state_plain, steps)
         own: tuple = ()
-        if out_plain != out_quot:
-            own = (("", "output", str(out_plain), str(out_quot)),)
-        elif th.equiv(state_plain, term_quot, folds).equiv is not Equiv.EQUAL:
-            own = (("", "state", format_term(state_plain),
-                    format_term(term_quot)),)
+        if state_quot is state_plain:  # a start term
+            step_quot = quotient.normalized(step_plain)
+        else:
+            if state_quot not in quot:
+                quot[state_quot] = (quotient.step(state_quot),
+                                    th.representative(state_quot))
+            step_quot, term_quot = quot[state_quot]
+            out_plain = alg.concrete(step_plain.output)
+            out_quot = alg.concrete(step_quot.output)
+            if out_plain != out_quot:
+                own = (("", "output", str(out_plain), str(out_quot)),)
+            elif th.equiv(state_plain, term_quot,
+                          quotient.memo).equiv is not Equiv.EQUAL:
+                own = (("", "state", format_term(state_plain),
+                        format_term(term_quot)),)
         children: tuple = ()
         if left > 0:
             children = tuple(
@@ -317,8 +319,9 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
             below[node] = (count, tuple(found))
         count, found = below[root]
         checked += count
-        label = format_term(term)
-        violations.extend(CommuteViolation(label, *v) for v in found)
+        if found:
+            label = format_term(term)
+            violations.extend(CommuteViolation(label, *v) for v in found)
     return CommuteReport(checked, violations)
 
 

@@ -415,9 +415,10 @@ class Theory:
         if memo is None:
             memo = {}
         if self.semiring is not None:
-            answer = _ANSWERS[Equiv.EQUAL if self.normalize(left, memo)
-                              == self.normalize(right, memo)
-                              else Equiv.DISTINCT]
+            # Folded values are canonical: Polys, frozensets of words.
+            same = (evaluate(left, *self.algebra, memo)
+                    == evaluate(right, *self.algebra, memo))
+            answer = _ANSWERS[Equiv.EQUAL if same else Equiv.DISTINCT]
         elif left == right:
             answer = _ANSWERS[Equiv.EQUAL]
         else:

@@ -189,11 +189,11 @@ def test_output_does_not_depend_on_the_declared_letter_order(capsys, tmp_path,
      1679),
     (["run", "stream.dsl", "--state", "ones * ones", "--word", "tt"], 10),
     (["quotient-commute", "stream.dsl", "--max-size", "3", "--depth", "3"],
-     561),
+     374),
     (["check-preservation", "stream.dsl"], 32),
     (["cfg-member", "cfg.dsl", "--word", "aabb"], 4),
     (["cfg-equiv", "cfg.dsl", "--left", "S", "--right", "1"], 5),
-    (["quotient-commute", "cfg.dsl", "--max-size", "3", "--depth", "3"], 196),
+    (["quotient-commute", "cfg.dsl", "--max-size", "3", "--depth", "3"], 134),
     (["check-preservation", "cfg.dsl"], 178),
     (["algebra-check", "cfg.dsl", "--outer", "S * B", "--horizon", "4"], 22),
 ], ids=lambda v: f"{v[0]}:{v[1]}" if isinstance(v, list) else None)

@@ -169,6 +169,47 @@ def test_builtin_equiv_is_total():
         assert ITH.equiv(t, s).equiv in (Equiv.EQUAL, Equiv.DISTINCT)
 
 
+def reordered(term, symbols, flips):
+    """``term`` with the arguments of some applications of ``symbols``
+    swapped, one flip drawn per binary node."""
+    if isinstance(term, App) and len(term.args) == 2:
+        left, right = (reordered(arg, symbols, flips) for arg in term.args)
+        if term.symbol in symbols and next(flips):
+            left, right = right, left
+        return App(term.symbol, (left, right))
+    return term
+
+
+# Per builtin theory: its terms, the symbols that commute in it (``*``
+# is concatenation under the idempotent theory) and a memo that lasts
+# across examples.
+EQUIV_CASES = ((CTH, cterms, ("+", "*"), {}), (ITH, iterms, ("+",), {}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(EQUIV_CASES), st.data())
+def test_builtin_equiv_is_equality_of_normal_forms(case, data):
+    th, terms, symbols, shared = case
+    left = data.draw(st.sampled_from(terms))
+    flips = itertools.cycle(data.draw(st.lists(st.booleans(), min_size=1)))
+    right = data.draw(st.one_of(st.sampled_from(terms),
+                                st.just(reordered(left, symbols, flips))))
+    equal = th.normalize(left) == th.normalize(right)
+    for memo in ({}, shared):
+        assert (th.equiv(left, right, memo).equiv is Equiv.EQUAL) == equal
+        assert (th.equiv(right, left, memo).equiv is Equiv.EQUAL) == equal
+
+
+def test_builtin_equiv_identifies_reordered_summands_and_factors():
+    v, u, two = Var("v"), Var("u"), Const("c", 2)
+    assert CTH.equiv(App("*", (v, App("+", (u, two)))),
+                     App("*", (App("+", (two, u)), v))).equiv is Equiv.EQUAL
+    assert ITH.equiv(App("+", (App("*", (v, u)), v)),
+                     App("+", (v, App("*", (v, u))))).equiv is Equiv.EQUAL
+    assert ITH.equiv(App("*", (v, u)),
+                     App("*", (u, v))).equiv is Equiv.DISTINCT
+
+
 def test_representative_is_a_section():
     # normalize(representative(nf)) == nf, and the representative is
     # congruent to the original term
