@@ -44,10 +44,16 @@ CASES = {
         ["run", "balanced.dsl", "--state", "S + 1", "--word", "aab"],
     "run-three-zeros-no-system":
         ["run", "three-zeros.dsl", "--state", "n1"],
+    "run-stream-fractions":
+        ["run", "stream.dsl", "--state", "[1/2] * ones * ones + [2/3] * X",
+         "--word", "ttt"],
     "stream-stream-square":
         ["stream", "stream.dsl", "--state", "ones * ones", "--n", "6"],
     "stream-stream-mixed":
         ["stream", "stream.dsl", "--state", "X + [2] * ones", "--n", "5"],
+    "stream-stream-fractions":
+        ["stream", "stream.dsl", "--state", "[1/2] * ones * ones + [2/3] * X",
+         "--n", "6"],
     "stream-convolution-square":
         ["stream", "convolution.dsl", "--state", "ones * ones", "--n", "6"],
     "member-cfg-aabb":
