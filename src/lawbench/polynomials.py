@@ -1,27 +1,35 @@
 """Multivariate polynomials with exact rational coefficients.
 
-A polynomial is stored as a sorted tuple of (monomial, coefficient) pairs
-with all zero coefficients dropped, so structural equality coincides with
-polynomial identity.  A monomial is a sorted tuple of (atom, power) pairs
-over string atoms, with every power positive; every coefficient is a
-``Fraction``.  Monomials are ordered graded-lexicographically: first by
-total degree, then by the expanded atom sequence (``x^2`` is ``x, x``).
-The sort key ``(degree, ((atom, -power), ...))`` gives that order without
-expanding powers: at equal degree the first differing pair decides, and a
-smaller atom, or else a higher power of the same atom, comes first.
+A polynomial is stored as a dict from monomial to coefficient, with no
+zero coefficients, so dict equality coincides with polynomial identity.
+A monomial is a sorted tuple of (atom, power) pairs over string atoms,
+with every power positive.  A coefficient is an ``int`` exactly when it
+is integral and a ``Fraction`` otherwise: both are exact, an ``int`` is
+much cheaper to add and multiply, and the two compare and hash alike.
+At the API the value of a constant is a ``Fraction`` (``constant_value``
+and ``evaluate``).
+
+``terms``, the terms as a tuple of (monomial, coefficient) pairs in
+graded-lexicographic order, is sorted on first read and kept: arithmetic
+never sorts, and most of its intermediate results are never read in
+order.  Monomials are ordered first by total degree, then by the
+expanded atom sequence (``x^2`` is ``x, x``).  The sort key
+``(degree, ((atom, -power), ...))`` gives that order without expanding
+powers: at equal degree the first differing pair decides, and a smaller
+atom, or else a higher power of the same atom, comes first.  The hash is
+order-free, the hash of the set of terms, and is computed once, when
+first asked for.
 
 The public constructor canonicalises whatever it is given: it coerces
 coefficients, merges repeated atoms and sorts each monomial, and merges
 repeated monomials.  Arithmetic builds its results through
 ``Poly._canonical`` instead, which takes a dict from canonical monomials
-to ``Fraction`` coefficients, drops the zero coefficients and sorts the
-terms, and does nothing else; so ``Poly.sum`` (and ``+``, its two-operand
-case) merges term dicts, and ``*`` accumulates products of terms in one
-dict.  The scalar product, ``*`` with a nonzero constant on either side,
-is the exception: it multiplies each coefficient by the constant and
-keeps the terms as they are, already sorted and nonzero, and a product
-by 1 is the other operand itself.  A polynomial's hash is computed once,
-when first asked for.
+to coefficients, drops the zeros and turns integral ``Fraction``s into
+``int``s, and does nothing else; so ``Poly.sum`` (and ``+``, its
+two-operand case) merges term dicts, and ``*`` accumulates products of
+terms in one dict.  The scalar product, ``*`` with a nonzero constant on
+either side, multiplies each coefficient by the constant and keeps the
+monomials; a product by 1 is the other operand itself.
 
 These polynomials do double duty: they are the canonical forms of the
 commutative-semiring theory, the symbolic values of rational outputs, and
@@ -32,11 +40,12 @@ product of index parameters is just a polynomial over those parameters).
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Union
 
 Monomial = tuple[tuple[str, int], ...]
+Coefficient = Union[int, Fraction]
 
 _UNIT: Monomial = ()
-_ONE = Fraction(1)
 
 
 def _mono_key(mono: Monomial):
@@ -48,13 +57,8 @@ def _mono_key(mono: Monomial):
     return (degree, tuple(pairs))
 
 
-def _term_key(term: tuple[Monomial, Fraction]):
+def _term_key(term: tuple[Monomial, Coefficient]):
     return _mono_key(term[0])
-
-
-def _sorted_terms(acc: dict[Monomial, Fraction]):
-    return tuple(sorted(((mono, coeff) for mono, coeff in acc.items() if coeff),
-                        key=_term_key))
 
 
 def _mono_mul(left: Monomial, right: Monomial) -> Monomial:
@@ -77,10 +81,10 @@ def _coerce(value) -> "Poly":
 
 
 class Poly:
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_coeffs", "_terms", "_hash")
 
     def __init__(self, terms=()):
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Coefficient] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for mono, coeff in items:
             powers: dict[str, int] = {}
@@ -88,72 +92,78 @@ class Poly:
                 powers[atom] = powers.get(atom, 0) + power
             mono = tuple(sorted((a, p) for a, p in powers.items() if p))
             acc[mono] = acc.get(mono, 0) + Fraction(coeff)
-        self._terms = _sorted_terms(acc)
-        self._hash = None
+        self._coeffs = _nonzero(acc)
+        self._terms = self._hash = None
 
     @classmethod
-    def _canonical(cls, acc: dict[Monomial, Fraction]) -> "Poly":
-        """The polynomial of canonical monomials with ``Fraction``
-        coefficients: zeros are dropped and the terms sorted, nothing else."""
+    def _canonical(cls, acc: dict[Monomial, Coefficient]) -> "Poly":
+        """The polynomial of canonical monomials with exact coefficients:
+        zeros are dropped and integral ``Fraction``s become ``int``s,
+        nothing else."""
         poly = object.__new__(cls)
-        poly._terms = _sorted_terms(acc)
-        poly._hash = None
+        poly._coeffs = _nonzero(acc)
+        poly._terms = poly._hash = None
         return poly
 
     @staticmethod
     def const(value) -> "Poly":
-        return Poly._canonical({_UNIT: Fraction(value)})
+        if type(value) is not int:
+            value = Fraction(value)
+        return Poly._canonical({_UNIT: value})
 
     @staticmethod
     def atom(name: str) -> "Poly":
-        return Poly._canonical({((name, 1),): _ONE})
+        return Poly._canonical({((name, 1),): 1})
 
     @property
-    def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+    def terms(self) -> tuple[tuple[Monomial, Coefficient], ...]:
+        if self._terms is None:
+            self._terms = tuple(sorted(self._coeffs.items(), key=_term_key))
         return self._terms
 
     def atoms(self) -> frozenset[str]:
-        return frozenset(a for mono, _ in self._terms for a, _ in mono)
+        return frozenset(a for mono in self._coeffs for a, _ in mono)
 
     @property
     def is_constant(self) -> bool:
-        return all(mono == _UNIT for mono, _ in self._terms)
+        coeffs = self._coeffs
+        return not coeffs or (len(coeffs) == 1 and _UNIT in coeffs)
 
     def constant_value(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
         if self.is_constant:
-            return self._terms[0][1]
+            return Fraction(self._coeffs.get(_UNIT, 0))
         raise ValueError(f"{self} is not a constant polynomial")
 
     @staticmethod
     def sum(polys) -> "Poly":
         """The sum of any number of polynomials: their terms merged in one
         dict, canonicalised once."""
-        polys = [poly for poly in polys if poly._terms]
+        polys = [poly for poly in polys if poly._coeffs]
         if len(polys) < 2:
             return polys[0] if polys else Poly._canonical({})
-        acc = dict(polys[0]._terms)
+        acc = dict(polys[0]._coeffs)
         for poly in polys[1:]:
-            for mono, coeff in poly._terms:
+            for mono, coeff in poly._coeffs.items():
                 acc[mono] = acc[mono] + coeff if mono in acc else coeff
         return Poly._canonical(acc)
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
-        return Poly.sum((self, other)) if other._terms else self
+        return Poly.sum((self, other)) if other._coeffs else self
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "Poly":
         other = _coerce(other)
-        if other._is_scalar():
-            return self._scaled(other)
-        if self._is_scalar():
-            return other._scaled(self)
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms:
-            for m2, c2 in other._terms:
+        left, right = self._coeffs, other._coeffs
+        if len(right) == 1 and _UNIT in right:
+            return self._scaled(right[_UNIT])
+        if len(left) == 1 and _UNIT in left:
+            return other._scaled(left[_UNIT])
+        acc: dict[Monomial, Coefficient] = {}
+        right = right.items()
+        for m1, c1 in left.items():
+            for m2, c2 in right:
                 mono = _mono_mul(m1, m2)
                 coeff = c1 * c2
                 acc[mono] = acc[mono] + coeff if mono in acc else coeff
@@ -161,23 +171,14 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def _is_scalar(self) -> bool:
-        terms = self._terms
-        return len(terms) == 1 and not terms[0][0]
-
-    def _scaled(self, scalar: "Poly") -> "Poly":
-        """The scalar product by a constant polynomial with one term:
-        every coefficient times the scalar's, in the same order, since
-        the monomials do not change and a product of nonzero rationals is
-        nonzero."""
-        factor = scalar._terms[0][1]
+    def _scaled(self, factor: Coefficient) -> "Poly":
+        """The scalar product by a nonzero constant: every coefficient
+        times it, over the same monomials, since a product of nonzero
+        rationals is nonzero."""
         if factor == 1:
             return self
-        poly = object.__new__(Poly)
-        poly._terms = tuple([(mono, coeff * factor)
-                             for mono, coeff in self._terms])
-        poly._hash = None
-        return poly
+        return Poly._canonical({mono: coeff * factor
+                                for mono, coeff in self._coeffs.items()})
 
     def substitute(self, mapping) -> "Poly":
         """Replace atoms by polynomials; atoms absent from the mapping stay.
@@ -185,8 +186,8 @@ class Poly:
         Each term is built in one pass: atoms that stay go into its
         monomial, atoms mapped to constants into its coefficient, and
         only atoms mapped to other polynomials are multiplied out."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms:
+        acc: dict[Monomial, Coefficient] = {}
+        for mono, coeff in self._coeffs.items():
             kept = []
             spread = []
             for atom, power in mono:
@@ -195,14 +196,14 @@ class Poly:
                     continue
                 base = _coerce(mapping[atom])
                 if base.is_constant:
-                    coeff = coeff * base.constant_value() ** power
+                    coeff = coeff * base._coeffs.get(_UNIT, 0) ** power
                 else:
-                    spread += [base._terms] * power
+                    spread += [base._coeffs.items()] * power
             part = {tuple(kept): coeff}
-            for terms in spread:
-                grown: dict[Monomial, Fraction] = {}
+            for items in spread:
+                grown: dict[Monomial, Coefficient] = {}
                 for m1, c1 in part.items():
-                    for m2, c2 in terms:
+                    for m2, c2 in items:
                         m = _mono_mul(m1, m2)
                         c = c1 * c2
                         grown[m] = grown[m] + c if m in grown else c
@@ -213,7 +214,7 @@ class Poly:
 
     def evaluate(self, env) -> Fraction:
         total = Fraction(0)
-        for mono, coeff in self._terms:
+        for mono, coeff in self._coeffs.items():
             value = coeff
             for atom, power in mono:
                 value *= Fraction(env[atom]) ** power
@@ -221,22 +222,22 @@ class Poly:
         return total
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self._terms == other._terms
+        return isinstance(other, Poly) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         # Hashed on first use: most results of arithmetic are never hashed.
         if self._hash is None:
-            self._hash = hash(self._terms)
+            self._hash = hash(frozenset(self._coeffs.items()))
         return self._hash
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts = []
-        for mono, coeff in self._terms:
+        for mono, coeff in self.terms:
             factors = [a for a, p in mono for _ in range(p)]
             if not factors:
                 parts.append(str(coeff))
@@ -251,4 +252,16 @@ class Poly:
 
     def __reduce__(self):
         # The stored hash depends on this process's string hashing.
-        return Poly, (self._terms,)
+        return Poly, (self.terms,)
+
+
+def _nonzero(acc: dict[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
+    """``acc`` without its zero coefficients, each integral ``Fraction``
+    an ``int``."""
+    out = {}
+    for mono, coeff in acc.items():
+        if coeff:
+            if type(coeff) is not int and coeff.denominator == 1:
+                coeff = coeff.numerator
+            out[mono] = coeff
+    return out

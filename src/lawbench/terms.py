@@ -188,7 +188,7 @@ class Const(_Node):
                 index: Union[Fraction, Poly] = Fraction(0)):
         if isinstance(index, Poly) and index.is_constant:
             index = index.constant_value()
-        elif isinstance(index, int):
+        if isinstance(index, int):
             index = Fraction(index)
         # Fraction.__hash__ is written in Python and would cost more than
         # the rest of building the node; equal fractions agree in lowest

@@ -199,7 +199,12 @@ def assert_canonical(poly):
     keys = [old_mono_key(mono) for mono in monos]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     for mono, coeff in poly.terms:
-        assert type(coeff) is Fraction and coeff != 0
+        # Exact either way: an int exactly when integral, else a Fraction.
+        assert coeff != 0
+        if Fraction(coeff).denominator == 1:
+            assert type(coeff) is int
+        else:
+            assert type(coeff) is Fraction
         assert list(mono) == sorted(mono)
         assert all(type(power) is int and power > 0 for _, power in mono)
 
@@ -272,11 +277,36 @@ def test_substitute_matches_the_reference_constructor(expr):
 
 
 @given(exprs, st.integers(min_value=-3, max_value=3))
-def test_integer_operands_give_fraction_coefficients(expr, n):
+def test_integer_operands_give_canonical_coefficients(expr, n):
     poly = poly_of_expr(expr)
     for result in (poly + n, n + poly, poly * n, n * poly,
                    Poly.const(n), Poly.atom("x") * n):
         assert_canonical(result)
+
+
+@given(exprs, st.integers(min_value=1, max_value=4),
+       st.integers(min_value=-3, max_value=3))
+def test_fractions_that_cancel_to_an_integer_give_an_int(expr, d, n):
+    # n/d times d, and n/d plus (d-1)n/d, are the integer n again.
+    poly = poly_of_expr(expr)
+    part, rest = Fraction(n, d), Fraction(n * (d - 1), d)
+    x = Poly.atom("x")
+    for result in (Poly.const(part) * d, (x * part) * d,
+                   Poly.const(part) + Poly.const(rest),
+                   x * part + x * rest, poly * part * d,
+                   Poly.sum([x * part, poly, x * rest])):
+        assert_canonical(result)
+    assert (x * part * d) == (x * part + x * rest) == x * n
+
+
+def test_halves_and_thirds_cancel_to_ints():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    x = Poly.atom("x")
+    assert (x * half * 2).terms == (((("x", 1),), 1),)
+    assert type((x * half * 2).terms[0][1]) is int
+    assert type((Poly.const(third) + Poly.const(2 * third)).terms[0][1]) is int
+    assert type(Poly.const(Fraction(4, 2)).terms[0][1]) is int
+    assert type(Poly([((), Fraction(6, 3))]).terms[0][1]) is int
 
 
 def test_higher_powers_follow_the_expanded_order():

@@ -21,6 +21,7 @@ from lawbench.errors import (
 )
 from lawbench import gsos
 from lawbench.gsos import DistLaw, Plain, extend_lambda
+from lawbench.polynomials import Poly
 from lawbench.preservation import Verdict, check_preservation
 from lawbench.solver import (
     CorecSystem,
@@ -131,6 +132,25 @@ def test_unfold_normalises_the_state():
     plain = replace(sys, theory=None)
     out_plain, _ = unfold(plain, App("*", (ONES, ONES)), "tt")
     assert out_plain == out
+
+
+@pytest.mark.parametrize("coeffs", [(3, 2), (Fraction(1, 2), Fraction(2, 3))])
+def test_rational_values_are_fractions_at_the_api(coeffs):
+    # Coefficients are ints inside Poly when integral; every value handed
+    # out is a Fraction all the same, on the quotient and off it.
+    a, b = coeffs
+    term = App("+", (App("*", (scalar(a), App("*", (ONES, ONES)))),
+                     App("*", (scalar(b), X))))
+    for sys in (STREAM.system, replace(STREAM.system, theory=None)):
+        values = stream_prefix(sys, term, 6)
+        out, _ = unfold(sys, term, "ttt")
+        assert out == values[3]
+        assert all(type(v) is Fraction for v in [*values, out])
+    for value in (a, b, 0):
+        poly = Poly.const(value)
+        assert type(poly.constant_value()) is Fraction
+        assert type(RATIONAL_OUTPUTS.concrete(poly)) is Fraction
+        assert type(RATIONAL_OUTPUTS.concrete(value)) is Fraction
 
 
 def test_behaviour_table_agrees_with_unfold():

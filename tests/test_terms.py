@@ -243,6 +243,15 @@ def test_equal_terms_built_apart_are_one_object():
     assert Const("c", Poly.const(2)) is Const("c", 2)
 
 
+def test_an_integral_index_interns_as_one_node_however_given():
+    # A constant Poly holds an integral coefficient as an int; the node
+    # is the one built from the Fraction all the same.
+    node = Const("c", 2)
+    assert type(node.index) is Fraction
+    for index in (Fraction(2), Poly.const(2), Poly.const(Fraction(4, 2))):
+        assert Const("c", index) is node
+
+
 def test_the_intern_table_drops_dead_nodes():
     leaf = t = Var("dropped")
     gc.collect()  # nodes earlier tests left in garbage cycles
