@@ -72,6 +72,18 @@ def _mono_mul(left: Monomial, right: Monomial) -> Monomial:
     return tuple(sorted(powers.items()))
 
 
+def _nonzero(acc: dict[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
+    """``acc`` without its zero coefficients, each integral ``Fraction``
+    an ``int``."""
+    out = {}
+    for mono, coeff in acc.items():
+        if coeff:
+            if type(coeff) is not int and coeff.denominator == 1:
+                coeff = coeff.numerator
+            out[mono] = coeff
+    return out
+
+
 def _coerce(value) -> "Poly":
     if isinstance(value, Poly):
         return value
@@ -254,14 +266,3 @@ class Poly:
         # The stored hash depends on this process's string hashing.
         return Poly, (self.terms,)
 
-
-def _nonzero(acc: dict[Monomial, Coefficient]) -> dict[Monomial, Coefficient]:
-    """``acc`` without its zero coefficients, each integral ``Fraction``
-    an ``int``."""
-    out = {}
-    for mono, coeff in acc.items():
-        if coeff:
-            if type(coeff) is not int and coeff.denominator == 1:
-                coeff = coeff.numerator
-            out[mono] = coeff
-    return out
