@@ -56,9 +56,9 @@ from .solver import (
     CorecSystem,
     behaviour_table,
     induced_algebra_check,
+    model,
     operational_model,
     quotient_commute_check,
-    quotient_model,
     stream_prefix,
     unfold,
 )

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .behaviour import BOOL_OUTPUTS, Step
 from .errors import InvalidGrammar
 from .gsos import GSOS, ArgObs, CaseSplit, DistLaw, GsosSpec, Plain, Rule
-from .solver import CorecSystem, quotient_model, unfold
+from .solver import CorecSystem, model, unfold
 from .terms import App, Signature, Term, Var, variables
 from .theories import LangForm, Theory, idempotent_semiring
 
@@ -156,7 +156,7 @@ def equiv_upto(g: GnfGrammar, t1: Term, t2: Term, maxlen: int) -> EquivResult:
             if token not in g.nonterminals:
                 raise InvalidGrammar(f"term mentions undeclared {token!r}")
 
-    quotient = quotient_model(sys)
+    quotient = model(sys)
     start = (th.normalize(t1), th.normalize(t2))
     queue = deque([((), *start)])
     seen = {(start[0].words, start[1].words)}

@@ -14,12 +14,13 @@ report is pinned by the bundled ``schema/report.schema.json``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import traceback
 
-from .cfg import cfg_signature, equiv_upto, member, to_corec
+from .cfg import cfg_law, cfg_signature, equiv_upto, member, to_corec
 from .dsl import Workbench, load, term_from_string
 from .errors import LawbenchError, MissingSection
 from .preservation import Verdict, check_preservation
@@ -31,6 +32,7 @@ from .solver import (
     unfold,
 )
 from .terms import format_term
+from .theories import IDEMPOTENT
 
 
 class _UsageError(Exception):
@@ -108,13 +110,34 @@ def _system(wb: Workbench) -> CorecSystem:
     if wb.system is not None:
         return wb.system
     if wb.grammar is not None:
-        return to_corec(wb.grammar)
+        return to_corec(_grammar(wb))
     raise MissingSection("this command needs a system or grammar block")
 
 
+@functools.cache
+def _language_rules() -> frozenset:
+    """The rules of the law every grammar command runs; built once."""
+    return frozenset(cfg_law(("a",)).spec.rules)
+
+
 def _grammar(wb: Workbench):
+    """The file's grammar.  Its commands run the built-in language law
+    and the idempotent theory over ``+ * 0 1``, so a rules or theory
+    block that differs, which only check-preservation reads, is refused
+    rather than ignored.  The order of declarations does not matter."""
     if wb.grammar is None:
         raise MissingSection("this command needs a grammar block")
+    law, th = wb.law, wb.theory
+    for block, differs in (
+            ("rules", law is not None
+             and frozenset(law.spec.rules) != _language_rules()),
+            ("theory", th is not None
+             and (th.kind, frozenset(th.signature.ops), th.signature.families)
+             != (IDEMPOTENT, frozenset(cfg_signature().ops), ()))):
+        if differs:
+            raise LawbenchError(
+                f"the {block} block differs from the built-in one that "
+                f"grammar commands run; only check-preservation reads it")
     return wb.grammar
 
 

@@ -61,7 +61,7 @@ from .errors import (
 from .polynomials import Poly
 from .terms import (App, Const, Signature, Term, Var, evaluate, format_term,
                     rebuild, subterms)
-from .theories import NormalForm, Theory, fold
+from .theories import NormalForm, Theory
 
 SIMPLE = "simple"
 GSOS = "gsos"
@@ -559,7 +559,7 @@ class QuotientStepper:
     certified or not.  Each product suffix's observed state, (folded value,
     step), is cached under its factors (atoms, behind a leading scalar if
     any), so a summand costs one rule application per factor not seen
-    before; the cache lives as long as the stepper, one run of a caller.
+    before; the cache lives as long as the stepper, one command's runs.
 
     Every other theory or rule table takes the term path: representative,
     extension, normalisation, with one ``normalize`` memo (``memo``) for
@@ -645,10 +645,10 @@ class QuotientStepper:
         found = self._leaves.get(t)
         if found is not None:
             return found
-        th = self.th
+        algebra = self.th.algebra
 
         def value(term: Term):
-            return fold(term, th.semiring, th.generators, th.family)
+            return evaluate(term, *algebra, {})
 
         if isinstance(t, Var):
             try:

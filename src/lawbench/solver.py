@@ -7,16 +7,18 @@ through the rule table, exactly the structural recursion that makes the
 term algebra a model of the rules.  By construction the model solves the
 system: the model of a variable is its defining step.
 
-``unfold`` iterates the model along an input word.  With a theory
-attached the run takes place on the quotient: the start term takes one
-step through the rule table, its successors are normalised, and from then
-on every state is a normal form, stepped by the quotient law
-(``gsos.QuotientStepper``, whose cache lasts for the run; under a
-pointwise ``+`` rule it adds up the steps of the form's products).  That
-step is the rule table's step at the canonical representative,
-normalised, so the states stay small without changing any answer.  Two
-consistency checks compare routes that must agree whenever the law
-preserves the theory:
+Every run steps one model, ``model``: the law on the quotient by the
+system's theory (``gsos.QuotientStepper``, under a pointwise ``+`` rule
+adding up the steps of a form's products).  A system without a theory
+runs on the quotient by the free theory, whose normal forms are the
+terms themselves, so its runs are plain unfolding.  A run's start term
+takes one step through the rule table (``operational_model``) and its
+successors are normalised; from then on every state is a normal form,
+stepped by the model, whose caches last as long as the caller keeps it:
+one run, or every run of ``induced_algebra_check``.  That step is the
+rule table's step at the canonical representative, normalised, so the
+states stay small without changing any answer.  Two consistency checks
+compare routes that must agree whenever the law preserves the theory:
 
   * ``quotient_commute_check``: unfolding terms without a theory and
     normal forms under the quotient law gives the same outputs and
@@ -37,14 +39,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .behaviour import Step
 from .errors import AlphabetMismatch, LawbenchError, UnboundVariable
 from .gsos import DistLaw, LeafObs, QuotientStepper, extend_lambda
 from .terms import (
     App,
-    Const,
     Term,
     Var,
     enumerate_terms,
@@ -59,11 +60,8 @@ from .theories import (
     Semiring,
     Theory,
     fold,
+    free_theory,
 )
-
-# A state of a run: the start term, or a normal form after it.
-State = Union[Term, NormalForm]
-_TERMS = (Var, App, Const)
 
 
 @dataclass
@@ -129,48 +127,41 @@ def operational_model(sys: CorecSystem, term: Term,
     return step
 
 
-def quotient_model(sys: CorecSystem) -> QuotientStepper:
-    """The model on normal forms of the system's theory: the quotient law
-    with every variable observed through its defining step."""
-    return QuotientStepper(sys.theory, sys.law, sys.leaves)
-
-
-def _stepper(sys: CorecSystem) -> Callable[[State], Step]:
-    """One step of the model, for one run.  Without a theory a state is a
-    term.  With one, a term (the start state) goes through the rule table
-    and its successors are normalised; a normal form is stepped by the
-    quotient law, whose caches, and ``normalize`` memo, last for the
-    run."""
-    if sys.theory is None:
-        return lambda state: operational_model(sys, state)
-    quotient = quotient_model(sys)
-
-    def step(state: State) -> Step:
-        if isinstance(state, _TERMS):
-            return quotient.normalized(operational_model(sys, state))
-        return quotient.step(state)
-
-    return step
-
-
-def _as_term(sys: CorecSystem, state: State) -> Term:
-    if isinstance(state, _TERMS):
-        return state
-    return sys.theory.representative(state)
+def model(sys: CorecSystem) -> QuotientStepper:
+    """The one model every run of the system steps: the quotient law of
+    its theory, or of the free theory when it has none, with every
+    variable observed through its defining step."""
+    th = sys.theory
+    if th is None:
+        th = free_theory(sys.law.signature)
+    return QuotientStepper(th, sys.law, sys.leaves)
 
 
 def unfold(sys: CorecSystem, term: Term, word: Iterable[str]):
     """Run the model along a word; returns the final output and state.
-    With a theory attached the state is a normal form after the first
-    step, and the final state is returned as its representative."""
-    step = _stepper(sys)
-    state = term
+    After the first step the state is a normal form, and the final state
+    is returned as its representative."""
+    quotient = model(sys)
+    step, state = quotient.normalized(operational_model(sys, term)), None
     for letter in word:
-        if letter not in sys.law.alphabet:
-            raise AlphabetMismatch(f"letter {letter!r} not in the alphabet")
-        state = step(state).next(letter)
-    output = step(state).output
-    return sys.law.outputs.concrete(output), _as_term(sys, state)
+        state = step.next(letter)
+        step = quotient.step(state)
+    final = term if state is None else quotient.th.representative(state)
+    return sys.law.outputs.concrete(step.output), final
+
+
+def _table(sys: CorecSystem, quotient: QuotientStepper, term: Term,
+           maxlen: int) -> dict[tuple[str, ...], object]:
+    alg = sys.law.outputs
+    table: dict[tuple[str, ...], object] = {}
+    todo = [((), quotient.normalized(operational_model(sys, term)))]
+    while todo:
+        word, step = todo.pop()
+        table[word] = alg.concrete(step.output)
+        if len(word) < maxlen:
+            todo.extend((word + (letter,), quotient.step(step.next(letter)))
+                        for letter in reversed(sys.law.alphabet))
+    return table
 
 
 def behaviour_table(sys: CorecSystem, term: Term,
@@ -178,35 +169,28 @@ def behaviour_table(sys: CorecSystem, term: Term,
     """Outputs at every word of length at most ``maxlen``, keyed in
     depth-first order, letters in alphabet order; the walk keeps its
     words on a stack, so any length runs."""
-    alg = sys.law.outputs
-    step_of = _stepper(sys)
-    table: dict[tuple[str, ...], object] = {}
-    todo: list[tuple[State, tuple[str, ...]]] = [(term, ())]
-    while todo:
-        state, word = todo.pop()
-        step = step_of(state)
-        table[word] = alg.concrete(step.output)
-        if len(word) < maxlen:
-            for letter in reversed(sys.law.alphabet):
-                todo.append((step.next(letter), word + (letter,)))
-    return table
+    return _table(sys, model(sys), term, maxlen)
+
+
+def _prefix(sys: CorecSystem, quotient: QuotientStepper, term: Term,
+            n: int) -> list[Fraction]:
+    if len(sys.law.alphabet) != 1:
+        raise AlphabetMismatch("stream prefixes need a one-letter alphabet")
+    if n < 1:
+        return []
+    letter, alg = sys.law.alphabet[0], sys.law.outputs
+    step = quotient.normalized(operational_model(sys, term))
+    out = [alg.concrete(step.output)]
+    for _ in range(n - 1):
+        step = quotient.step(step.next(letter))
+        out.append(alg.concrete(step.output))
+    return out
 
 
 def stream_prefix(sys: CorecSystem, term: Term, n: int) -> list[Fraction]:
     """The first ``n`` outputs along the unique letter of a singleton
     alphabet."""
-    if len(sys.law.alphabet) != 1:
-        raise AlphabetMismatch("stream prefixes need a one-letter alphabet")
-    letter = sys.law.alphabet[0]
-    step_of = _stepper(sys)
-    out: list[Fraction] = []
-    state = term
-    alg = sys.law.outputs
-    for _ in range(n):
-        step = step_of(state)
-        out.append(alg.concrete(step.output))
-        state = step.next(letter)
-    return out
+    return _prefix(sys, model(sys), term, n)
 
 
 @dataclass(frozen=True)
@@ -258,7 +242,7 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
     th = sys.theory
     alg = sys.law.outputs
     steps: dict = {}
-    quotient = quotient_model(sys)
+    quotient = model(sys)
     quot: dict[NormalForm, tuple[Step, Term]] = {}
     # (plain state, quotient state, depth left) -> (nodes, violations)
     below: dict[tuple, tuple[int, tuple]] = {}
@@ -362,29 +346,18 @@ def _languages(horizon: int, atom: Callable[[str], frozenset]) -> Semiring:
                     operator.or_, concat, atom)
 
 
-def _accepted(sys: CorecSystem, term: Term, horizon: int) -> frozenset:
-    table = behaviour_table(sys, term, horizon)
+def _accepted(sys: CorecSystem, quotient: QuotientStepper, term: Term,
+              horizon: int) -> frozenset:
+    table = _table(sys, quotient, term, horizon)
     return frozenset(w for w, out in table.items() if out == 1)
 
 
 # Per normal-form semiring: its truncation, how a state is observed in
-# it, and how an observation is reported.  ``stream_prefix`` is looked up
-# when called, so a wrapper re-bound on this module (bench/spans.py)
-# sees these calls too.
+# it by a run of the check's model, and how an observation is reported.
 _TRUNCATIONS = {
-    POLYNOMIALS: (_series,
-                  lambda sys, term, horizon: stream_prefix(sys, term, horizon),
-                  list),
+    POLYNOMIALS: (_series, _prefix, list),
     LANGUAGES: (_languages, _accepted, sorted),
 }
-
-
-def _atom_state(sys: CorecSystem, atom: str) -> Term:
-    if atom in sys.variables:
-        return Var(atom)
-    if sys.law.signature.has_op(atom, 0):
-        return App(atom)
-    raise UnboundVariable(f"no state for leaf {atom!r}")
 
 
 def induced_algebra_check(sys: CorecSystem, outer: Term,
@@ -392,7 +365,9 @@ def induced_algebra_check(sys: CorecSystem, outer: Term,
     """Behaviour of the flattened composite versus the induced algebra on
     the leaves' behaviours, both truncated at the horizon: the normal
     form of the outer term, folded into the truncated semiring with each
-    atom read as its leaf's behaviour."""
+    atom read as its leaf's behaviour.  The composite and its leaves are
+    observed by runs of one model, so a product step met in one run is
+    not taken again in another."""
     th = sys.theory
     if th is None:
         raise LawbenchError("the induced algebra needs a theory")
@@ -401,15 +376,15 @@ def induced_algebra_check(sys: CorecSystem, outer: Term,
             "the induced algebra is only computed for the builtin theories"
         )
     truncate, observe, report = _TRUNCATIONS[th.semiring]
+    quotient = model(sys)
     rep = th.representative(th.normalize(outer))
-    operational = observe(sys, outer, horizon)
+    operational = observe(sys, quotient, outer, horizon)
 
     leaves: dict[str, object] = {}
 
     def leaf(atom: str):
         if atom not in leaves:
-            state = _atom_state(sys, atom)
-            leaves[atom] = observe(sys, state, horizon)
+            leaves[atom] = observe(sys, quotient, th.leaf(atom), horizon)
         return leaves[atom]
 
     induced = fold(rep, truncate(horizon, leaf), th.generators, th.family)

@@ -41,6 +41,12 @@ violations and their order) must equal the one the check gives by
 replaying each distinct (plain state, quotient state, depth left)
 triple.
 
+``plain_walk`` is plain unfolding as the run loops once took it for a
+system without a theory: every state a term, stepped through
+``operational_model`` afresh.  The library now runs such a system on
+the quotient by the free theory; the two must agree on every output and
+final state.
+
 ``pretty`` prints a workbench back as text that ``loads`` reads to an
 equal workbench: the parser's round-trip oracle.  It refuses signatures
 with several constant families, whose constants it cannot qualify.
@@ -73,8 +79,8 @@ from lawbench.solver import (
     CommuteReport,
     CommuteViolation,
     CorecSystem,
+    model,
     operational_model,
-    quotient_model,
 )
 from lawbench.terms import (
     App,
@@ -368,7 +374,7 @@ def reference_commute_check(sys: CorecSystem, max_term_size: int,
     th = sys.theory
     plain = replace(sys, theory=None)
     alg = sys.law.outputs
-    quotient = quotient_model(sys)
+    quotient = model(sys)
     violations: list[CommuteViolation] = []
     checked = 0
 
@@ -407,6 +413,24 @@ def reference_commute_check(sys: CorecSystem, max_term_size: int,
                                 max_term_size):
         walk(format_term(term), (), term, term)
     return CommuteReport(checked, violations)
+
+
+def plain_walk(sys: CorecSystem, term: Term,
+               maxlen: int) -> dict[tuple[str, ...], tuple[Any, Term]]:
+    """The output and the state at every word of length at most
+    ``maxlen``, in depth-first order, letters in alphabet order; each
+    state is a term, stepped through the rule table."""
+    walk: dict[tuple[str, ...], tuple[Any, Term]] = {}
+
+    def visit(word: tuple[str, ...], state: Term) -> None:
+        step = operational_model(sys, state)
+        walk[word] = sys.law.outputs.concrete(step.output), state
+        if len(word) < maxlen:
+            for letter in sys.law.alphabet:
+                visit(word + (letter,), step.next(letter))
+
+    visit((), term)
+    return walk
 
 
 def pretty(wb: Workbench) -> str:

@@ -195,7 +195,7 @@ def test_output_does_not_depend_on_the_declared_letter_order(capsys, tmp_path,
     (["cfg-equiv", "cfg.dsl", "--left", "S", "--right", "1"], 5),
     (["quotient-commute", "cfg.dsl", "--max-size", "3", "--depth", "3"], 134),
     (["check-preservation", "cfg.dsl"], 178),
-    (["algebra-check", "cfg.dsl", "--outer", "S * B", "--horizon", "4"], 22),
+    (["algebra-check", "cfg.dsl", "--outer", "S * B", "--horizon", "4"], 12),
 ], ids=lambda v: f"{v[0]}:{v[1]}" if isinstance(v, list) else None)
 def test_rule_applications_per_command(capsys, monkeypatch, argv, calls):
     # Every rule application goes through gsos.apply_rule, once per
@@ -212,6 +212,76 @@ def test_rule_applications_per_command(capsys, monkeypatch, argv, calls):
     run([argv[0], example(argv[1]), *argv[2:]])
     capsys.readouterr()
     assert count == calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-preservation", "cfg.dsl"],
+    ["run", "stream.dsl", "--state", "ones * ones", "--word", "tt"],
+    ["stream", "convolution.dsl", "--state", "ones * ones", "--n", "5"],
+    ["cfg-member", "cfg.dsl", "--word", "aabb"],
+    ["cfg-equiv", "balanced.dsl", "--left", "S", "--right", "S + 0"],
+    ["quotient-commute", "stream.dsl", "--max-size", "3", "--depth", "3"],
+    ["algebra-check", "stream.dsl", "--outer",
+     "[2] * ones * ones + X * ones"],
+    ["algebra-check", "cfg.dsl", "--outer", "S * B"],
+], ids=lambda argv: f"{argv[0]}:{argv[1]}")
+def test_one_model_per_command(capsys, monkeypatch, argv):
+    # Every run of a command steps the one QuotientStepper solver.model
+    # built for it, composite and leaves alike.
+    built = 0
+    init = gsos.QuotientStepper.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gsos.QuotientStepper, "__init__", counting)
+    code = run([argv[0], example(argv[1]), *argv[2:]])
+    assert capsys.readouterr().err == ""
+    assert code in (0, 1)
+    assert built <= 1
+
+
+@pytest.mark.parametrize("block, old, new", [
+    ("rules", "out = max(ox, oy);", "out = min(ox, oy);"),
+    ("theory", "theory idempotent-semiring;", "theory free;"),
+], ids=("rules", "theory"))
+@pytest.mark.parametrize("argv", [
+    ["run", "--state", "S + 0"],
+    ["cfg-member", "--word", "ab"],
+    ["cfg-equiv", "--left", "S + 0", "--right", "S"],
+    ["quotient-commute", "--max-size", "3", "--depth", "2"],
+    ["algebra-check", "--outer", "S * B"],
+], ids=lambda argv: argv[0])
+def test_grammar_commands_refuse_a_block_they_would_ignore(
+        capsys, tmp_path, block, old, new, argv):
+    # Grammar commands run the built-in language law and theory.
+    text = pathlib.Path(example("cfg.dsl")).read_text()
+    assert text.count(old) == 1
+    path = tmp_path / f"{block}.dsl"
+    path.write_text(text.replace(old, new))
+    assert run([argv[0], str(path), *argv[1:]]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: the {block} block ")
+    # check-preservation still reads the file's own blocks.
+    expected = {"rules": (1, "overall: fails"), "theory": (0, "overall: holds")}
+    assert run(["check-preservation", str(path)]) == expected[block][0]
+    assert capsys.readouterr().out.splitlines()[-1] == expected[block][1]
+
+
+def test_grammar_blocks_match_in_any_declaration_order(capsys, tmp_path):
+    text = pathlib.Path(example("cfg.dsl")).read_text()
+    ops = "  op +/2;\n  op */2;\n  op 0/0;\n  op 1/0;\n"
+    zero = "  rule 0 =>\n    out = 0;\n    next(l) = 0;\n"
+    assert text.count(ops) == 1 and text.count(zero) == 1
+    path = tmp_path / "reordered.dsl"
+    path.write_text(text.replace(ops, "  op 1/0;\n  op 0/0;\n  op */2;\n"
+                                      "  op +/2;\n")
+                    .replace(zero, "").replace("rules gsos {\n",
+                                               "rules gsos {\n" + zero))
+    assert run(["cfg-member", str(path), "--word", "aabb"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
 
 
 def test_usage_and_load_errors(capsys, tmp_path):

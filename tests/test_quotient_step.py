@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 
 from lawbench.behaviour import BOOL_OUTPUTS, RATIONAL_OUTPUTS, Step
-from lawbench.cfg import cfg_law, cfg_theory
+from lawbench.cfg import cfg_law, cfg_theory, to_corec
 from lawbench.dsl import load
 from lawbench.errors import NotInTheorySignature, UnboundVariable
 from lawbench.gsos import (
@@ -27,10 +27,23 @@ from lawbench.gsos import (
     extend_lambda,
     pointwise_plus,
 )
-from lawbench.solver import operational_model, stream_prefix
-from lawbench.terms import App, Const, ConstantFamily, Signature, Var
+from lawbench.solver import (
+    behaviour_table,
+    operational_model,
+    stream_prefix,
+    unfold,
+)
+from lawbench.terms import (
+    App,
+    Const,
+    ConstantFamily,
+    Signature,
+    Var,
+    format_term,
+)
 
 from conftest import example
+from oracles import plain_walk
 
 STREAM = load(example("stream.dsl"))
 CONVOLUTION = load(example("convolution.dsl"))
@@ -133,6 +146,34 @@ def test_stream_prefix_equals_unfolding_through_representatives(wb, term, n):
         expected.append(sys.law.outputs.concrete(step.output))
         state = th.representative(th.normalize(step.next(letter)))
     assert stream_prefix(sys, term, n) == expected
+
+
+# Systems without a theory, with the units their start terms draw from.
+PLAIN = {
+    "stream": (replace(STREAM.system, theory=None), [App("X")] + SCALARS),
+    "convolution": (replace(CONVOLUTION.system, theory=None),
+                    [App("X")] + SCALARS),
+    "cfg": (replace(to_corec(load(example("cfg.dsl")).grammar), theory=None),
+            [App("0"), App("1")]),
+}
+
+
+@pytest.mark.parametrize("name", PLAIN)
+@given(data=st.data())
+def test_a_system_without_a_theory_runs_as_plain_unfolding(name, data):
+    # The free theory's normal forms are the terms themselves.
+    sys, units = PLAIN[name]
+    term = data.draw(semiring_terms(sys.variables, units))
+    walk = plain_walk(sys, term, 3)
+    table = behaviour_table(sys, term, 3)
+    assert list(table.items()) == [(w, out) for w, (out, _) in walk.items()]
+    for word, (out, state) in walk.items():
+        output, final = unfold(sys, term, word)
+        assert (output, format_term(final)) == (out, format_term(state))
+    if len(sys.law.alphabet) == 1:
+        letter = sys.law.alphabet[0]
+        assert stream_prefix(sys, term, 4) == \
+            [walk[(letter,) * k][0] for k in range(4)]
 
 
 # ------------------------------------------------- the shape of the + rule
