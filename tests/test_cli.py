@@ -448,3 +448,45 @@ def test_new_answers_give_their_grounds(capsys, undecided_file, tmp_path):
         ("normal forms differ", {"b_r": "2"})
     assert witnesses[1]["reason"].startswith("left side: depth bound 5")
     assert "values" not in witnesses[1]
+
+
+TIMES_UNIT_TEXT = """\
+scheme times-unit: fails
+  next(t): [0] * [b_r] + [0] * X * d_r + [1] * d_r  vs  d_r \
+(distinct: normal forms differ at b_r = 2)
+overall: fails
+"""
+
+TIMES_UNIT_JSON = {
+    "certified": False,
+    "command": "check-preservation",
+    "results": [{
+        "branch": None,
+        "scheme": "times-unit",
+        "verdict": "fails",
+        "witness": {
+            "equiv": "distinct",
+            "kind": "next",
+            "left": "[0] * [b_r] + [0] * X * d_r + [1] * d_r",
+            "letter": "t",
+            "reason": "normal forms differ",
+            "right": "d_r",
+            "values": {"b_r": "2"},
+        },
+    }],
+    "verdict": "fails",
+}
+
+
+def test_a_witness_with_grounds_prints_byte_for_byte(capsys, tmp_path):
+    # A witness that carries a reason and index values, printed without
+    # a trace, as text and as JSON.
+    path = tmp_path / "times-unit.dsl"
+    path.write_text(pathlib.Path(example("stream.dsl")).read_text().replace(
+        "theory commutative-semiring;",
+        "theory generic { eq times-unit: [1] * r = r; }"))
+    assert run(["check-preservation", str(path)]) == 1
+    assert capsys.readouterr().out == TIMES_UNIT_TEXT
+    assert run(["check-preservation", str(path), "--json"]) == 1
+    assert capsys.readouterr().out == json.dumps(
+        TIMES_UNIT_JSON, indent=2, sort_keys=True) + "\n"

@@ -23,6 +23,8 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 CASES = {
     "preservation-stream-trace":
         ["check-preservation", "stream.dsl", "--trace"],
+    "preservation-convolution":
+        ["check-preservation", "convolution.dsl"],
     "preservation-convolution-trace":
         ["check-preservation", "convolution.dsl", "--trace"],
     "preservation-three-zeros-trace":
