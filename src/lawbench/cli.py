@@ -23,7 +23,7 @@ import traceback
 from .cfg import cfg_law, cfg_signature, equiv_upto, member, to_corec
 from .dsl import Workbench, load, term_from_string
 from .errors import LawbenchError, MissingSection
-from .preservation import Verdict, check_preservation
+from .preservation import Verdict, check_preservation, report_text
 from .solver import (
     CorecSystem,
     induced_algebra_check,
@@ -162,7 +162,8 @@ def _cmd_check_preservation(wb: Workbench, ns) -> tuple[int, dict, str]:
         raise MissingSection("check-preservation needs theory and rules blocks")
     report = check_preservation(wb.theory, wb.law)
     code = {Verdict.HOLDS: 0, Verdict.FAILS: 1, Verdict.UNKNOWN: 2}[report.verdict]
-    return code, report.to_json(trace=ns.trace), report.text(trace=ns.trace)
+    payload = report.to_json(trace=ns.trace)
+    return code, payload, report_text(payload)
 
 
 def _cmd_run(wb: Workbench, ns) -> tuple[int, dict, str]:
@@ -176,7 +177,7 @@ def _cmd_run(wb: Workbench, ns) -> tuple[int, dict, str]:
         "output": str(output),
         "state": format_term(final),
     }
-    text = f"output {output}\nstate {format_term(final)}"
+    text = f"output {payload['output']}\nstate {payload['state']}"
     return 0, payload, text
 
 

@@ -552,8 +552,8 @@ class QuotientStepper:
     semiring ``sum`` of their successors per letter.  A summand, a product
     of leaves, is stepped as ``extend_lambda`` would, but with every
     successor template read straight into the theory's semiring (the
-    reading ``fold`` makes, compiled when the stepper is built) and
-    placeholders bound to folded values.  ``fold`` is a semiring
+    reading ``semiring_algebra`` makes, compiled when the stepper is
+    built) and placeholders bound to folded values.  Folding is a semiring
     homomorphism and both semirings add commutatively, so the result
     equals normalising ``extend_lambda`` at the canonical representative,
     certified or not.  Each product suffix's observed state, (folded value,
@@ -571,7 +571,6 @@ class QuotientStepper:
         self._plus = pointwise_plus(law) if th.semiring is not None else None
         self._leaves: dict[Term, tuple[Any, Step]] = {}
         self._products: dict[tuple, tuple[Any, Step]] = {}
-        self._zero: tuple[Any, Step] | None = None
         self.memo: dict = {}
         if self._plus is not None:
             # The rules this route applies: ``*`` and the leaves'.
@@ -599,10 +598,8 @@ class QuotientStepper:
         steps = [self._product(atoms if scalar is None else (scalar, *atoms))
                  for scalar, atoms in nf.summands()]
         if not steps:
-            # The empty sum is one leaf, kept because dead states recur.
-            if self._zero is None:
-                self._zero = self._leaf(th.representative(nf))
-            steps = [self._zero]
+            # The empty sum is one leaf, which ``_leaf`` caches.
+            steps = [self._leaf(th.representative(nf))]
         _, step = steps[0]
         output, moves = step.output, step.moves
         if len(steps) > 1:

@@ -19,6 +19,12 @@ successor pair.  A generic theory's answer carries its grounds into the
 witness: the cause that left a search Unknown, or, for a Distinct found
 by rewriting, that the normal forms differ and the index values under
 which they do.
+
+The records keep values: each side's term, its step and its successors'
+normal forms, and for a case that does not hold the letter and the
+theory's ``Answer``.  Checking formats nothing.  ``to_json`` is the one
+place a record becomes text, each term once, and the text output
+(``report_text``) is read off its dict.
 """
 
 from __future__ import annotations
@@ -26,12 +32,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .behaviour import Step
 from .gsos import DistLaw, LeafObs, extend_lambda
-from .terms import Var, format_term
-from .theories import EquationScheme, Equiv, Theory
+from .terms import Term, Var, format_term
+from .theories import Answer, EquationScheme, Equiv, NormalForm, Theory
 
 
 class Verdict(enum.Enum):
@@ -62,40 +67,24 @@ def generic_instance(scheme: EquationScheme, alphabet: tuple[str, ...],
 
 
 @dataclass(frozen=True)
-class FailPoint:
-    kind: str  # "output" or "next"
-    letter: str | None
-    left: str
-    right: str
-    equiv: str | None
-    reason: str | None = None
-    values: tuple[tuple[str, Fraction], ...] = ()
-
-    def grounds(self) -> str:
-        """The equiv answer with its reason and index values, if any."""
-        text = self.equiv or ""
-        if self.reason:
-            text += f": {self.reason}"
-        if self.values:
-            text += " at " + ", ".join(f"{name} = {value}"
-                                       for name, value in self.values)
-        return text
-
-
-@dataclass(frozen=True)
 class SchemeCheck:
+    """One case, a scheme at one branch: each side's term, its step at
+    the generic input and the normal forms of its successors.  A case that
+    does not hold keeps the ``letter`` whose successors the theory did not
+    identify, with its ``answer``; ``letter`` is None when the outputs
+    differ."""
+
     scheme: str
     branch: Branch | None
     verdict: Verdict
-    lhs: str
-    rhs: str
-    lhs_output: str
-    rhs_output: str
-    lhs_next: tuple[tuple[str, str], ...]
-    rhs_next: tuple[tuple[str, str], ...]
-    lhs_normal: tuple[tuple[str, str], ...]
-    rhs_normal: tuple[tuple[str, str], ...]
-    fail: FailPoint | None
+    lhs: Term
+    rhs: Term
+    lhs_step: Step
+    rhs_step: Step
+    lhs_normal: dict[str, NormalForm]
+    rhs_normal: dict[str, NormalForm]
+    letter: str | None = None
+    answer: Answer | None = None
 
 
 @dataclass
@@ -115,66 +104,88 @@ class PreservationReport:
         return Verdict.HOLDS
 
     def to_json(self, trace: bool = False) -> dict:
-        results = []
-        for r in self.results:
-            entry: dict = {
-                "scheme": r.scheme,
-                "branch": dict(r.branch) if r.branch is not None else None,
-                "verdict": r.verdict.value,
-                "witness": None,
-            }
-            if r.fail is not None:
-                witness = entry["witness"] = {
-                    "kind": r.fail.kind,
-                    "letter": r.fail.letter,
-                    "left": r.fail.left,
-                    "right": r.fail.right,
-                    "equiv": r.fail.equiv,
-                }
-                if r.fail.reason is not None:
-                    witness["reason"] = r.fail.reason
-                if r.fail.values:
-                    witness["values"] = {name: str(value)
-                                         for name, value in r.fail.values}
-            if trace:
-                entry["trace"] = {
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "lhs_step": {"output": r.lhs_output,
-                                 "next": dict(r.lhs_next)},
-                    "rhs_step": {"output": r.rhs_output,
-                                 "next": dict(r.rhs_next)},
-                    "lhs_normal": dict(r.lhs_normal),
-                    "rhs_normal": dict(r.rhs_normal),
-                }
-            results.append(entry)
+        """The report, every term, output and normal form formatted once:
+        the witness and, with ``trace``, each side's term, step and
+        normal forms."""
         return {
             "command": "check-preservation",
             "certified": self.certified,
             "verdict": self.verdict.value,
-            "results": results,
+            "results": [_case_json(r, trace) for r in self.results],
         }
 
     def text(self, trace: bool = False) -> str:
-        lines = []
-        for r in self.results:
-            branch = ""
-            if r.branch is not None:
-                branch = " [" + " ".join(f"{t}={b}" for t, b in r.branch) + "]"
-            lines.append(f"scheme {r.scheme}{branch}: {r.verdict.value}")
-            if trace:
-                lines.append(f"  lhs {r.lhs}  =>  out {r.lhs_output}; "
-                             + "; ".join(f"next({l}) = {t}" for l, t in r.lhs_next))
-                lines.append(f"  rhs {r.rhs}  =>  out {r.rhs_output}; "
-                             + "; ".join(f"next({l}) = {t}" for l, t in r.rhs_next))
-            if r.fail is not None:
-                where = ("outputs" if r.fail.kind == "output"
-                         else f"next({r.fail.letter})")
-                verdict = f" ({r.fail.grounds()})" if r.fail.equiv else ""
-                lines.append(f"  {where}: {r.fail.left}  vs  "
-                             f"{r.fail.right}{verdict}")
-        lines.append(f"overall: {self.verdict.value}")
-        return "\n".join(lines)
+        return report_text(self.to_json(trace))
+
+
+def _case_json(r: SchemeCheck, trace: bool) -> dict:
+    steps = r.lhs_step, r.rhs_step
+    entry: dict = {
+        "scheme": r.scheme,
+        "branch": dict(r.branch) if r.branch is not None else None,
+        "verdict": r.verdict.value,
+        "witness": None,
+    }
+    if trace:
+        outputs = [str(s.output) for s in steps]
+        nexts = [{l: format_term(t) for l, t in s.moves.items()}
+                 for s in steps]
+        entry["trace"] = {
+            "lhs": format_term(r.lhs),
+            "rhs": format_term(r.rhs),
+            "lhs_step": {"output": outputs[0], "next": nexts[0]},
+            "rhs_step": {"output": outputs[1], "next": nexts[1]},
+            "lhs_normal": {l: str(nf) for l, nf in r.lhs_normal.items()},
+            "rhs_normal": {l: str(nf) for l, nf in r.rhs_normal.items()},
+        }
+    letter, answer = r.letter, r.answer
+    if r.verdict is Verdict.HOLDS:
+        return entry
+    if letter is None:
+        left, right = outputs if trace else (str(s.output) for s in steps)
+        entry["witness"] = {"kind": "output", "letter": None, "left": left,
+                            "right": right, "equiv": None}
+        return entry
+    left, right = ((n[letter] for n in nexts) if trace
+                   else (format_term(s.next(letter)) for s in steps))
+    witness = entry["witness"] = {"kind": "next", "letter": letter,
+                                  "left": left, "right": right,
+                                  "equiv": answer.value}
+    if answer.reason is not None:
+        witness["reason"] = answer.reason
+    if answer.values:
+        witness["values"] = {name: str(value) for name, value in answer.values}
+    return entry
+
+
+def report_text(payload: dict) -> str:
+    """The text of a ``to_json`` payload: a line per case, with its
+    trace and witness under it, and the overall verdict."""
+    lines = []
+    for r in payload["results"]:
+        branch = "" if r["branch"] is None else " [" + " ".join(
+            f"{t}={b}" for t, b in r["branch"].items()) + "]"
+        lines.append(f"scheme {r['scheme']}{branch}: {r['verdict']}")
+        for side in ("lhs", "rhs") if "trace" in r else ():
+            step = r["trace"][f"{side}_step"]
+            nexts = "; ".join(f"next({l}) = {t}"
+                              for l, t in step["next"].items())
+            lines.append(f"  {side} {r['trace'][side]}  =>  "
+                         f"out {step['output']}; {nexts}")
+        w = r["witness"]
+        if w is not None:
+            grounds = w["equiv"] or ""
+            if "reason" in w:
+                grounds += f": {w['reason']}"
+            if "values" in w:
+                grounds += " at " + ", ".join(
+                    f"{name} = {value}" for name, value in w["values"].items())
+            where = ("outputs" if w["letter"] is None
+                     else f"next({w['letter']})")
+            lines.append(f"  {where}: {w['left']}  vs  {w['right']}"
+                         + (f" ({grounds})" if grounds else ""))
+    lines.append(f"overall: {payload['verdict']}")
+    return "\n".join(lines)
 
 
 def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
@@ -184,58 +195,39 @@ def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
     _, lhs_step = extend_lambda(law, scheme.lhs, env)
     _, rhs_step = extend_lambda(law, scheme.rhs, env)
 
-    # One memo for the case: the trace's normal forms and ``equiv`` fold,
-    # rewrite or search each successor once between them.
+    # One memo for the case: the normal forms and ``equiv`` fold, rewrite
+    # or search each successor once between them.
     memo: dict = {}
-    lhs_normal = tuple((l, str(th.normalize(s, memo)))
-                       for l, s in lhs_step.moves.items())
-    rhs_normal = tuple((l, str(th.normalize(s, memo)))
-                       for l, s in rhs_step.moves.items())
+    lhs_normal = {l: th.normalize(s, memo) for l, s in lhs_step.moves.items()}
+    rhs_normal = {l: th.normalize(s, memo) for l, s in rhs_step.moves.items()}
 
-    verdict = Verdict.HOLDS
-    fail: FailPoint | None = None
+    verdict, letter, answer = Verdict.HOLDS, None, None
     if not alg.equal(lhs_step.output, rhs_step.output):
         verdict = Verdict.FAILS
-        fail = FailPoint("output", None, alg.format(lhs_step.output),
-                         alg.format(rhs_step.output), None)
     else:
         for letter in law.letters:
-            left, right = lhs_step.next(letter), rhs_step.next(letter)
-            answer = th.equiv(left, right, memo)
-            if answer.equiv is Equiv.EQUAL:
-                continue
-            fail = FailPoint("next", letter, format_term(left),
-                             format_term(right), answer.value,
-                             answer.reason, answer.values)
-            verdict = (Verdict.FAILS if answer.equiv is Equiv.DISTINCT
-                       else Verdict.UNKNOWN)
-            break
+            answer = th.equiv(lhs_step.next(letter), rhs_step.next(letter),
+                              memo)
+            if answer.equiv is not Equiv.EQUAL:
+                verdict = (Verdict.FAILS if answer.equiv is Equiv.DISTINCT
+                           else Verdict.UNKNOWN)
+                break
+        else:
+            letter = answer = None
 
-    return SchemeCheck(
-        scheme=scheme.name,
-        branch=branch,
-        verdict=verdict,
-        lhs=format_term(scheme.lhs),
-        rhs=format_term(scheme.rhs),
-        lhs_output=alg.format(lhs_step.output),
-        rhs_output=alg.format(rhs_step.output),
-        lhs_next=tuple((l, format_term(t)) for l, t in lhs_step.moves.items()),
-        rhs_next=tuple((l, format_term(t)) for l, t in rhs_step.moves.items()),
-        lhs_normal=lhs_normal,
-        rhs_normal=rhs_normal,
-        fail=fail,
-    )
+    return SchemeCheck(scheme.name, branch, verdict, scheme.lhs, scheme.rhs,
+                       lhs_step, rhs_step, lhs_normal, rhs_normal,
+                       letter, answer)
 
 
 def check_preservation(th: Theory, law: DistLaw) -> PreservationReport:
     """Check every scheme of the theory against the law."""
     results: list[SchemeCheck] = []
     for scheme in th.schemes:
+        branches: list[Branch | None] = [None]
         if law.outputs.kind == "bool":
             tokens = [f"b_{v}" for v in scheme.metavars]
-            for bits in itertools.product((0, 1), repeat=len(tokens)):
-                branch = tuple(zip(tokens, bits))
-                results.append(_check_case(th, law, scheme, branch))
-        else:
-            results.append(_check_case(th, law, scheme, None))
+            branches = [tuple(zip(tokens, bits)) for bits
+                        in itertools.product((0, 1), repeat=len(tokens))]
+        results += (_check_case(th, law, scheme, b) for b in branches)
     return PreservationReport(results)

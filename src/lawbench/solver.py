@@ -49,6 +49,7 @@ from .terms import (
     Term,
     Var,
     enumerate_terms,
+    evaluate,
     format_term,
     variables,
 )
@@ -59,8 +60,8 @@ from .theories import (
     NormalForm,
     Semiring,
     Theory,
-    fold,
     free_theory,
+    semiring_algebra,
 )
 
 
@@ -387,6 +388,7 @@ def induced_algebra_check(sys: CorecSystem, outer: Term,
             leaves[atom] = observe(sys, quotient, th.leaf(atom), horizon)
         return leaves[atom]
 
-    induced = fold(rep, truncate(horizon, leaf), th.generators, th.family)
+    induced = evaluate(rep, *semiring_algebra(truncate(horizon, leaf),
+                                              th.generators, th.family), {})
     operational, induced = report(operational), report(induced)
     return AlgebraReport(operational == induced, operational, induced)

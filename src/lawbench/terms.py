@@ -26,9 +26,9 @@ kind and fields if there is one, so equal terms are one object, and
 a term no longer referenced leaves it.  Each node records its size, so
 ``term_size`` is O(1).  Nodes are immutable.
 ``evaluate``, ``subterms`` (which ``variables``, ``index_atoms`` and
-``Signature.validate`` walk), ``term_sort_key`` and ``format_term`` keep
-explicit stacks, so terms of any depth can be built, ordered, evaluated,
-validated and printed.
+``Signature.validate`` walk), ``term_sort_key``, ``format_term`` and
+``repr`` keep explicit stacks, so terms of any depth can be built,
+ordered, evaluated, validated and printed.  Pickling still recurses.
 """
 
 from __future__ import annotations
@@ -135,9 +135,24 @@ class _Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        """The constructor call with its fields named, as a dataclass
+        prints it; built on an explicit stack, so any depth prints."""
+        out: list[str] = []
+        todo: list = [self]  # nodes and literal text, last first
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif isinstance(t, App):
+                todo.append(",))" if len(t.args) == 1 else "))")
+                for i, arg in enumerate(reversed(t.args)):
+                    todo += [", ", arg] if i else [arg]
+                todo.append(f"App(symbol={t.symbol!r}, args=(")
+            else:
+                fields = ", ".join(f"{name}={getattr(t, name)!r}"
+                                   for name in t.__match_args__)
+                out.append(f"{type(t).__name__}({fields})")
+        return "".join(out)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name)

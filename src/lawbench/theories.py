@@ -9,7 +9,7 @@ equivalence classes; instead each theory provides
   ``equiv``           decides or bounds the congruence on two terms.
 
 Two theories are built in with complete normalizers.  The quotient of
-each is a free semiring, so normalising is one ``fold`` of ``+ * 0 1``,
+each is a free semiring, so normalising is one fold of ``+ * 0 1``,
 atoms and constants into that semiring, and a representative is one
 right-nested sum of right-nested products:
 
@@ -165,9 +165,6 @@ class PolyForm:
 class LangForm:
     words: frozenset[tuple[str, ...]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "words", frozenset(tuple(w) for w in self.words))
-
     def summands(self):
         """(None, word) per word, shortest first."""
         for word in sorted(self.words, key=_shortlex):
@@ -194,9 +191,9 @@ NormalForm = Union[PolyForm, LangForm, TermForm]
 
 @dataclass(frozen=True)
 class Semiring:
-    """A target for ``fold``: the units, the two operations, the image of
-    an atom (a variable or a nullary generator) and the image of a
-    constant's index.  A semiring without ``const`` has no scalar family;
+    """What ``semiring_algebra`` reads: the units, the two operations, the
+    image of an atom (a variable or a nullary generator) and the image of
+    a constant's index.  A semiring without ``const`` has no scalar family;
     its units are named by the nullary symbols 0 and 1 instead.  ``sum``,
     given by the builtin semirings, adds up a whole list at once."""
 
@@ -257,15 +254,6 @@ def semiring_algebra(semiring: Semiring, generators: tuple[str, ...],
         raise NotInTheorySignature(f"symbol {symbol!r} has no {name} meaning")
 
     return atom, const, app
-
-
-def fold(term: Term, semiring: Semiring, generators: tuple[str, ...],
-         family: str | None, memo: dict[Term, Any] | None = None):
-    """Interpret a term in a semiring (``semiring_algebra``), each distinct
-    subterm once.  A caller that folds many terms with the same arguments
-    may pass one ``memo``; by default each call has its own."""
-    return evaluate(term, *semiring_algebra(semiring, generators, family),
-                    {} if memo is None else memo)
 
 
 COMMUTATIVE = "commutative-semiring"
@@ -368,7 +356,7 @@ class Theory:
                   memo: dict[Term, Any] | None = None) -> NormalForm:
         """The canonical normal form of ``term``.  ``memo`` is a memo the
         caller keeps across calls, keyed by the term: a builtin kind's
-        ``fold`` memo, or the generic kind's normal forms or searched
+        ``evaluate`` memo, or the generic kind's normal forms or searched
         classes."""
         if memo is None:
             memo = {}
@@ -376,7 +364,9 @@ class Theory:
             return self.form(evaluate(term, *self.algebra, memo))
         rules = self._convergent
         if rules is not None:
-            return TermForm(_normal_form(term, rules, memo))
+            # Without rules, as in the free theory, every term is normal.
+            return TermForm(_normal_form(term, rules, memo) if rules
+                            else term)
         cls, _ = self._explore(term, memo)
         least = min(map(term_size, cls))
         return TermForm(min((t for t in cls if term_size(t) == least),

@@ -4,6 +4,10 @@
 it computes: no stack, no memo, so it walks a dag as a tree and cannot
 take deep terms.
 
+``reference_repr`` is a term's ``repr`` by recursion, the arguments
+printed by Python's own tuple ``repr``: the form ``repr`` had when it
+was the dataclass one, before it kept a stack.
+
 ``reference_eval_out``, ``reference_instantiate_template`` and
 ``reference_read`` are the three readings of a rule's terms as
 ``evaluate`` walks, each node read afresh on every application: the
@@ -113,6 +117,28 @@ def reference_evaluate(term: Term, var, const, app):
         return const(term)
     return app(term, [reference_evaluate(a, var, const, app)
                       for a in term.args])
+
+
+class _Shown:
+    """Prints as the text it holds."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def reference_repr(term: Term) -> str:
+    """``repr(term)``, each field by its own ``repr`` and the arguments by
+    this function, inside Python's tuple ``repr``."""
+    fields = []
+    for name in term.__match_args__:
+        value = getattr(term, name)
+        if name == "args":
+            value = tuple(_Shown(reference_repr(a)) for a in value)
+        fields.append(f"{name}={value!r}")
+    return f"{type(term).__name__}({', '.join(fields)})"
 
 
 def reference_eval_out(expr: Term, alg: OutputAlgebra,

@@ -86,23 +86,24 @@ def test_criterion_02_non_preservation_witness():
     problems: list = []
     report = check_preservation(ZEROS.theory, ZEROS.law)
     check(problems, report.verdict is Verdict.FAILS, "verdict")
-    (r,) = report.results
-    check(problems, r.fail is not None and r.fail.kind == "next", "kind")
-    check(problems, r.fail.letter == "t", "letter")
-    check(problems, (r.fail.left, r.fail.right) == ("n1", "n3"),
-          "witness next-pair")
-    check(problems, r.fail.equiv == "distinct", "equiv verdict")
+    (entry,) = report.to_json()["results"]
+    witness = entry["witness"] or {}
+    check(problems, witness.get("kind") == "next", "kind")
+    check(problems, witness.get("letter") == "t", "letter")
+    check(problems, (witness.get("left"), witness.get("right"))
+          == ("n1", "n3"), "witness next-pair")
+    check(problems, witness.get("equiv") == "distinct", "equiv verdict")
     conclude(2, "non-preservation witness", problems)
 
 
 def test_criterion_03_convolution_variant():
     problems: list = []
     report = check_preservation(CONVOLUTION.theory, CONVOLUTION.law)
-    for r in report.results:
+    for r, entry in zip(report.results, report.to_json()["results"]):
         if r.scheme == "times-comm":
             check(problems, r.verdict is Verdict.FAILS, "times-comm verdict")
-            check(problems, r.fail is not None and r.fail.equiv == "distinct",
-                  "times-comm witness")
+            check(problems, (entry["witness"] or {}).get("equiv")
+                  == "distinct", "times-comm witness")
         else:
             check(problems, r.verdict is Verdict.HOLDS,
                   f"{r.scheme} should hold")

@@ -27,7 +27,7 @@ from lawbench.preservation import (
     check_preservation,
     generic_instance,
 )
-from lawbench.terms import App, Signature, Var, enumerate_terms
+from lawbench.terms import App, Signature, Var, enumerate_terms, format_term
 from lawbench.theories import EquationScheme, Equiv, PolyForm, generic_theory
 
 from conftest import example
@@ -75,8 +75,14 @@ def test_a_witness_does_not_depend_on_the_declared_letter_order():
                                   DistLaw(spec, alphabet, CFG.law.outputs))
                for alphabet in (("a", "b"), ("b", "a"))]
     assert reports[0].verdict is Verdict.FAILS
-    assert {r.fail.letter for r in reports[0].results if r.fail} == {"a"}
+    assert {r.letter for r in reports[0].results
+            if r.verdict is not Verdict.HOLDS} == {"a"}
     assert reports[0] == reports[1]
+
+
+def entries(report, trace=False):
+    """The report's JSON entries by scheme (one branch per scheme)."""
+    return {e["scheme"]: e for e in report.to_json(trace)["results"]}
 
 
 def test_stream_rules_preserve_all_ten_schemes():
@@ -91,21 +97,23 @@ def test_stream_rules_preserve_all_ten_schemes():
 
 def test_trace_reproduces_the_distributivity_derivation():
     report = check_preservation(STREAM.theory, STREAM.law)
-    (r,) = [r for r in report.results if r.scheme == "distrib"]
-    assert r.lhs == DISTRIB_TRACE["lhs"]
-    assert r.rhs == DISTRIB_TRACE["rhs"]
-    assert r.lhs_output == r.rhs_output == DISTRIB_TRACE["out"]
-    assert dict(r.lhs_next)["t"] == DISTRIB_TRACE["lhs_next"]
-    assert dict(r.rhs_next)["t"] == DISTRIB_TRACE["rhs_next"]
-    assert dict(r.lhs_normal)["t"] == dict(r.rhs_normal)["t"]
+    trace = entries(report, trace=True)["distrib"]["trace"]
+    lhs, rhs = trace["lhs_step"], trace["rhs_step"]
+    assert trace["lhs"] == DISTRIB_TRACE["lhs"]
+    assert trace["rhs"] == DISTRIB_TRACE["rhs"]
+    assert lhs["output"] == rhs["output"] == DISTRIB_TRACE["out"]
+    assert lhs["next"]["t"] == DISTRIB_TRACE["lhs_next"]
+    assert rhs["next"]["t"] == DISTRIB_TRACE["rhs_next"]
+    assert trace["lhs_normal"]["t"] == trace["rhs_normal"]["t"]
 
 
 def test_trace_reproduces_the_scalar_product_derivation():
     report = check_preservation(STREAM.theory, STREAM.law)
-    (r,) = [r for r in report.results if r.scheme == "const-times"]
-    assert r.lhs_output == r.rhs_output == CONST_TIMES_TRACE["out"]
-    assert dict(r.lhs_next)["t"] == CONST_TIMES_TRACE["lhs_next"]
-    assert dict(r.rhs_next)["t"] == CONST_TIMES_TRACE["rhs_next"]
+    trace = entries(report, trace=True)["const-times"]["trace"]
+    lhs, rhs = trace["lhs_step"], trace["rhs_step"]
+    assert lhs["output"] == rhs["output"] == CONST_TIMES_TRACE["out"]
+    assert lhs["next"]["t"] == CONST_TIMES_TRACE["lhs_next"]
+    assert rhs["next"]["t"] == CONST_TIMES_TRACE["rhs_next"]
 
 
 def test_unpreserved_equation_yields_distinct_witness():
@@ -115,22 +123,38 @@ def test_unpreserved_equation_yields_distinct_witness():
     (r,) = report.results
     assert r.scheme == "zeros"
     assert r.verdict is Verdict.FAILS
-    assert r.fail.kind == "next"
-    assert r.fail.letter == "t"
-    assert (r.fail.left, r.fail.right) == ("n1", "n3")
-    assert r.fail.equiv == "distinct"
+    assert r.letter == "t"
+    witness = entries(report)["zeros"]["witness"]
+    assert witness["kind"] == "next"
+    assert witness["letter"] == "t"
+    assert (witness["left"], witness["right"]) == ("n1", "n3")
+    assert witness["equiv"] == "distinct"
 
 
 def test_convolution_rule_fails_exactly_on_commutativity():
     report = check_preservation(CONVOLUTION.theory, CONVOLUTION.law)
     assert report.verdict is Verdict.FAILS
+    witness = entries(report)["times-comm"]["witness"]
+    assert (witness["left"], witness["right"]) == CONVOLUTION_WITNESS
+    assert witness["equiv"] == "distinct"
     for r in report.results:
         if r.scheme == "times-comm":
             assert r.verdict is Verdict.FAILS
-            assert (r.fail.left, r.fail.right) == CONVOLUTION_WITNESS
-            assert r.fail.equiv == "distinct"
         else:
             assert r.verdict is Verdict.HOLDS, r.scheme
+
+
+def test_checking_formats_nothing(monkeypatch):
+    # The records hold values; only ``to_json`` prints them.
+    def refuse(term):
+        raise AssertionError("a term was formatted")
+
+    monkeypatch.setattr("lawbench.preservation.format_term", refuse)
+    for wb, verdict in ((STREAM, Verdict.HOLDS), (CONVOLUTION, Verdict.FAILS),
+                        (ZEROS, Verdict.FAILS), (CFG, Verdict.HOLDS)):
+        report = check_preservation(wb.theory, wb.law)
+        assert report.verdict is verdict
+        assert report.certified == (verdict is Verdict.HOLDS)
 
 
 def test_cfg_rules_preserve_every_scheme_on_every_branch():
@@ -204,16 +228,16 @@ def test_generic_failure_has_a_concrete_instance():
     th, law = CONVOLUTION.theory, CONVOLUTION.law
     report = check_preservation(th, law)
     (r,) = [r for r in report.results if r.verdict is Verdict.FAILS]
-    left = dict(r.lhs_normal)[r.fail.letter]
-    right = dict(r.rhs_normal)[r.fail.letter]
+    left = r.lhs_normal[r.letter]
+    right = r.rhs_normal[r.letter]
     assert left != right
 
     scheme = next(s for s in th.schemes if s.name == r.scheme)
     env = generic_instance(scheme, law.alphabet, law.outputs)
     _, lhs_step = extend_lambda(law, scheme.lhs, env)
     _, rhs_step = extend_lambda(law, scheme.rhs, env)
-    lp = th.normalize(lhs_step.next(r.fail.letter))
-    rp = th.normalize(rhs_step.next(r.fail.letter))
+    lp = th.normalize(lhs_step.next(r.letter))
+    rp = th.normalize(rhs_step.next(r.letter))
     assert isinstance(lp, PolyForm) and isinstance(rp, PolyForm)
 
     atoms = sum(tokens(env), ()) + ("X",)
@@ -268,7 +292,7 @@ def test_unknown_verdict_when_the_search_cannot_decide():
     assert verdicts["a-is-b"] is Verdict.UNKNOWN
     # The witness names the bound that cut each search off, and replays.
     (undecided,) = [r for r in report.results if r.scheme == "a-is-b"]
-    assert undecided.fail.reason == (
+    assert undecided.answer.reason == (
         "left side: depth bound 5 reached at 11 terms; "
         "right side: depth bound 5 reached at 11 terms")
     assert replay(th, law, undecided)
@@ -309,6 +333,10 @@ def test_the_search_matches_each_distinct_subterm_once(monkeypatch):
     assert 1_000 <= calls <= 10_000
 
 
+def format_moves(step):
+    return {letter: format_term(t) for letter, t in step.moves.items()}
+
+
 def _deep_scheme_law(depth, successor, search=False):
     """g^depth(v) = v; with ``search``, beside p(v, u) = p(u, v), which
     does not orient, so the theory keeps the bounded search."""
@@ -340,9 +368,12 @@ def test_a_deep_scheme_side_loads_extends_and_prints():
     report = check_preservation(th, law)
     assert report.verdict is Verdict.HOLDS
     (r,) = report.results
-    assert r.lhs_next == r.rhs_next == (("t", "d_v"),)
-    assert r.lhs == "g(" * 2000 + "v" + ")" * 2000
-    assert r.lhs in repr(report)
+    assert format_moves(r.lhs_step) == format_moves(r.rhs_step) == \
+        {"t": "d_v"}
+    assert format_term(r.lhs) == "g(" * 2000 + "v" + ")" * 2000
+    assert repr(r.lhs) == \
+        "App(symbol='g', args=(" * 2000 + "Var(name='v')" + ",))" * 2000
+    assert repr(r.lhs) in repr(report)
 
 
 def test_a_deep_scheme_side_is_searched_to_a_verdict():
@@ -356,8 +387,8 @@ def test_a_deep_scheme_side_is_searched_to_a_verdict():
     assert th._convergent is None
     assert report.verdict is Verdict.HOLDS
     r = next(r for r in report.results if r.scheme == "deep")
-    assert r.lhs_next == (("t", "g(" * 300 + "d_v" + ")" * 300),)
-    assert r.rhs_next == (("t", "d_v"),)
+    assert format_moves(r.lhs_step) == {"t": "g(" * 300 + "d_v" + ")" * 300}
+    assert format_moves(r.rhs_step) == {"t": "d_v"}
 
 
 def test_a_2000_deep_scheme_side_is_decided_in_seconds():
@@ -394,6 +425,6 @@ def test_one_way_axioms_fail_with_a_witness():
             report = check_preservation(wb.theory, wb.law)
             (r,) = report.results
             assert r.verdict is Verdict.FAILS
-            assert (r.fail.equiv, r.fail.reason, r.fail.values) == \
+            assert (r.answer.value, r.answer.reason, r.answer.values) == \
                 ("distinct", "normal forms differ", values)
             assert replay(wb.theory, wb.law, r)

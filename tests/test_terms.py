@@ -29,7 +29,13 @@ from lawbench.terms import (
     variables,
 )
 
-from oracles import positions, reference_evaluate, replace_at, subterm_at
+from oracles import (
+    positions,
+    reference_evaluate,
+    reference_repr,
+    replace_at,
+    subterm_at,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -323,6 +329,20 @@ def test_equality_matches_the_structural_oracle(s, t):
         assert hash(s) == hash(t)
     assert rebuilt(s) is s
     assert term_size(s) == tree_size(s)
+
+
+@given(varied_terms)
+def test_repr_matches_the_recursive_reference(t):
+    assert repr(t) == reference_repr(t)
+
+
+def test_repr_of_a_deep_term():
+    depth = 100_000
+    t = Var("v")
+    for _ in range(depth):
+        t = App("g", (t,))
+    assert repr(t) == ("App(symbol='g', args=(" * depth + "Var(name='v')"
+                       + ",))" * depth)
 
 
 def test_terms_stay_immutable():

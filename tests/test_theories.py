@@ -319,7 +319,9 @@ def test_free_theory_normalizes_deep_terms():
     deep = Var("v")
     for _ in range(10_000):
         deep = App("+", (deep, App("X")))
-    assert free_theory(CSIG).normalize(deep) == TermForm(deep)
+    memo: dict = {}
+    assert free_theory(CSIG).normalize(deep, memo) == TermForm(deep)
+    assert memo == {}  # every term is normal: nothing is walked
 
 
 def test_free_theory_separates_all_distinct_terms():
