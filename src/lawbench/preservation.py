@@ -104,9 +104,9 @@ class PreservationReport:
         return Verdict.HOLDS
 
     def to_json(self, trace: bool = False) -> dict:
-        """The report, every term, output and normal form formatted once:
-        the witness and, with ``trace``, each side's term, step and
-        normal forms."""
+        """The report as a dict: per case its witness and, with ``trace``,
+        each side's term, step and normal forms.  Every term, output and
+        normal form shown is formatted here, once."""
         return {
             "command": "check-preservation",
             "certified": self.certified,
@@ -138,9 +138,9 @@ def _case_json(r: SchemeCheck, trace: bool) -> dict:
             "lhs_normal": {l: str(nf) for l, nf in r.lhs_normal.items()},
             "rhs_normal": {l: str(nf) for l, nf in r.rhs_normal.items()},
         }
-    letter, answer = r.letter, r.answer
     if r.verdict is Verdict.HOLDS:
         return entry
+    letter, answer = r.letter, r.answer
     if letter is None:
         left, right = outputs if trace else (str(s.output) for s in steps)
         entry["witness"] = {"kind": "output", "letter": None, "left": left,
