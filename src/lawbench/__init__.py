@@ -39,7 +39,6 @@ from .gsos import (
     CaseSplit,
     DistLaw,
     GsosSpec,
-    Plain,
     QuotientStepper,
     Rule,
     apply_rule,

@@ -19,6 +19,8 @@ is constant.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -28,15 +30,16 @@ from .polynomials import Poly
 
 class OutputAlgebra:
     """Operations and constants for one output kind, and symbolic atoms
-    for rational outputs.  Each kind has one shared instance
+    for rational outputs.  ``ops`` maps each operation's name to its
+    function on two coerced values.  Each kind has one shared instance
     (``output_algebra``), so algebras compare by identity."""
 
     def __init__(self, kind: str):
         if kind not in ("bool", "rational"):
             raise ValueError(f"unknown output kind {kind!r}")
         self.kind = kind
-        self.ops = ({"min": 2, "max": 2} if kind == "bool"
-                    else {"+": 2, "*": 2})
+        self.ops = ({"min": min, "max": max} if kind == "bool"
+                    else {"+": operator.add, "*": operator.mul})
 
     def coerce(self, value) -> Any:
         if self.kind == "bool":
@@ -61,14 +64,7 @@ class OutputAlgebra:
         self.check_op(op)
         if not args:
             raise ValueError(f"{op} needs at least one argument")
-        if op == "min":
-            return min(args)
-        if op == "max":
-            return max(args)
-        acc = args[0]
-        for nxt in args[1:]:
-            acc = acc + nxt if op == "+" else acc * nxt
-        return acc
+        return functools.reduce(self.ops[op], args)
 
     def equal(self, left, right) -> bool:
         return self.coerce(left) == self.coerce(right)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .behaviour import BOOL_OUTPUTS, Step
 from .errors import InvalidGrammar
-from .gsos import GSOS, ArgObs, CaseSplit, DistLaw, GsosSpec, Plain, Rule
+from .gsos import ArgObs, CaseSplit, DistLaw, GsosSpec, Rule
 from .solver import CorecSystem, model, unfold
 from .terms import App, Signature, Term, Var, variables
 from .theories import LangForm, Theory, idempotent_semiring
@@ -39,12 +39,12 @@ def cfg_law(alphabet: Sequence[str]) -> DistLaw:
     x, y = Var("dx"), Var("dy")
     dx_y = App("*", (x, Var("y")))
     rules = (
-        Rule("0", (), App("0"), Plain(App("0"))),
-        Rule("1", (), App("1"), Plain(App("0"))),
+        Rule("0", (), App("0"), App("0")),
+        Rule("1", (), App("1"), App("0")),
         Rule("+",
              (ArgObs("ox", "dx"), ArgObs("oy", "dy")),
              App("max", (Var("ox"), Var("oy"))),
-             Plain(App("+", (x, y)))),
+             App("+", (x, y))),
         Rule("*",
              (ArgObs("ox", "dx"), ArgObs("oy", "dy", name="y")),
              App("min", (Var("ox"), Var("oy"))),
@@ -52,7 +52,7 @@ def cfg_law(alphabet: Sequence[str]) -> DistLaw:
                        if_zero=dx_y,
                        if_one=App("+", (dx_y, y)))),
     )
-    spec = GsosSpec(cfg_signature(), rules, format=GSOS)
+    spec = GsosSpec(cfg_signature(), rules)
     return DistLaw(spec, tuple(alphabet), BOOL_OUTPUTS)
 
 

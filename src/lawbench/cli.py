@@ -239,12 +239,13 @@ def _cmd_quotient_commute(wb: Workbench, ns) -> tuple[int, dict, str]:
     return (0 if report.ok else 1), payload, "\n".join(lines)
 
 
-def _fmt_side(side) -> list[str]:
-    if isinstance(side, list) and side and isinstance(side[0], tuple):
-        return ["".join(w) for w in side]
-    if isinstance(side, list):
-        return [str(v) for v in side]
-    return [str(side)]
+def _fmt_side(side: list) -> list[str]:
+    """A truncated series' coefficients, or a language's words."""
+    return ["".join(v) if isinstance(v, tuple) else str(v) for v in side]
+
+
+def _text_side(side: list[str]) -> str:
+    return " ".join(v or "eps" for v in side) or "(empty)"
 
 
 def _cmd_algebra_check(wb: Workbench, ns) -> tuple[int, dict, str]:
@@ -264,8 +265,8 @@ def _cmd_algebra_check(wb: Workbench, ns) -> tuple[int, dict, str]:
         "induced": induced,
     }
     text = (f"{'agree' if report.ok else 'DISAGREE'}\n"
-            f"operational {' '.join(operational) or '(empty)'}\n"
-            f"induced     {' '.join(induced) or '(empty)'}")
+            f"operational {_text_side(operational)}\n"
+            f"induced     {_text_side(induced)}")
     return (0 if report.ok else 1), payload, text
 
 

@@ -40,7 +40,6 @@ from .gsos import (
     CaseSplit,
     DistLaw,
     GsosSpec,
-    Plain,
     Rule,
 )
 from .polynomials import Poly
@@ -556,7 +555,7 @@ def _parse_rules(tokens: list[Token], signature: Signature | None,
         rules.append(_parse_rule(c, signature, outputs, alphabet, fmt))
     c.expect("punct", "}")
     c.expect("eof")
-    spec = GsosSpec(signature, tuple(rules), format=fmt)
+    spec = GsosSpec(signature, tuple(rules))
     return DistLaw(spec, alphabet, output_algebra(outputs))
 
 
@@ -564,14 +563,12 @@ def _parse_rule(c: _Cursor, signature: Signature, outputs: str,
                 alphabet: tuple[str, ...], fmt: str) -> Rule:
     c.expect("ident", "rule")
     name = _parse_op_name(c)
-    is_family = False
     index_name = None
     args: list[ArgObs] = []
     if any(f.name == name for f in signature.families):
         c.expect("punct", "[")
         index_name = str(c.expect("ident", what="an index placeholder").value)
         c.expect("punct", "]")
-        is_family = True
     elif c.take("punct", "("):
         while True:
             args.append(_parse_arg_obs(c, fmt))
@@ -618,12 +615,11 @@ def _parse_rule(c: _Cursor, signature: Signature, outputs: str,
             branches[bit] = _parse_term(c, ctx)
             _item_end(c)
         c.expect("punct", "}")
-        nxt: Plain | CaseSplit = CaseSplit(scrutinee, branches[0], branches[1])
+        nxt: Term | CaseSplit = CaseSplit(scrutinee, branches[0], branches[1])
     else:
-        nxt = Plain(_parse_term(c, ctx))
+        nxt = _parse_term(c, ctx)
     _item_end(c)
-    return Rule(name, tuple(args), output, nxt,
-                is_family=is_family, index_name=index_name, binder=binder)
+    return Rule(name, tuple(args), output, nxt, index_name=index_name)
 
 
 def _parse_arg_obs(c: _Cursor, fmt: str) -> ArgObs:

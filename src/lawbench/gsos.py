@@ -44,7 +44,6 @@ step of the canonical representative.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Union
@@ -151,15 +150,11 @@ def _operation(fn: Callable, slots: list[int]) -> tuple:
     return (_CALL, fn, tuple(slots), None)
 
 
-# The output algebras' operations on two coerced values.
-_BINARY = {"min": min, "max": max, "+": operator.add, "*": operator.mul}
-
-
 def _output_program(expr: Term, alg: OutputAlgebra) -> Program:
     """Read a rule's output term into the output algebra: a variable is
     an output placeholder, a nullary symbol the literal its name spells,
     and any other application an operation of the output algebra, a
-    binary one the operation itself, since every value is coerced.
+    binary one its function in ``alg.ops``, since every value is coerced.
     ``GsosSpec`` has already rejected constants and undeclared
     placeholders in outputs, so none is met here."""
     def app(t: App, slots: list[int]) -> tuple:
@@ -168,7 +163,7 @@ def _output_program(expr: Term, alg: OutputAlgebra) -> Program:
         symbol, apply = t.symbol, alg.apply
         alg.check_op(symbol)
         if len(slots) == 2:
-            return _operation(_BINARY[symbol], slots)
+            return _operation(alg.ops[symbol], slots)
         return _operation(lambda *args: apply(symbol, list(args)), slots)
 
     return _compile(expr, _bound, None, app)
@@ -258,68 +253,63 @@ class ArgObs:
 
 
 @dataclass(frozen=True)
-class Plain:
-    term: Term
-
-
-@dataclass(frozen=True)
 class CaseSplit:
     scrutinee: str
     if_zero: Term
     if_one: Term
 
 
-NextTemplate = Union[Plain, CaseSplit]
+NextTemplate = Union[Term, CaseSplit]
 
 
 @dataclass(frozen=True)
 class Rule:
+    """The rule for one operation, or with an ``index_name`` for one
+    constant family."""
+
     symbol: str
     args: tuple[ArgObs, ...]
     output: Term
     next: NextTemplate
-    is_family: bool = False
     index_name: str | None = None
-    binder: str = "l"
 
-    def placeholders(self) -> tuple[set[str], set[str]]:
-        """(term placeholders, output placeholders) this rule declares."""
-        term_ph = {a.deriv for a in self.args}
-        term_ph |= {a.name for a in self.args if a.name is not None}
-        out_ph = {a.out for a in self.args}
-        if self.index_name is not None:
-            out_ph.add(self.index_name)
-        return term_ph, out_ph
+    @property
+    def is_family(self) -> bool:
+        return self.index_name is not None
 
     def templates(self) -> tuple[Term, ...]:
-        if isinstance(self.next, Plain):
-            return (self.next.term,)
-        return (self.next.if_zero, self.next.if_one)
+        if isinstance(self.next, CaseSplit):
+            return (self.next.if_zero, self.next.if_one)
+        return (self.next,)
 
 
 @dataclass(frozen=True)
 class GsosSpec:
-    """A complete rule table over a signature, in one of two formats:
-    ``simple`` rules never mention an argument itself, only its observed
-    output and derivative; ``gsos`` rules may reuse the argument."""
+    """A complete rule table over a signature, one rule per symbol (an
+    operation and a constant family never share a name)."""
 
     signature: Signature
     rules: tuple[Rule, ...]
-    format: str = GSOS
 
     def __post_init__(self):
-        if self.format not in (SIMPLE, GSOS):
-            raise ValueError(f"unknown rule format {self.format!r}")
-        by_key: dict[tuple[str, bool], Rule] = {}
+        by_symbol: dict[str, Rule] = {}
         for rule in self.rules:
-            key = (rule.symbol, rule.is_family)
-            if key in by_key:
+            if rule.symbol in by_symbol:
                 raise PlaceholderViolation(
                     f"duplicate rule for {rule.symbol!r}"
                 )
-            by_key[key] = rule
+            by_symbol[rule.symbol] = rule
             self._validate_rule(rule)
-        object.__setattr__(self, "_by_key", by_key)
+        object.__setattr__(self, "_by_symbol", by_symbol)
+
+    @property
+    def format(self) -> str:
+        """``simple`` when no rule mentions an argument itself, only its
+        observed output and derivative; ``gsos`` when some rule names an
+        argument to reuse it."""
+        named = any(arg.name is not None
+                    for rule in self.rules for arg in rule.args)
+        return GSOS if named else SIMPLE
 
     def _validate_rule(self, rule: Rule) -> None:
         sig = self.signature
@@ -329,10 +319,6 @@ class GsosSpec:
                 raise PlaceholderViolation(
                     f"family rule {rule.symbol!r} cannot take arguments"
                 )
-            if rule.index_name is None:
-                raise PlaceholderViolation(
-                    f"family rule {rule.symbol!r} needs an index placeholder"
-                )
         else:
             arity = sig.arity(rule.symbol)
             if arity != len(rule.args):
@@ -340,19 +326,13 @@ class GsosSpec:
                     f"rule for {rule.symbol!r} declares {len(rule.args)} "
                     f"arguments but the symbol has arity {arity}"
                 )
-        if self.format == SIMPLE:
-            for arg in rule.args:
-                if arg.name is not None:
-                    raise PlaceholderViolation(
-                        f"simple rule for {rule.symbol!r} must not name "
-                        f"its arguments"
-                    )
-        term_ph, out_ph = rule.placeholders()
-        declared = [a.out for a in rule.args] + [a.deriv for a in rule.args]
-        declared += [a.name for a in rule.args if a.name is not None]
-        if rule.index_name is not None:
-            declared.append(rule.index_name)
-        if len(set(declared)) != len(declared):
+        outs = [a.out for a in rule.args]
+        if rule.is_family:
+            outs.append(rule.index_name)
+        terms = [a.deriv for a in rule.args]
+        terms += [a.name for a in rule.args if a.name is not None]
+        out_ph, term_ph = set(outs), set(terms)
+        if len(out_ph | term_ph) != len(outs) + len(terms):
             raise PlaceholderViolation(
                 f"rule for {rule.symbol!r} declares a placeholder twice"
             )
@@ -393,10 +373,12 @@ class GsosSpec:
                     f"{t.symbol!r} at the wrong arity"
                 )
 
-    def rule_for(self, symbol: str, family: bool = False) -> Rule:
-        rule = self._by_key.get((symbol, family))
+    def rule_for(self, symbol: str) -> Rule:
+        rule = self._by_symbol.get(symbol)
         if rule is None:
-            kind = "family" if family else "symbol"
+            kind = ("family" if any(f.name == symbol
+                                    for f in self.signature.families)
+                    else "symbol")
             raise MissingRule(f"no rule for {kind} {symbol!r}")
         return rule
 
@@ -407,7 +389,7 @@ class DistLaw:
     the data of a distributive law presented symbol by symbol.
 
     ``letters`` is the alphabet sorted, the order of every step's moves.
-    ``compiled`` maps (symbol, is_family) to the rule, its output's
+    ``compiled`` maps each symbol to its rule, the rule's output's
     program in the output algebra and its templates' programs in terms,
     keyed by template; all are compiled when the law is built."""
 
@@ -434,7 +416,7 @@ class DistLaw:
         rational = self.outputs.kind == "rational"
         object.__setattr__(self, "letters", tuple(sorted(self.alphabet)))
         object.__setattr__(self, "compiled", {
-            (rule.symbol, rule.is_family): (
+            rule.symbol: (
                 rule, _output_program(rule.output, self.outputs),
                 {t: _term_program(t, rational) for t in rule.templates()})
             for rule in self.spec.rules})
@@ -448,22 +430,21 @@ LeafObs = tuple[Term, Step]
 
 
 def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Step]],
-               family: bool = False, index=None,
-               programs: Mapping | None = None) -> Step:
+               index=None, programs: Mapping | None = None) -> Step:
     """Instantiate one rule: ``args`` holds, per argument position, the
-    argument's state and its step.  ``programs`` holds the successor
-    templates' programs per rule; by default they are the law's, read
-    as terms, and the quotient stepper passes its semiring programs."""
-    key = symbol, family
-    compiled = law.compiled.get(key)
+    argument's state and its step, and ``index`` a constant's index.
+    ``programs`` holds the successor templates' programs per symbol; by
+    default they are the law's, read as terms, and the quotient stepper
+    passes its semiring programs."""
+    compiled = law.compiled.get(symbol)
     if compiled is None:
-        law.spec.rule_for(symbol, family)  # raises MissingRule
+        law.spec.rule_for(symbol)  # raises MissingRule
     rule, output_program, templates = compiled
     alg = law.outputs
     out_env: dict[str, Any] = {}
     for spec_arg, (_, step) in zip(rule.args, args):
         out_env[spec_arg.out] = alg.coerce(step.output)
-    if rule.is_family:
+    if rule.index_name is not None:
         out_env[rule.index_name] = alg.coerce(index)
 
     output = _run(output_program, out_env, {})
@@ -473,8 +454,8 @@ def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Step]],
         # Case splits need Boolean outputs (``DistLaw``), so this is a bit.
         body = template.if_one if out_env[template.scrutinee] else template.if_zero
     else:
-        body = template.term
-    program = (templates if programs is None else programs[key])[body]
+        body = template
+    program = (templates if programs is None else programs[symbol])[body]
 
     named = {a.name: state for a, (state, _) in zip(rule.args, args)
              if a.name is not None}
@@ -510,7 +491,7 @@ def extend_lambda(law: DistLaw, term: Term, env: Mapping[str, LeafObs],
             raise UnboundVariable(f"no observation for leaf {name!r}") from None
 
     def const(t: Const) -> tuple[Term, Step]:
-        return t, apply_rule(law, t.family, [], family=True, index=t.index)
+        return t, apply_rule(law, t.family, [], index=t.index)
 
     def app(t: App, pieces: list[tuple[Term, Step]]) -> tuple[Term, Step]:
         return (rebuild(t, [state for state, _ in pieces]),
@@ -522,16 +503,15 @@ def extend_lambda(law: DistLaw, term: Term, env: Mapping[str, LeafObs],
 def pointwise_plus(law: DistLaw) -> str | None:
     """The ``+`` rule's output operation if the rule is pointwise, as
     ``QuotientStepper`` defines it, else None."""
-    rule = next((r for r in law.spec.rules
-                 if r.symbol == "+" and not r.is_family), None)
+    rule, _, _ = law.compiled.get("+", (None, None, None))
     if rule is None or len(rule.args) != 2 \
             or any(arg.name is not None for arg in rule.args) \
-            or not isinstance(rule.next, Plain):
+            or isinstance(rule.next, CaseSplit):
         return None
     left, right = rule.args
     outs = (Var(left.out), Var(right.out))
     derivs = (Var(left.deriv), Var(right.deriv))
-    output, succ = rule.output, rule.next.term
+    output, succ = rule.output, rule.next
     pointwise = (isinstance(output, App) and output.symbol in ("+", "max")
                  and output.symbol in law.outputs.ops
                  and output.args in (outs, outs[::-1])
@@ -576,10 +556,10 @@ class QuotientStepper:
             # The rules this route applies: ``*`` and the leaves'.
             rational = law.outputs.kind == "rational"
             self._programs = {
-                key: {t: _semiring_program(th, t, rational)
-                      for t in rule.templates()}
-                for key, (rule, _, _) in law.compiled.items()
-                if rule.symbol == "*" or not rule.args}
+                symbol: {t: _semiring_program(th, t, rational)
+                         for t in rule.templates()}
+                for symbol, (rule, _, _) in law.compiled.items()
+                if symbol == "*" or not rule.args}
         # States matter only to gsos rules that name an argument.
         self._product_states = any(arg.name is not None
                                    for rule in law.spec.rules
@@ -657,12 +637,9 @@ class QuotientStepper:
             found = value(state), Step(step.output, {
                 l: value(s) for l, s in step.moves.items()})
         else:
-            if isinstance(t, Const):
-                step = apply_rule(self.law, t.family, [], family=True,
-                                  index=t.index, programs=self._programs)
-            else:
-                step = apply_rule(self.law, t.symbol, [],
-                                  programs=self._programs)
-            found = value(t), step
+            symbol, index = ((t.family, t.index) if isinstance(t, Const)
+                             else (t.symbol, None))
+            found = value(t), apply_rule(self.law, symbol, [], index=index,
+                                         programs=self._programs)
         self._leaves[t] = found
         return found

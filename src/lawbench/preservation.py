@@ -114,9 +114,6 @@ class PreservationReport:
             "results": [_case_json(r, trace) for r in self.results],
         }
 
-    def text(self, trace: bool = False) -> str:
-        return report_text(self.to_json(trace))
-
 
 def _case_json(r: SchemeCheck, trace: bool) -> dict:
     steps = r.lhs_step, r.rhs_step

@@ -174,12 +174,11 @@ def reference_read(th: Theory, template: Term, bound: Mapping[str, Any],
     return evaluate(template, bound.__getitem__, bound_const, app)
 
 
-def reference_apply_rule(law: DistLaw, symbol: str, args: list,
-                         family: bool = False, index=None,
+def reference_apply_rule(law: DistLaw, symbol: str, args: list, index=None,
                          read=reference_instantiate_template) -> Step:
     """``apply_rule`` with every term read afresh; ``read`` takes a
     template, its bound placeholders and the output values."""
-    rule = law.spec.rule_for(symbol, family)
+    rule = law.spec.rule_for(symbol)
     alg = law.outputs
     out_env: dict[str, Any] = {}
     for spec_arg, (_, step) in zip(rule.args, args):
@@ -193,7 +192,7 @@ def reference_apply_rule(law: DistLaw, symbol: str, args: list,
     if isinstance(template, CaseSplit):
         body = template.if_one if out_env[template.scrutinee] else template.if_zero
     else:
-        body = template.term
+        body = template
     moves = {}
     for letter in law.alphabet:
         bound: dict[str, Any] = {}
@@ -508,6 +507,10 @@ def _pretty_theory(theory: Theory, multi: bool) -> str:
 
 def _pretty_rules(law: DistLaw, multi: bool) -> str:
     lines = [f"rules {law.spec.format} {{"]
+    # Rules keep no binder: any name that is not a letter reads back.
+    binder = "l"
+    while binder in law.alphabet:
+        binder += "'"
     for rule in law.spec.rules:
         head = rule.symbol
         if rule.is_family:
@@ -521,13 +524,13 @@ def _pretty_rules(law: DistLaw, multi: bool) -> str:
         lines.append(f"  rule {head} =>")
         lines.append(f"    out = {format_term(rule.output)};")
         if isinstance(rule.next, CaseSplit):
-            lines.append(f"    next({rule.binder}) = case {rule.next.scrutinee} {{")
+            lines.append(f"    next({binder}) = case {rule.next.scrutinee} {{")
             lines.append(f"      0 => {_pretty_term(rule.next.if_zero, multi)};")
             lines.append(f"      1 => {_pretty_term(rule.next.if_one, multi)};")
             lines.append("    };")
         else:
-            lines.append(f"    next({rule.binder}) = "
-                         f"{_pretty_term(rule.next.term, multi)};")
+            lines.append(f"    next({binder}) = "
+                         f"{_pretty_term(rule.next, multi)};")
     lines.append("}")
     return "\n".join(lines)
 

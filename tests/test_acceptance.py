@@ -12,7 +12,7 @@ from fractions import Fraction
 from lawbench.behaviour import RATIONAL_OUTPUTS, Step
 from lawbench.cfg import member, to_corec
 from lawbench.dsl import load
-from lawbench.gsos import DistLaw, Plain, extend_lambda
+from lawbench.gsos import DistLaw, extend_lambda
 from lawbench.preservation import Verdict, check_preservation
 from lawbench.solver import (
     CorecSystem,
@@ -208,7 +208,7 @@ def test_criterion_07_quotient_commutation():
 
     law = STREAM.law
     rules = tuple(
-        replace(r, next=Plain(Const("c", Fraction(1)))) if r.is_family else r
+        replace(r, next=Const("c", Fraction(1))) if r.is_family else r
         for r in law.spec.rules)
     broken = DistLaw(replace(law.spec, rules=rules), law.alphabet, law.outputs)
     mutated = CorecSystem(STREAM.system.variables, STREAM.system.phi,

@@ -284,6 +284,16 @@ def test_grammar_blocks_match_in_any_declaration_order(capsys, tmp_path):
     assert capsys.readouterr() == ("1\n", "")
 
 
+def test_grammar_blocks_match_whatever_the_binder_is_named(capsys, tmp_path):
+    # The binder only names the successor clause; a rule does not keep it.
+    text = pathlib.Path(example("cfg.dsl")).read_text()
+    assert text.count("next(l)") == 4
+    path = tmp_path / "binder.dsl"
+    path.write_text(text.replace("next(l)", "next(k)"))
+    assert run(["cfg-member", str(path), "--word", "aabb"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+
+
 def test_usage_and_load_errors(capsys, tmp_path):
     not_utf8 = tmp_path / "utf16.dsl"
     not_utf8.write_bytes(b"\xff\xfesignature")

@@ -63,6 +63,15 @@ def test_bundled_grammar_files():
     assert load(example("balanced.dsl")).grammar.nonterminals == ("S", "R")
 
 
+def test_the_rule_format_is_read_off_the_rules():
+    # A table is gsos when some rule names an argument to reuse it.
+    formats = {name: load(example(f"{name}.dsl")).law.spec.format
+               for name in BUNDLED}
+    assert formats == {"stream": "simple", "three-zeros": "simple",
+                       "convolution": "gsos", "cfg": "gsos",
+                       "balanced": "gsos"}
+
+
 def test_every_bundled_file_round_trips():
     for name in BUNDLED:
         wb = load(str(EXAMPLES / f"{name}.dsl"))
@@ -106,6 +115,16 @@ def test_binder_must_not_shadow_a_letter():
         "}\n"
     )
     fails_at(text, "7:10", "shadows an alphabet letter")
+
+
+def test_simple_rules_must_not_name_their_arguments():
+    text = MINIMAL + (
+        "rules simple {\n"
+        "  rule f(o=a, d=x; y: o=b, d=dy) =>\n    out = a;\n    next(l) = y;\n"
+        "}\n"
+    )
+    fails_at(text, "5:20", "simple rules must not name their arguments")
+    loads(text.replace("rules simple", "rules gsos"))
 
 
 def test_section_level_diagnostics():
@@ -243,7 +262,7 @@ def test_a_deep_successor_template_loads():
     chain = "x + " * 1999 + "y"
     wb = loads(stream.replace("next(t') = x + y;", f"next(t') = {chain};"))
     rule = wb.law.spec.rule_for("+")
-    links, t = 0, rule.next.term
+    links, t = 0, rule.next
     while isinstance(t, App):
         links, t = links + 1, t.args[1]
     assert (links, t) == (1999, Var("y"))

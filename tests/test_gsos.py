@@ -27,7 +27,6 @@ from lawbench.gsos import (
     CaseSplit,
     DistLaw,
     GsosSpec,
-    Plain,
     QuotientStepper,
     Rule,
     _output_program,
@@ -197,25 +196,37 @@ def test_rule_table_validation():
     sig = STREAM.signature
     plus = Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
                 App("+", (Var("a"), Var("b"))),
-                Plain(App("+", (Var("x"), Var("y")))))
+                App("+", (Var("x"), Var("y"))))
     with pytest.raises(PlaceholderViolation):
         GsosSpec(sig, (plus, plus))  # duplicate rule
     with pytest.raises(PlaceholderViolation):
         GsosSpec(sig, (Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
                             Var("stray"),
-                            Plain(App("+", (Var("x"), Var("y"))))),))
+                            App("+", (Var("x"), Var("y")))),))
     with pytest.raises(PlaceholderViolation):
         GsosSpec(sig, (Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
                             Var("a"),
-                            Plain(Var("undeclared"))),))
-    with pytest.raises(PlaceholderViolation):
-        GsosSpec(sig, (Rule("+", (ArgObs("a", "x", name="arg"),
-                                  ArgObs("b", "y")),
-                            Var("a"),
-                            Plain(Var("arg"))),), format="simple")
+                            Var("undeclared")),))
     with pytest.raises(PlaceholderViolation):
         GsosSpec(sig, (Rule("+", (ArgObs("a", "x"),),
-                            Var("a"), Plain(Var("x"))),))
+                            Var("a"), Var("x")),))
+    # The format is read off the rules: a named argument makes it gsos.
+    assert GsosSpec(sig, (plus,)).format == "simple"
+    named = Rule("+", (ArgObs("a", "x", name="arg"), ArgObs("b", "y")),
+                 Var("a"), Var("arg"))
+    assert GsosSpec(sig, (named,)).format == "gsos"
+
+
+def test_a_rule_with_an_index_placeholder_is_a_family_rule():
+    # An index placeholder makes a rule a constant family's, so an
+    # operation's rule that declares one, and reads it in its output, is
+    # refused when the table is built, not when it is applied.
+    rules = tuple(replace(r, index_name="r",
+                          output=App("+", (r.output, Var("r"))))
+                  if r.symbol == "+" else r for r in STREAM.law.spec.rules)
+    with pytest.raises(UnknownSymbol,
+                       match=r"constant family '\+' is not declared"):
+        GsosSpec(STREAM.signature, rules)
 
 
 def test_a_constant_in_a_rule_output_is_rejected():
@@ -226,7 +237,7 @@ def test_a_constant_in_a_rule_output_is_rejected():
                   if r.symbol == "+" else r for r in STREAM.law.spec.rules)
     with pytest.raises(PlaceholderViolation, match=r"output contains the "
                        r"constant \[1\]"):
-        GsosSpec(sig, rules, STREAM.law.spec.format)
+        GsosSpec(sig, rules)
 
 
 def compiled_output(expr, alg, env):
@@ -252,7 +263,7 @@ def test_a_rule_output_outside_the_algebra_fails_when_the_law_is_built():
                             (App("g", (Var("a"),)), "is not an operation")):
         rules = tuple(replace(r, output=output) if r.symbol == "+" else r
                       for r in STREAM.law.spec.rules)
-        spec = GsosSpec(STREAM.signature, rules, STREAM.law.spec.format)
+        spec = GsosSpec(STREAM.signature, rules)
         with pytest.raises(UnknownSymbol, match=message):
             replace(STREAM.law, spec=spec)
 
@@ -272,7 +283,7 @@ def test_missing_rule_is_reported():
     plus_only = GsosSpec(sig, (Rule(
         "+", (ArgObs("a", "x"), ArgObs("b", "y")),
         App("+", (Var("a"), Var("b"))),
-        Plain(App("+", (Var("x"), Var("y"))))),))
+        App("+", (Var("x"), Var("y")))),))
     law = DistLaw(plus_only, ("t",), RATIONAL_OUTPUTS)
     env = stream_env("v", "u")
     with pytest.raises(MissingRule):
@@ -437,7 +448,7 @@ def random_rule(wb, output, next_):
     successor."""
     rules = tuple(replace(r, output=output, next=next_)
                   if r.symbol == "*" else r for r in wb.law.spec.rules)
-    spec = GsosSpec(wb.signature, rules, wb.law.spec.format)
+    spec = GsosSpec(wb.signature, rules)
     return replace(wb.law, spec=spec)
 
 
@@ -456,7 +467,7 @@ def test_compiled_rules_match_the_reference(wb, data):
     output = data.draw(terms_over(outs, [("+", 2), ("*", 2)]))
     template = data.draw(terms_over(derivs + indexed + [App("X")],
                                     [("+", 2), ("*", 2)]))
-    law = random_rule(wb, output, Plain(template))
+    law = random_rule(wb, output, template)
     th = wb.theory
     outs_of = data.draw(st.tuples(POLYS, POLYS))
     terms = [(Var(f"s{i}"), Step(out, {"t": Var(f"d{i}")}))

@@ -18,7 +18,6 @@ from lawbench.gsos import (
     ArgObs,
     DistLaw,
     GsosSpec,
-    Plain,
     Rule,
     extend_lambda,
 )
@@ -68,9 +67,9 @@ CFG = load(example("cfg.dsl"))
 def test_a_witness_does_not_depend_on_the_declared_letter_order():
     # Under ``next = dx`` for ``+`` the plus schemes fail at both letters;
     # the witness names the first in sorted order, as the trace lists them.
-    rules = tuple(replace(r, next=Plain(Var(r.args[0].deriv)))
+    rules = tuple(replace(r, next=Var(r.args[0].deriv))
                   if r.symbol == "+" else r for r in CFG.law.spec.rules)
-    spec = GsosSpec(CFG.signature, rules, CFG.law.spec.format)
+    spec = GsosSpec(CFG.signature, rules)
     reports = [check_preservation(CFG.theory,
                                   DistLaw(spec, alphabet, CFG.law.outputs))
                for alphabet in (("a", "b"), ("b", "a"))]
@@ -277,12 +276,12 @@ def test_unknown_verdict_when_the_search_cannot_decide():
     )
     th = generic_theory(sig, schemes)
     rules = (
-        Rule("a", (), App("0"), Plain(App("g", (App("a"),)))),
-        Rule("b", (), App("0"), Plain(App("h", (App("b"),)))),
+        Rule("a", (), App("0"), App("g", (App("a"),))),
+        Rule("b", (), App("0"), App("h", (App("b"),))),
         Rule("g", (ArgObs("o", "dx"),), App("0"),
-             Plain(App("g", (Var("dx"),)))),
+             App("g", (Var("dx"),))),
         Rule("h", (ArgObs("o", "dx"),), App("0"),
-             Plain(App("h", (Var("dx"),)))),
+             App("h", (Var("dx"),))),
     )
     law = DistLaw(GsosSpec(sig, rules), ("t",), RATIONAL_OUTPUTS)
     report = check_preservation(th, law)
@@ -350,11 +349,11 @@ def _deep_scheme_law(depth, successor, search=False):
         schemes += (EquationScheme("swap", ("v", "u"), App("p", (v, u)),
                                    App("p", (u, v))),)
     rules = (
-        Rule("a", (), App("1"), Plain(App("a"))),
-        Rule("g", (ArgObs("o", "dx"),), Var("o"), Plain(successor)),
+        Rule("a", (), App("1"), App("a")),
+        Rule("g", (ArgObs("o", "dx"),), Var("o"), successor),
         Rule("p", (ArgObs("o", "dx"), ArgObs("q", "dy")),
              App("+", (Var("o"), Var("q"))),
-             Plain(App("p", (Var("dx"), Var("dy"))))),
+             App("p", (Var("dx"), Var("dy")))),
     )
     law = DistLaw(GsosSpec(sig, rules), ("t",), RATIONAL_OUTPUTS)
     return generic_theory(sig, schemes, max_depth=1 if search else 5), law

@@ -22,7 +22,6 @@ from lawbench.errors import NotInTheorySignature, UnboundVariable
 from lawbench.gsos import (
     DistLaw,
     GsosSpec,
-    Plain,
     QuotientStepper,
     extend_lambda,
     pointwise_plus,
@@ -185,7 +184,7 @@ def with_plus_rule(law, output=None, successor=None) -> DistLaw:
         if rule.symbol != "+":
             return rule
         return replace(rule, output=output or rule.output,
-                       next=Plain(successor) if successor else rule.next)
+                       next=successor if successor else rule.next)
     rules = tuple(map(changed, law.spec.rules))
     return DistLaw(replace(law.spec, rules=rules), law.alphabet, law.outputs)
 
@@ -302,9 +301,9 @@ def test_a_successor_outside_the_semiring_raises_folds_error(successor,
     law = STREAM.law
     sig = Signature(law.signature.ops + (("f", 1),),
                     law.signature.families + (ConstantFamily("d"),))
-    rules = tuple(replace(r, next=Plain(successor)) if r.symbol == "+" else r
+    rules = tuple(replace(r, next=successor) if r.symbol == "+" else r
                   for r in law.spec.rules)
-    wide = DistLaw(GsosSpec(sig, rules, law.spec.format), law.alphabet,
+    wide = DistLaw(GsosSpec(sig, rules), law.alphabet,
                    law.outputs)
     th = STREAM.theory
     env = {x: (Var(x), Step.of(1, {"t": Var(x)})) for x in ("v", "u")}
@@ -317,9 +316,9 @@ def test_a_successor_outside_the_semiring_raises_folds_error(successor,
 def test_language_constants_are_not_in_the_idempotent_semiring():
     # cfg_law's signature has no family; give its union rule one.
     sig = Signature(CFG_LAW.signature.ops, (ConstantFamily("c"),))
-    rules = tuple(replace(r, next=Plain(App("+", (Const("c", 1), Var("dy")))))
+    rules = tuple(replace(r, next=App("+", (Const("c", 1), Var("dy"))))
                   if r.symbol == "+" else r for r in CFG_LAW.spec.rules)
-    law = DistLaw(GsosSpec(sig, rules, CFG_LAW.spec.format), CFG_LAW.alphabet,
+    law = DistLaw(GsosSpec(sig, rules), CFG_LAW.alphabet,
                   BOOL_OUTPUTS)
     env = {x: (Var(x), Step.of(0, {"a": Var(x), "b": App("0")}))
            for x in ("v", "u")}

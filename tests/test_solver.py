@@ -20,7 +20,7 @@ from lawbench.errors import (
     UnboundVariable,
 )
 from lawbench import gsos
-from lawbench.gsos import DistLaw, Plain, extend_lambda
+from lawbench.gsos import DistLaw, extend_lambda
 from lawbench.polynomials import Poly
 from lawbench.preservation import Verdict, check_preservation
 from lawbench.solver import (
@@ -175,7 +175,7 @@ def broken_stream_system() -> CorecSystem:
     # then identifies states whose unfoldings disagree one step later
     law = STREAM.law
     rules = tuple(
-        replace(r, next=Plain(Const("c", Fraction(1)))) if r.is_family else r
+        replace(r, next=Const("c", Fraction(1))) if r.is_family else r
         for r in law.spec.rules)
     broken = DistLaw(replace(law.spec, rules=rules), law.alphabet, law.outputs)
     return CorecSystem(STREAM.system.variables, STREAM.system.phi,
@@ -197,7 +197,7 @@ def broken_grammar_system() -> CorecSystem:
     # both letters
     sys = to_corec(load(example("balanced.dsl")).grammar)
     law = sys.law
-    rules = tuple(replace(r, next=Plain(Var("dx"))) if r.symbol == "+" else r
+    rules = tuple(replace(r, next=Var("dx")) if r.symbol == "+" else r
                   for r in law.spec.rules)
     broken = DistLaw(replace(law.spec, rules=rules), law.alphabet, law.outputs)
     return CorecSystem(sys.variables, sys.phi, broken, sys.theory)
