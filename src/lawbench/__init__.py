@@ -38,7 +38,6 @@ from .gsos import (
     ArgObs,
     CaseSplit,
     DistLaw,
-    GsosSpec,
     QuotientStepper,
     Rule,
     apply_rule,

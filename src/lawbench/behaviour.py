@@ -76,9 +76,6 @@ class OutputAlgebra:
         value = self.coerce(value)
         return value if self.kind == "bool" else value.constant_value()
 
-    def format(self, value) -> str:
-        return str(self.coerce(value))
-
     def __repr__(self) -> str:
         return f"OutputAlgebra({self.kind!r})"
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .behaviour import BOOL_OUTPUTS, Step
 from .errors import InvalidGrammar
-from .gsos import ArgObs, CaseSplit, DistLaw, GsosSpec, Rule
+from .gsos import ArgObs, CaseSplit, DistLaw, Rule
 from .solver import CorecSystem, model, unfold
 from .terms import App, Signature, Term, Var, variables
 from .theories import LangForm, Theory, idempotent_semiring
@@ -52,8 +52,7 @@ def cfg_law(alphabet: Sequence[str]) -> DistLaw:
                        if_zero=dx_y,
                        if_one=App("+", (dx_y, y)))),
     )
-    spec = GsosSpec(cfg_signature(), rules)
-    return DistLaw(spec, tuple(alphabet), BOOL_OUTPUTS)
+    return DistLaw(cfg_signature(), rules, tuple(alphabet), BOOL_OUTPUTS)
 
 
 @dataclass
@@ -169,7 +168,7 @@ def equiv_upto(g: GnfGrammar, t1: Term, t2: Term, maxlen: int) -> EquivResult:
             return EquivResult(False, word)
         if len(word) == maxlen:
             continue
-        for letter in sys.law.letters:
+        for letter in sys.law.alphabet:
             l_next = left_step.next(letter)
             r_next = right_step.next(letter)
             pair = (l_next.words, r_next.words)

@@ -117,7 +117,7 @@ def _system(wb: Workbench) -> CorecSystem:
 @functools.cache
 def _language_rules() -> frozenset:
     """The rules of the law every grammar command runs; built once."""
-    return frozenset(cfg_law(("a",)).spec.rules)
+    return frozenset(cfg_law(("a",)).rules)
 
 
 def _grammar(wb: Workbench):
@@ -130,7 +130,7 @@ def _grammar(wb: Workbench):
     law, th = wb.law, wb.theory
     for block, differs in (
             ("rules", law is not None
-             and frozenset(law.spec.rules) != _language_rules()),
+             and frozenset(law.rules) != _language_rules()),
             ("theory", th is not None
              and (th.kind, frozenset(th.signature.ops), th.signature.families)
              != (IDEMPOTENT, frozenset(cfg_signature().ops), ()))):

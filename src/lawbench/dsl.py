@@ -39,7 +39,6 @@ from .gsos import (
     ArgObs,
     CaseSplit,
     DistLaw,
-    GsosSpec,
     Rule,
 )
 from .polynomials import Poly
@@ -167,17 +166,19 @@ class _TermCtx:
     """What identifiers mean while a term is being parsed.
 
     ``free`` selects the fallback for names the signature does not know:
-    metavariables (equation schemes), a fixed variable set (system and
-    rule bodies), or anything (grammar start expressions).
+    metavariables (equation schemes), variables the block declares
+    before or after the use (system bodies), a fixed variable set (rule
+    bodies), or anything (grammar start expressions).  ``seen`` keeps
+    each metavariable or system variable met, with its first token.
     """
 
     signature: Signature
-    free: str  # "metavar" | "fixed" | "any"
+    free: str  # "metavar" | "declared" | "fixed" | "any"
     allowed: frozenset[str] = frozenset()
     deriv: frozenset[str] = frozenset()
     binder: str | None = None
     index_atoms: frozenset[str] | None = frozenset()  # None: collect freely
-    seen_metavars: list[str] = field(default_factory=list)
+    seen: dict[str, Token] = field(default_factory=dict)
     seen_index_atoms: list[str] = field(default_factory=list)
 
 
@@ -295,9 +296,10 @@ def _parse_operand(c: _Cursor, ctx: _TermCtx) -> Term | _Open:
         return App(name)
     if any(f.name == name for f in ctx.signature.families) and c.at("punct", "["):
         return _parse_const(c, ctx, name, name_tok)
-    if ctx.free == "metavar":
-        if name not in ctx.seen_metavars:
-            ctx.seen_metavars.append(name)
+    # A name applied to arguments is never a variable.
+    if ctx.free == "metavar" or (ctx.free == "declared"
+                                 and not c.at("punct", "(")):
+        ctx.seen.setdefault(name, name_tok)
         return Var(name)
     if ctx.free == "any":
         return Var(name)
@@ -527,7 +529,7 @@ def _parse_generic_theory(c: _Cursor, signature: Signature) -> Theory:
         c.expect("punct", "=")
         rhs = _parse_term(c, ctx)
         _item_end(c)
-        schemes.append(EquationScheme(name, tuple(ctx.seen_metavars),
+        schemes.append(EquationScheme(name, tuple(ctx.seen),
                                       lhs, rhs,
                                       tuple(ctx.seen_index_atoms)))
     c.expect("punct", "}")
@@ -555,8 +557,7 @@ def _parse_rules(tokens: list[Token], signature: Signature | None,
         rules.append(_parse_rule(c, signature, outputs, alphabet, fmt))
     c.expect("punct", "}")
     c.expect("eof")
-    spec = GsosSpec(signature, tuple(rules))
-    return DistLaw(spec, alphabet, output_algebra(outputs))
+    return DistLaw(signature, tuple(rules), alphabet, output_algebra(outputs))
 
 
 def _parse_rule(c: _Cursor, signature: Signature, outputs: str,
@@ -644,7 +645,7 @@ def _parse_arg_obs(c: _Cursor, fmt: str) -> ArgObs:
 def _parse_out_expr(c: _Cursor, outputs: str, tokens: set[str]) -> Term:
     """A rule output: a term whose variables are the rule's output
     placeholders and whose nullary symbols are literals."""
-    ops = {"bool": ("min", "max"), "rational": ("+", "*")}[outputs]
+    ops = output_algebra(outputs).ops
 
     def operand(c: _Cursor) -> Term | _Open:
         # Called right after the reader takes an infix operator, so an
@@ -685,31 +686,15 @@ def _parse_system(tokens: list[Token], law: DistLaw | None,
         raise MissingSection("a system block needs a rules block",
                              head.line, head.col)
     c.expect("punct", "{")
-    body_start = c.pos
-
-    names: list[str] = []
-    depth = 1
-    scan = _Cursor(tokens)
-    scan.pos = body_start
-    while depth and not scan.at("eof"):
-        tok = scan.advance()
-        if tok.kind == "punct" and tok.value == "{":
-            depth += 1
-        elif tok.kind == "punct" and tok.value == "}":
-            depth -= 1
-        elif tok.kind == "ident" and tok.value == "var" and depth == 1:
-            name_tok = scan.expect("ident", what="a variable name")
-            if name_tok.value in names:
-                _fail(name_tok, f"variable {name_tok.value!r} defined twice")
-            names.append(str(name_tok.value))
-
     alg = law.outputs
-    ctx = _TermCtx(law.spec.signature, free="fixed",
-                   allowed=frozenset(names))
+    ctx = _TermCtx(law.signature, free="declared")
     phi: dict[str, Step] = {}
     while not c.at("punct", "}"):
         c.expect("ident", "var")
-        name = str(c.expect("ident", what="a variable name").value)
+        name_tok = c.expect("ident", what="a variable name")
+        name = str(name_tok.value)
+        if name in phi:
+            _fail(name_tok, f"variable {name!r} defined twice")
         c.expect("punct", ":")
         c.expect("ident", "out")
         c.expect("punct", "=")
@@ -737,8 +722,11 @@ def _parse_system(tokens: list[Token], law: DistLaw | None,
             _fail(c.peek(), f"variable {name!r} lacks next({missing[0]})")
         phi[name] = Step.of(alg.coerce(value), moves)
     c.expect("punct", "}")
+    for name, tok in ctx.seen.items():
+        if name not in phi:
+            _fail(tok, f"unknown name {name!r}")
     c.expect("eof")
-    return CorecSystem(tuple(names), phi, law, theory)
+    return CorecSystem(tuple(phi), phi, law, theory)
 
 
 def _parse_grammar(tokens: list[Token],
@@ -763,6 +751,8 @@ def _parse_grammar(tokens: list[Token],
             start = _parse_term(c, start_ctx)
             _item_end(c)
             continue
+        if name == "eps":
+            _fail(tok, "'eps' cannot be a nonterminal")
         if c.take("punct", ":"):
             nonterminals.setdefault(name)
             c.expect("ident", "empty")
@@ -787,10 +777,9 @@ def _parse_grammar(tokens: list[Token],
             while c.at("ident"):
                 sym_tok = c.advance()
                 sym = str(sym_tok.value)
-                if sym == "start":
-                    _fail(sym_tok, "'start' cannot be a nonterminal")
-                if sym != "eps":
-                    nonterminals.setdefault(sym)
+                if sym in ("start", "eps"):
+                    _fail(sym_tok, f"{sym!r} cannot be a nonterminal")
+                nonterminals.setdefault(sym)
                 body.append(sym)
             if not body:
                 _fail(c.peek(), "a production body is 'eps' or nonterminals")

@@ -15,9 +15,14 @@ every ``[c]``).  Successor templates may also embed output placeholders
 inside constant indices, which is how a rule like
 ``(x * y)' = x' * y + [x(0)] * y'`` mentions the head output ``[x(0)]``.
 
+``DistLaw`` is the one value that presents the law: the signature, one
+rule per symbol, the input alphabet, kept sorted, and the output algebra.
+It validates the rules when it is built, so laws compare as values.
+
 ``apply_rule`` is the rule table lambda : Sigma(X x BX) => BTX at one
 symbol: it takes one observed state, a (state, ``Step``) pair, per
-argument.  A rule's output and successor templates are fixed data, so
+argument, and binds every placeholder of the application in one
+environment.  A rule's output and successor templates are fixed data, so
 they are compiled when the law is built (``DistLaw.compiled``): each into
 a straight-line program over its placeholders' slots, the output in the
 output algebra and the templates in terms; a ``QuotientStepper`` on the
@@ -118,23 +123,22 @@ def _compile(term: Term, var: Callable[[str], tuple],
     return tuple(program)
 
 
-def _run(program: Program, bound: Mapping[str, Any],
-         poly_env: Mapping[str, Poly]):
-    """The value a program computes with ``bound`` for its placeholders
-    and ``poly_env`` for the output values its constant indices name."""
+def _run(program: Program, env: Mapping[str, Any]):
+    """The value a program computes with ``env`` for its placeholders,
+    the output values its constant indices name among them."""
     values: list = []
     push = values.append
     for kind, fn, a, b in program:
         if kind == _APPLY:
             push(fn(values[a], values[b]))
         elif kind == _BOUND:
-            push(bound[a])
+            push(env[a])
         elif kind == _FIXED:
             push(a)
         elif kind == _INDEX:
-            push(fn(poly_env[a]))
+            push(fn(env[a]))
         elif kind == _SUBST:
-            push(fn(a.substitute(poly_env)))
+            push(fn(a.substitute(env)))
         else:
             push(fn(*[values[i] for i in a]))
     return values[-1]
@@ -155,7 +159,7 @@ def _output_program(expr: Term, alg: OutputAlgebra) -> Program:
     an output placeholder, a nullary symbol the literal its name spells,
     and any other application an operation of the output algebra, a
     binary one its function in ``alg.ops``, since every value is coerced.
-    ``GsosSpec`` has already rejected constants and undeclared
+    ``DistLaw`` has already rejected constants and undeclared
     placeholders in outputs, so none is met here."""
     def app(t: App, slots: list[int]) -> tuple:
         if not slots:
@@ -174,7 +178,7 @@ def _template_program(template: Term, rational: bool,
                       scalar: Callable[[Const], Callable[[Poly], Any]],
                       operation: Callable[[App], Callable]) -> Program:
     """Read a successor template into a target algebra: a variable is a
-    placeholder, bound per application (``GsosSpec`` has already rejected
+    placeholder, bound per application (``DistLaw`` has already rejected
     undeclared ones); a constant or nullary symbol is its ``leaf`` value,
     except that under ``rational`` outputs a constant whose index
     mentions output values is ``scalar(t)`` of the index with them
@@ -284,23 +288,50 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class GsosSpec:
+class DistLaw:
     """A complete rule table over a signature, one rule per symbol (an
-    operation and a constant family never share a name)."""
+    operation and a constant family never share a name), together with
+    the input alphabet and output algebra: the data of a distributive law
+    presented symbol by symbol.
+
+    ``alphabet`` is kept sorted, the order of every step's moves, so two
+    laws that declare their letters in another order are equal.
+    ``compiled`` maps each symbol to its rule, the rule's output's
+    program in the output algebra and its templates' programs in terms,
+    keyed by template; all are compiled when the law is built."""
 
     signature: Signature
     rules: tuple[Rule, ...]
+    alphabet: tuple[str, ...]
+    outputs: OutputAlgebra
+    compiled: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_symbol: dict[str, Rule] = {}
+        alphabet = tuple(sorted(self.alphabet))
+        if not alphabet or len(set(alphabet)) != len(alphabet):
+            raise AlphabetMismatch("alphabet must be nonempty and duplicate-free")
+        object.__setattr__(self, "alphabet", alphabet)
+        rational = self.outputs.kind == "rational"
+        compiled: dict = {}
         for rule in self.rules:
-            if rule.symbol in by_symbol:
+            if rule.symbol in compiled:
                 raise PlaceholderViolation(
                     f"duplicate rule for {rule.symbol!r}"
                 )
-            by_symbol[rule.symbol] = rule
             self._validate_rule(rule)
-        object.__setattr__(self, "_by_symbol", by_symbol)
+            if isinstance(rule.next, CaseSplit) and self.outputs.kind != "bool":
+                raise SymbolicCaseSplit(
+                    f"rule for {rule.symbol!r} case-splits, which needs "
+                    f"Boolean outputs"
+                )
+            if rule.is_family and not rational:
+                raise PlaceholderViolation(
+                    f"family rule {rule.symbol!r} needs rational outputs"
+                )
+            compiled[rule.symbol] = (
+                rule, _output_program(rule.output, self.outputs),
+                {t: _term_program(t, rational) for t in rule.templates()})
+        object.__setattr__(self, "compiled", compiled)
 
     @property
     def format(self) -> str:
@@ -374,56 +405,13 @@ class GsosSpec:
                 )
 
     def rule_for(self, symbol: str) -> Rule:
-        rule = self._by_symbol.get(symbol)
-        if rule is None:
+        compiled = self.compiled.get(symbol)
+        if compiled is None:
             kind = ("family" if any(f.name == symbol
                                     for f in self.signature.families)
                     else "symbol")
             raise MissingRule(f"no rule for {kind} {symbol!r}")
-        return rule
-
-
-@dataclass(frozen=True)
-class DistLaw:
-    """A rule table together with the input alphabet and output algebra;
-    the data of a distributive law presented symbol by symbol.
-
-    ``letters`` is the alphabet sorted, the order of every step's moves.
-    ``compiled`` maps each symbol to its rule, the rule's output's
-    program in the output algebra and its templates' programs in terms,
-    keyed by template; all are compiled when the law is built."""
-
-    spec: GsosSpec
-    alphabet: tuple[str, ...]
-    outputs: OutputAlgebra
-    letters: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    compiled: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        if not self.alphabet or len(set(self.alphabet)) != len(self.alphabet):
-            raise AlphabetMismatch("alphabet must be nonempty and duplicate-free")
-        for rule in self.spec.rules:
-            if isinstance(rule.next, CaseSplit) and self.outputs.kind != "bool":
-                raise SymbolicCaseSplit(
-                    f"rule for {rule.symbol!r} case-splits, which needs "
-                    f"Boolean outputs"
-                )
-            if rule.is_family and self.outputs.kind != "rational":
-                raise PlaceholderViolation(
-                    f"family rule {rule.symbol!r} needs rational outputs"
-                )
-        rational = self.outputs.kind == "rational"
-        object.__setattr__(self, "letters", tuple(sorted(self.alphabet)))
-        object.__setattr__(self, "compiled", {
-            rule.symbol: (
-                rule, _output_program(rule.output, self.outputs),
-                {t: _term_program(t, rational) for t in rule.templates()})
-            for rule in self.spec.rules})
-
-    @property
-    def signature(self) -> Signature:
-        return self.spec.signature
+        return compiled[0]
 
 
 LeafObs = tuple[Term, Step]
@@ -438,34 +426,34 @@ def apply_rule(law: DistLaw, symbol: str, args: list[tuple[Any, Step]],
     passes its semiring programs."""
     compiled = law.compiled.get(symbol)
     if compiled is None:
-        law.spec.rule_for(symbol)  # raises MissingRule
+        law.rule_for(symbol)  # raises MissingRule
     rule, output_program, templates = compiled
     alg = law.outputs
-    out_env: dict[str, Any] = {}
-    for spec_arg, (_, step) in zip(rule.args, args):
-        out_env[spec_arg.out] = alg.coerce(step.output)
+    # One environment for the application: placeholders are distinct, so
+    # outputs, index, named states and each letter's derivatives share it.
+    env: dict[str, Any] = {}
+    for arg, (state, step) in zip(rule.args, args):
+        env[arg.out] = alg.coerce(step.output)
+        if arg.name is not None:
+            env[arg.name] = state
     if rule.index_name is not None:
-        out_env[rule.index_name] = alg.coerce(index)
+        env[rule.index_name] = alg.coerce(index)
 
-    output = _run(output_program, out_env, {})
+    output = _run(output_program, env)
 
     template = rule.next
     if isinstance(template, CaseSplit):
         # Case splits need Boolean outputs (``DistLaw``), so this is a bit.
-        body = template.if_one if out_env[template.scrutinee] else template.if_zero
+        body = template.if_one if env[template.scrutinee] else template.if_zero
     else:
         body = template
     program = (templates if programs is None else programs[symbol])[body]
 
-    named = {a.name: state for a, (state, _) in zip(rule.args, args)
-             if a.name is not None}
     moves = {}
-    for letter in law.letters:
-        bound = named.copy()
-        for spec_arg, (_, step) in zip(rule.args, args):
-            bound[spec_arg.deriv] = step.moves[letter]
-        # Only rational outputs, all Polys, have programs that read them.
-        moves[letter] = _run(program, bound, out_env)
+    for letter in law.alphabet:
+        for arg, (_, step) in zip(rule.args, args):
+            env[arg.deriv] = step.moves[letter]
+        moves[letter] = _run(program, env)
     return Step(output, moves)
 
 
@@ -562,7 +550,7 @@ class QuotientStepper:
                 if symbol == "*" or not rule.args}
         # States matter only to gsos rules that name an argument.
         self._product_states = any(arg.name is not None
-                                   for rule in law.spec.rules
+                                   for rule in law.rules
                                    if rule.symbol == "*" for arg in rule.args)
 
     def normalized(self, step: Step) -> Step:

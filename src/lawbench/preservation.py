@@ -202,7 +202,7 @@ def _check_case(th: Theory, law: DistLaw, scheme: EquationScheme,
     if not alg.equal(lhs_step.output, rhs_step.output):
         verdict = Verdict.FAILS
     else:
-        for letter in law.letters:
+        for letter in law.alphabet:
             answer = th.equiv(lhs_step.next(letter), rhs_step.next(letter),
                               memo)
             if answer.equiv is not Equiv.EQUAL:

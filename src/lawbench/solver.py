@@ -95,10 +95,10 @@ class CorecSystem:
             )
         coerced = {}
         for name, step in self.phi.items():
-            if tuple(step.moves) != self.law.letters:
+            if tuple(step.moves) != self.law.alphabet:
                 raise AlphabetMismatch(
                     f"variable {name!r} does not observe the alphabet "
-                    f"{list(self.law.letters)}"
+                    f"{list(self.law.alphabet)}"
                 )
             output = alg.coerce(step.output)
             if not alg.is_concrete(output):

@@ -178,7 +178,7 @@ def reference_apply_rule(law: DistLaw, symbol: str, args: list, index=None,
                          read=reference_instantiate_template) -> Step:
     """``apply_rule`` with every term read afresh; ``read`` takes a
     template, its bound placeholders and the output values."""
-    rule = law.spec.rule_for(symbol)
+    rule = law.rule_for(symbol)
     alg = law.outputs
     out_env: dict[str, Any] = {}
     for spec_arg, (_, step) in zip(rule.args, args):
@@ -381,7 +381,7 @@ def morphism_square_check(th: Theory, law: DistLaw,
         if not alg.equal(left.output, right.output):
             violations.append(SquareViolation(
                 term, "output", None,
-                alg.format(left.output), alg.format(right.output)))
+                str(alg.coerce(left.output)), str(alg.coerce(right.output))))
             continue
         for letter in law.alphabet:
             if left.next(letter) != right.next(letter):
@@ -506,12 +506,12 @@ def _pretty_theory(theory: Theory, multi: bool) -> str:
 
 
 def _pretty_rules(law: DistLaw, multi: bool) -> str:
-    lines = [f"rules {law.spec.format} {{"]
+    lines = [f"rules {law.format} {{"]
     # Rules keep no binder: any name that is not a letter reads back.
     binder = "l"
     while binder in law.alphabet:
         binder += "'"
-    for rule in law.spec.rules:
+    for rule in law.rules:
         head = rule.symbol
         if rule.is_family:
             head += f"[{rule.index_name}]"

@@ -209,8 +209,8 @@ def test_criterion_07_quotient_commutation():
     law = STREAM.law
     rules = tuple(
         replace(r, next=Const("c", Fraction(1))) if r.is_family else r
-        for r in law.spec.rules)
-    broken = DistLaw(replace(law.spec, rules=rules), law.alphabet, law.outputs)
+        for r in law.rules)
+    broken = replace(law, rules=rules)
     mutated = CorecSystem(STREAM.system.variables, STREAM.system.phi,
                           broken, STREAM.theory)
     report = quotient_commute_check(mutated, max_term_size=3, depth=3)

@@ -294,6 +294,28 @@ def test_grammar_blocks_match_whatever_the_binder_is_named(capsys, tmp_path):
     assert capsys.readouterr() == ("1\n", "")
 
 
+def test_a_system_variable_may_be_named_like_a_keyword(capsys, tmp_path):
+    # A system block is read once, so ``var`` starts an item only where
+    # an item starts.
+    path = tmp_path / "var.dsl"
+    path.write_text(pathlib.Path(example("stream.dsl")).read_text()
+                    .replace("var ones:", "var var:")
+                    .replace("next(t) = ones;", "next(t) = var;"))
+    assert run(["stream", str(path), "--state", "var", "--n", "3"]) == 0
+    assert capsys.readouterr() == ("1 1 1\n", "")
+
+
+@pytest.mark.parametrize("heads", ["", " eps: empty=1;"])
+def test_eps_is_only_the_empty_body(capsys, tmp_path, heads):
+    # ``eps`` is the empty word as a whole body, and no nonterminal, even
+    # when a head declares it.
+    path = tmp_path / "eps.dsl"
+    path.write_text(f"grammar {{ S: empty=1; S -a-> S eps;{heads} start S }}\n")
+    assert run(["cfg-member", str(path), "--word", "a"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: 1:32: 'eps' cannot be a nonterminal\n")
+
+
 def test_usage_and_load_errors(capsys, tmp_path):
     not_utf8 = tmp_path / "utf16.dsl"
     not_utf8.write_bytes(b"\xff\xfesignature")

@@ -29,16 +29,16 @@ def test_bundled_stream_file():
     assert wb.alphabet == ("t",)
     assert wb.theory.kind == "commutative-semiring"
     assert len(wb.theory.schemes) == 10
-    assert len(wb.law.spec.rules) == 4
-    assert wb.law.spec.format == "simple"
+    assert len(wb.law.rules) == 4
+    assert wb.law.format == "simple"
     assert wb.system.variables == ("ones",)
     assert wb.grammar is None
 
 
 def test_bundled_convolution_file():
     wb = load(example("convolution.dsl"))
-    assert wb.law.spec.format == "gsos"
-    assert len(wb.law.spec.rules) == 4
+    assert wb.law.format == "gsos"
+    assert len(wb.law.rules) == 4
     assert wb.system.variables == ("ones",)
 
 
@@ -47,7 +47,7 @@ def test_bundled_three_zeros_file():
     assert wb.signature.ops == (("n1", 0), ("n2", 0), ("n3", 0))
     assert wb.theory.kind == "generic"
     assert [s.name for s in wb.theory.schemes] == ["zeros"]
-    assert len(wb.law.spec.rules) == 3
+    assert len(wb.law.rules) == 3
     assert wb.system is None and wb.grammar is None
 
 
@@ -65,7 +65,7 @@ def test_bundled_grammar_files():
 
 def test_the_rule_format_is_read_off_the_rules():
     # A table is gsos when some rule names an argument to reuse it.
-    formats = {name: load(example(f"{name}.dsl")).law.spec.format
+    formats = {name: load(example(f"{name}.dsl")).law.format
                for name in BUNDLED}
     assert formats == {"stream": "simple", "three-zeros": "simple",
                        "convolution": "gsos", "cfg": "gsos",
@@ -169,6 +169,18 @@ def test_rule_and_system_diagnostics():
         "14:1", "lacks next(t)")
 
 
+def test_an_undeclared_system_name_is_unknown():
+    # A successor may name a variable declared later; a name no ``var``
+    # declares fails where it is first used, applied or not.
+    forward = (PRELUDE + "system {\n  var p: out = 1; next(t) = q;\n"
+               "  var q: out = 0; next(t) = p;\n}\n")
+    assert loads(forward).system.variables == ("p", "q")
+    fails_at(PRELUDE + "system {\n  var p: out = 1; next(t) = p + q;\n}\n",
+             "13:33", "unknown name 'q'")
+    fails_at(PRELUDE + "system {\n  var p: out = 1; next(t) = foo(p);\n}\n",
+             "13:29", "unknown name 'foo'")
+
+
 def test_grammar_diagnostics():
     head = ("signature { op +/2; op */2; op 0/0; op 1/0; }\n"
             "outputs bool;\nalphabet { a }\n")
@@ -261,7 +273,7 @@ def test_a_deep_successor_template_loads():
     stream = (EXAMPLES / "stream.dsl").read_text()
     chain = "x + " * 1999 + "y"
     wb = loads(stream.replace("next(t') = x + y;", f"next(t') = {chain};"))
-    rule = wb.law.spec.rule_for("+")
+    rule = wb.law.rule_for("+")
     links, t = 0, rule.next
     while isinstance(t, App):
         links, t = links + 1, t.args[1]
@@ -281,7 +293,7 @@ def test_a_deep_generic_scheme_loads():
 def test_a_literal_output_is_a_nullary_symbol_and_round_trips():
     wb = loads((EXAMPLES / "stream.dsl").read_text()
                .replace("out = 0;", "out = 2/4;"))
-    rule = wb.law.spec.rule_for("X")
+    rule = wb.law.rule_for("X")
     assert rule.output == App("1/2")
     assert "out = 1/2;" in pretty(wb)
     assert loads(pretty(wb)) == wb
@@ -291,6 +303,10 @@ def test_a_literal_output_is_a_nullary_symbol_and_round_trips():
 def test_start_is_not_a_nonterminal():
     fails_at("grammar { S: empty=1; S -a-> S start; start S }",
              "1:32", "'start' cannot be a nonterminal")
+    fails_at("grammar { S: empty=1; S -a-> S eps; start S }",
+             "1:32", "'eps' cannot be a nonterminal")
+    fails_at("grammar { eps: empty=1; S -a-> S; start S }",
+             "1:11", "'eps' cannot be a nonterminal")
 
 
 SOURCES = [(EXAMPLES / f"{name}.dsl").read_text() for name in BUNDLED]

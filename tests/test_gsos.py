@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 
 from lawbench.behaviour import BOOL_OUTPUTS, RATIONAL_OUTPUTS, Step
+from lawbench.cfg import cfg_law
 from lawbench.dsl import load
 from lawbench.errors import (
     MissingRule,
@@ -26,7 +27,6 @@ from lawbench.gsos import (
     ArgObs,
     CaseSplit,
     DistLaw,
-    GsosSpec,
     QuotientStepper,
     Rule,
     _output_program,
@@ -192,29 +192,45 @@ def test_morphism_square_fails_for_the_unpreserved_equation():
     assert any(v.term == App("n2") for v in report.violations)
 
 
+def law_of(*rules):
+    """A one-letter rational law over the stream signature."""
+    return DistLaw(STREAM.signature, rules, ("t",), RATIONAL_OUTPUTS)
+
+
 def test_rule_table_validation():
-    sig = STREAM.signature
     plus = Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
                 App("+", (Var("a"), Var("b"))),
                 App("+", (Var("x"), Var("y"))))
     with pytest.raises(PlaceholderViolation):
-        GsosSpec(sig, (plus, plus))  # duplicate rule
+        law_of(plus, plus)  # duplicate rule
     with pytest.raises(PlaceholderViolation):
-        GsosSpec(sig, (Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
-                            Var("stray"),
-                            App("+", (Var("x"), Var("y")))),))
+        law_of(Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
+                    Var("stray"), App("+", (Var("x"), Var("y")))))
     with pytest.raises(PlaceholderViolation):
-        GsosSpec(sig, (Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
-                            Var("a"),
-                            Var("undeclared")),))
+        law_of(Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
+                    Var("a"), Var("undeclared")))
     with pytest.raises(PlaceholderViolation):
-        GsosSpec(sig, (Rule("+", (ArgObs("a", "x"),),
-                            Var("a"), Var("x")),))
+        law_of(Rule("+", (ArgObs("a", "x"),), Var("a"), Var("x")))
     # The format is read off the rules: a named argument makes it gsos.
-    assert GsosSpec(sig, (plus,)).format == "simple"
+    assert law_of(plus).format == "simple"
     named = Rule("+", (ArgObs("a", "x", name="arg"), ArgObs("b", "y")),
                  Var("a"), Var("arg"))
-    assert GsosSpec(sig, (named,)).format == "gsos"
+    assert law_of(named).format == "gsos"
+
+
+def test_a_law_is_a_value():
+    # The alphabet is kept sorted, so the order the letters are declared
+    # in is not part of the law.
+    law = cfg_law(("a", "b"))
+    assert law == cfg_law(("b", "a"))
+    assert hash(law) == hash(cfg_law(("b", "a")))
+    assert law.alphabet == ("a", "b")
+    # A law rebuilt with other rules validates and compiles them afresh.
+    plus = replace(law.rule_for("+"), next=Var("dx"))
+    rules = tuple(plus if r.symbol == "+" else r for r in law.rules)
+    changed = replace(law, rules=rules)
+    assert changed.compiled["+"][0] is plus
+    assert changed.rule_for("+") is plus and changed != law
 
 
 def test_a_rule_with_an_index_placeholder_is_a_family_rule():
@@ -223,27 +239,26 @@ def test_a_rule_with_an_index_placeholder_is_a_family_rule():
     # refused when the table is built, not when it is applied.
     rules = tuple(replace(r, index_name="r",
                           output=App("+", (r.output, Var("r"))))
-                  if r.symbol == "+" else r for r in STREAM.law.spec.rules)
+                  if r.symbol == "+" else r for r in STREAM.law.rules)
     with pytest.raises(UnknownSymbol,
                        match=r"constant family '\+' is not declared"):
-        GsosSpec(STREAM.signature, rules)
+        replace(STREAM.law, rules=rules)
 
 
 def test_a_constant_in_a_rule_output_is_rejected():
     # The DSL writes a literal as a nullary symbol; a constant can only
     # come from the library constructor.
-    sig = STREAM.law.signature
     rules = tuple(replace(r, output=App("+", (Var("a"), Const("c", 1))))
-                  if r.symbol == "+" else r for r in STREAM.law.spec.rules)
+                  if r.symbol == "+" else r for r in STREAM.law.rules)
     with pytest.raises(PlaceholderViolation, match=r"output contains the "
                        r"constant \[1\]"):
-        GsosSpec(sig, rules)
+        replace(STREAM.law, rules=rules)
 
 
 def compiled_output(expr, alg, env):
     """The output term's value in the output algebra, through its
     compiled program."""
-    return _run(_output_program(expr, alg), env, {})
+    return _run(_output_program(expr, alg), env)
 
 
 def test_a_nullary_output_is_a_literal():
@@ -262,29 +277,24 @@ def test_a_rule_output_outside_the_algebra_fails_when_the_law_is_built():
     for output, message in ((App("x"), "is not a literal"),
                             (App("g", (Var("a"),)), "is not an operation")):
         rules = tuple(replace(r, output=output) if r.symbol == "+" else r
-                      for r in STREAM.law.spec.rules)
-        spec = GsosSpec(STREAM.signature, rules)
+                      for r in STREAM.law.rules)
         with pytest.raises(UnknownSymbol, match=message):
-            replace(STREAM.law, spec=spec)
+            replace(STREAM.law, rules=rules)
 
 
 def test_case_splits_need_boolean_outputs():
-    sig = STREAM.signature
     split = Rule("+", (ArgObs("a", "x"), ArgObs("b", "y")),
                  Var("a"),
                  CaseSplit("a", if_zero=Var("x"), if_one=Var("y")))
-    spec = GsosSpec(sig, (split,))
     with pytest.raises(SymbolicCaseSplit):
-        DistLaw(spec, ("t",), RATIONAL_OUTPUTS)
+        law_of(split)
 
 
 def test_missing_rule_is_reported():
-    sig = STREAM.signature
-    plus_only = GsosSpec(sig, (Rule(
+    law = law_of(Rule(
         "+", (ArgObs("a", "x"), ArgObs("b", "y")),
         App("+", (Var("a"), Var("b"))),
-        App("+", (Var("x"), Var("y")))),))
-    law = DistLaw(plus_only, ("t",), RATIONAL_OUTPUTS)
+        App("+", (Var("x"), Var("y")))))
     env = stream_env("v", "u")
     with pytest.raises(MissingRule):
         extend_lambda(law, App("*", (Var("v"), Var("u"))), env)
@@ -344,7 +354,7 @@ OUTPUT_CLEAN = {
              [("min", 2), ("max", 2)]),
 }
 # Nullaries that are no literal, operations the outputs lack.  Constants
-# and undeclared placeholders never reach an output program: ``GsosSpec``
+# and undeclared placeholders never reach an output program: ``DistLaw``
 # rejects them first (tested above).
 OUTPUT_DIRTY = ([App("x"), App("1/0"), App("2")], [("g", 1), ("h", 2)])
 OUTPUTS = {"rational": RATIONAL_OUTPUTS, "bool": BOOL_OUTPUTS}
@@ -369,7 +379,7 @@ TEMPLATE_CLEAN = ([Var("x"), Var("y"), App("X"), Const("c", 2), Const("c", A),
                   [("+", 2), ("*", 2)])
 # Families outside the theory, a nullary symbol and an operation the
 # theory lacks.  Undeclared placeholders never reach a template program:
-# ``GsosSpec`` rejects them first (tested above).
+# ``DistLaw`` rejects them first (tested above).
 TEMPLATE_DIRTY = ([Const("d", 1), Const("e", A), App("Y")],
                   [("g", 1), ("h", 3)])
 TERMS = st.sampled_from([Var("p"), App("X"), Const("c", 3),
@@ -386,7 +396,7 @@ def test_compiled_term_reading_matches_the_reference(template, bound,
     poly_env = poly_env if rational else {}
 
     def compiled(template, bound, poly_env):
-        return _run(_term_program(template, rational), bound, poly_env)
+        return _run(_term_program(template, rational), {**poly_env, **bound})
 
     assert outcome(compiled, template, bound, poly_env) == \
         outcome(reference_instantiate_template, template, bound, poly_env)
@@ -400,8 +410,8 @@ def test_compiled_semiring_reading_matches_the_reference(template, bound,
     th = STREAM.theory
 
     def compiled(template, bound, poly_env):
-        return _run(_semiring_program(th, template, True), bound,
-                    poly_env)
+        return _run(_semiring_program(th, template, True),
+                    {**poly_env, **bound})
 
     assert outcome(compiled, template, bound, poly_env) == \
         outcome(reference_read, th, template, bound, poly_env)
@@ -420,7 +430,7 @@ def test_compiled_language_reading_matches_the_reference(template, bound):
     th = CFG.theory
 
     def compiled(template, bound):
-        return _run(_semiring_program(th, template, False), bound, {})
+        return _run(_semiring_program(th, template, False), bound)
 
     assert outcome(compiled, template, bound) == \
         outcome(reference_read, th, template, bound, {})
@@ -436,27 +446,26 @@ def test_compiled_readings_of_deep_chains():
         reference_eval_out(deep_out, RATIONAL_OUTPUTS, out_env)
     deep = chain("*", Const("c", A), chain("+", Var("x"), Var("y")))
     terms = {"x": Var("p"), "y": App("X")}
-    assert _run(_term_program(deep, True), terms, out_env) == \
+    assert _run(_term_program(deep, True), {**out_env, **terms}) == \
         reference_instantiate_template(deep, terms, out_env)
     values = {"x": Poly.atom("p"), "y": Poly.atom("X")}
-    assert _run(_semiring_program(th, deep, True), values,
-                out_env) == reference_read(th, deep, values, out_env)
+    assert _run(_semiring_program(th, deep, True), {**out_env, **values}) \
+        == reference_read(th, deep, values, out_env)
 
 
 def random_rule(wb, output, next_):
     """``wb``'s law with its ``*`` rule given another output and
     successor."""
     rules = tuple(replace(r, output=output, next=next_)
-                  if r.symbol == "*" else r for r in wb.law.spec.rules)
-    spec = GsosSpec(wb.signature, rules)
-    return replace(wb.law, spec=spec)
+                  if r.symbol == "*" else r for r in wb.law.rules)
+    return replace(wb.law, rules=rules)
 
 
 @pytest.mark.parametrize("wb", [STREAM, CONVOLUTION], ids=["stream",
                                                            "convolution"])
 @given(data=st.data())
 def test_compiled_rules_match_the_reference(wb, data):
-    rule = wb.law.spec.rule_for("*")
+    rule = wb.law.rule_for("*")
     (left, right) = rule.args
     outs = [Var(left.out), Var(right.out), App("1/2")]
     derivs = [Var(left.deriv), Var(right.deriv)]
@@ -484,7 +493,7 @@ def test_compiled_rules_match_the_reference(wb, data):
 
 @given(data=st.data())
 def test_compiled_case_splits_match_the_reference(data):
-    rule = CFG.law.spec.rule_for("*")
+    rule = CFG.law.rule_for("*")
     (left, right) = rule.args
     leaves = [Var(left.deriv), Var(right.deriv), Var(right.name), App("0"),
               App("1")]

@@ -17,7 +17,6 @@ from lawbench.dsl import load, loads
 from lawbench.gsos import (
     ArgObs,
     DistLaw,
-    GsosSpec,
     Rule,
     extend_lambda,
 )
@@ -68,10 +67,10 @@ def test_a_witness_does_not_depend_on_the_declared_letter_order():
     # Under ``next = dx`` for ``+`` the plus schemes fail at both letters;
     # the witness names the first in sorted order, as the trace lists them.
     rules = tuple(replace(r, next=Var(r.args[0].deriv))
-                  if r.symbol == "+" else r for r in CFG.law.spec.rules)
-    spec = GsosSpec(CFG.signature, rules)
+                  if r.symbol == "+" else r for r in CFG.law.rules)
     reports = [check_preservation(CFG.theory,
-                                  DistLaw(spec, alphabet, CFG.law.outputs))
+                                  DistLaw(CFG.signature, rules, alphabet,
+                                          CFG.law.outputs))
                for alphabet in (("a", "b"), ("b", "a"))]
     assert reports[0].verdict is Verdict.FAILS
     assert {r.letter for r in reports[0].results
@@ -283,7 +282,7 @@ def test_unknown_verdict_when_the_search_cannot_decide():
         Rule("h", (ArgObs("o", "dx"),), App("0"),
              App("h", (Var("dx"),))),
     )
-    law = DistLaw(GsosSpec(sig, rules), ("t",), RATIONAL_OUTPUTS)
+    law = DistLaw(sig, rules, ("t",), RATIONAL_OUTPUTS)
     report = check_preservation(th, law)
     assert report.verdict is Verdict.UNKNOWN
     assert not report.certified
@@ -355,7 +354,7 @@ def _deep_scheme_law(depth, successor, search=False):
              App("+", (Var("o"), Var("q"))),
              App("p", (Var("dx"), Var("dy")))),
     )
-    law = DistLaw(GsosSpec(sig, rules), ("t",), RATIONAL_OUTPUTS)
+    law = DistLaw(sig, rules, ("t",), RATIONAL_OUTPUTS)
     return generic_theory(sig, schemes, max_depth=1 if search else 5), law
 
 

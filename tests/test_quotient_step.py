@@ -21,7 +21,6 @@ from lawbench.dsl import load
 from lawbench.errors import NotInTheorySignature, UnboundVariable
 from lawbench.gsos import (
     DistLaw,
-    GsosSpec,
     QuotientStepper,
     extend_lambda,
     pointwise_plus,
@@ -185,8 +184,8 @@ def with_plus_rule(law, output=None, successor=None) -> DistLaw:
             return rule
         return replace(rule, output=output or rule.output,
                        next=successor if successor else rule.next)
-    rules = tuple(map(changed, law.spec.rules))
-    return DistLaw(replace(law.spec, rules=rules), law.alphabet, law.outputs)
+    rules = tuple(map(changed, law.rules))
+    return replace(law, rules=rules)
 
 
 def plus(left, right):
@@ -302,9 +301,8 @@ def test_a_successor_outside_the_semiring_raises_folds_error(successor,
     sig = Signature(law.signature.ops + (("f", 1),),
                     law.signature.families + (ConstantFamily("d"),))
     rules = tuple(replace(r, next=successor) if r.symbol == "+" else r
-                  for r in law.spec.rules)
-    wide = DistLaw(GsosSpec(sig, rules), law.alphabet,
-                   law.outputs)
+                  for r in law.rules)
+    wide = DistLaw(sig, rules, law.alphabet, law.outputs)
     th = STREAM.theory
     env = {x: (Var(x), Step.of(1, {"t": Var(x)})) for x in ("v", "u")}
     nf = th.normalize(App("+", (Var("v"), Var("u"))))
@@ -317,9 +315,8 @@ def test_language_constants_are_not_in_the_idempotent_semiring():
     # cfg_law's signature has no family; give its union rule one.
     sig = Signature(CFG_LAW.signature.ops, (ConstantFamily("c"),))
     rules = tuple(replace(r, next=App("+", (Const("c", 1), Var("dy"))))
-                  if r.symbol == "+" else r for r in CFG_LAW.spec.rules)
-    law = DistLaw(GsosSpec(sig, rules), CFG_LAW.alphabet,
-                  BOOL_OUTPUTS)
+                  if r.symbol == "+" else r for r in CFG_LAW.rules)
+    law = DistLaw(sig, rules, CFG_LAW.alphabet, BOOL_OUTPUTS)
     env = {x: (Var(x), Step.of(0, {"a": Var(x), "b": App("0")}))
            for x in ("v", "u")}
     nf = CFG_THEORY.normalize(App("+", (Var("v"), Var("u"))))

@@ -176,8 +176,8 @@ def broken_stream_system() -> CorecSystem:
     law = STREAM.law
     rules = tuple(
         replace(r, next=Const("c", Fraction(1))) if r.is_family else r
-        for r in law.spec.rules)
-    broken = DistLaw(replace(law.spec, rules=rules), law.alphabet, law.outputs)
+        for r in law.rules)
+    broken = replace(law, rules=rules)
     return CorecSystem(STREAM.system.variables, STREAM.system.phi,
                        broken, STREAM.theory)
 
@@ -198,8 +198,8 @@ def broken_grammar_system() -> CorecSystem:
     sys = to_corec(load(example("balanced.dsl")).grammar)
     law = sys.law
     rules = tuple(replace(r, next=Var("dx")) if r.symbol == "+" else r
-                  for r in law.spec.rules)
-    broken = DistLaw(replace(law.spec, rules=rules), law.alphabet, law.outputs)
+                  for r in law.rules)
+    broken = replace(law, rules=rules)
     return CorecSystem(sys.variables, sys.phi, broken, sys.theory)
 
 
