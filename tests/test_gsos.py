@@ -229,8 +229,7 @@ def test_a_law_is_a_value():
     plus = replace(law.rule_for("+"), next=Var("dx"))
     rules = tuple(plus if r.symbol == "+" else r for r in law.rules)
     changed = replace(law, rules=rules)
-    assert changed.compiled["+"][0] is plus
-    assert changed.rule_for("+") is plus and changed != law
+    assert changed.compiled["+"][0] is plus and changed != law
 
 
 def test_a_rule_with_an_index_placeholder_is_a_family_rule():

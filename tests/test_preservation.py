@@ -68,9 +68,8 @@ def test_a_witness_does_not_depend_on_the_declared_letter_order():
     # the witness names the first in sorted order, as the trace lists them.
     rules = tuple(replace(r, next=Var(r.args[0].deriv))
                   if r.symbol == "+" else r for r in CFG.law.rules)
-    reports = [check_preservation(CFG.theory,
-                                  DistLaw(CFG.signature, rules, alphabet,
-                                          CFG.law.outputs))
+    reports = [check_preservation(CFG.theory, replace(CFG.law, rules=rules,
+                                                      alphabet=alphabet))
                for alphabet in (("a", "b"), ("b", "a"))]
     assert reports[0].verdict is Verdict.FAILS
     assert {r.letter for r in reports[0].results
