@@ -166,14 +166,16 @@ class _TermCtx:
     """What identifiers mean while a term is being parsed.
 
     ``free`` selects the fallback for names the signature does not know:
-    metavariables (equation schemes), variables the block declares
-    before or after the use (system bodies), a fixed variable set (rule
-    bodies), or anything (grammar start expressions).  ``seen`` keeps
-    each metavariable or system variable met, with its first token.
+    names collected as met (the metavariables of an equation scheme; the
+    variables of a system block and the nonterminals of a grammar's start
+    expression, both checked once the block is read), or a fixed variable
+    set (rule bodies, ``--state`` terms).  ``seen`` keeps each collected
+    name with its first token; a name applied to arguments is never
+    collected.
     """
 
     signature: Signature
-    free: str  # "metavar" | "declared" | "fixed" | "any"
+    free: str  # "declared" | "fixed"
     allowed: frozenset[str] = frozenset()
     deriv: frozenset[str] = frozenset()
     binder: str | None = None
@@ -297,11 +299,8 @@ def _parse_operand(c: _Cursor, ctx: _TermCtx) -> Term | _Open:
     if any(f.name == name for f in ctx.signature.families) and c.at("punct", "["):
         return _parse_const(c, ctx, name, name_tok)
     # A name applied to arguments is never a variable.
-    if ctx.free == "metavar" or (ctx.free == "declared"
-                                 and not c.at("punct", "(")):
+    if ctx.free == "declared" and not c.at("punct", "("):
         ctx.seen.setdefault(name, name_tok)
-        return Var(name)
-    if ctx.free == "any":
         return Var(name)
     _fail(name_tok, f"unknown name {name!r}")
 
@@ -524,7 +523,7 @@ def _parse_generic_theory(c: _Cursor, signature: Signature) -> Theory:
         c.expect("ident", "eq")
         name = _hyphen_name(c)
         c.expect("punct", ":")
-        ctx = _TermCtx(signature, free="metavar", index_atoms=None)
+        ctx = _TermCtx(signature, free="declared", index_atoms=None)
         lhs = _parse_term(c, ctx)
         c.expect("punct", "=")
         rhs = _parse_term(c, ctx)
@@ -740,7 +739,7 @@ def _parse_grammar(tokens: list[Token],
     empty: dict[str, int] = {}
     prods: dict[str, dict[str, set[tuple[str, ...]]]] = {}
     start: Term | None = None
-    start_ctx = _TermCtx(cfg_signature(), free="any")
+    start_ctx = _TermCtx(cfg_signature(), free="declared")
 
     while not c.at("punct", "}"):
         tok = c.expect("ident", what="a grammar item")
@@ -786,6 +785,9 @@ def _parse_grammar(tokens: list[Token],
         prods.setdefault(name, {}).setdefault(letter, set()).add(tuple(body))
         _item_end(c)
     c.expect("punct", "}")
+    for name, tok in start_ctx.seen.items():
+        if name not in nonterminals:
+            _fail(tok, f"start expression mentions undeclared {name!r}")
     c.expect("eof")
 
     if start is None:

@@ -43,7 +43,9 @@ normal forms.  For the builtin theories under a pointwise ``+`` rule it
 adds up the steps of a form's products, read straight into the theory's
 semiring (``apply_rule`` with the semiring programs instead of the term
 programs), so no successor term is built; otherwise it normalises the
-step of the canonical representative.
+step of the canonical representative.  Its ``extend`` is the one
+``extend_lambda`` memo of a command: every plain term a run extends, a
+start term or a representative, goes through it.
 """
 
 from __future__ import annotations
@@ -469,8 +471,8 @@ def extend_lambda(law: DistLaw, term: Term, env: Mapping[str, LeafObs],
 
     ``memo`` maps each term already extended to its result.  A subterm's
     result depends only on the subterm, ``law`` and ``env``, so a caller
-    that keeps those fixed may pass one memo to many calls; by default
-    each call has its own.
+    that keeps those fixed may pass one memo to many calls, as
+    ``QuotientStepper.extend`` does; by default each call has its own.
     """
     def var(name: str) -> LeafObs:
         try:
@@ -530,8 +532,11 @@ class QuotientStepper:
     before; the cache lives as long as the stepper, one command's runs.
 
     Every other theory or rule table takes the term path: representative,
-    extension, normalisation, with one ``normalize`` memo (``memo``) for
-    the stepper's run."""
+    extension, normalisation.  ``extend`` is the stepper's one route to
+    ``extend_lambda``, for that path and for a run's start term; its memo
+    (``extended``) and the ``normalize`` memo (``memo``) are keyed by the
+    term and last as long as the stepper, so each distinct subterm a
+    command meets is extended and normalised once."""
 
     def __init__(self, th: Theory, law: DistLaw,
                  env: Mapping[str, LeafObs]):
@@ -540,6 +545,7 @@ class QuotientStepper:
         self._leaves: dict[Term, tuple[Any, Step]] = {}
         self._products: dict[tuple, tuple[Any, Step]] = {}
         self.memo: dict = {}
+        self.extended: dict[Term, tuple[Term, Step]] = {}
         if self._plus is not None:
             # The rules this route applies: ``*`` and the leaves'.
             rational = law.outputs.kind == "rational"
@@ -558,11 +564,14 @@ class QuotientStepper:
         return Step(step.output, {l: self.th.normalize(s, self.memo)
                                   for l, s in step.moves.items()})
 
+    def extend(self, term: Term) -> Step:
+        """The rule table's step at a term of leaves, under ``extended``."""
+        return extend_lambda(self.law, term, self.env, self.extended)[1]
+
     def step(self, nf: NormalForm) -> Step:
         th = self.th
         if self._plus is None:
-            return self.normalized(extend_lambda(
-                self.law, th.representative(nf), self.env)[1])
+            return self.normalized(self.extend(th.representative(nf)))
         steps = [self._product(atoms if scalar is None else (scalar, *atoms))
                  for scalar, atoms in nf.summands()]
         if not steps:

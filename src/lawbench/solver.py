@@ -12,20 +12,22 @@ system's theory (``gsos.QuotientStepper``, under a pointwise ``+`` rule
 adding up the steps of a form's products).  A system without a theory
 runs on the quotient by the free theory, whose normal forms are the
 terms themselves, so its runs are plain unfolding.  A run's start term
-takes one step through the rule table (``operational_model``) and its
+takes one step through the rule table (the model's ``extend``) and its
 successors are normalised; from then on every state is a normal form,
-stepped by the model, whose caches last as long as the caller keeps it:
-one run, or every run of ``induced_algebra_check``.  That step is the
-rule table's step at the canonical representative, normalised, so the
-states stay small without changing any answer.  Two consistency checks
+stepped by the model.  That step is the rule table's step at the
+canonical representative, normalised, so the states stay small without
+changing any answer.  The model owns both memos of a command, plain
+extension and normalisation, for as long as the caller keeps it: one
+run, or every run of ``induced_algebra_check``.  ``operational_model``
+is the same extension at one term, unmemoised.  Two consistency checks
 compare routes that must agree whenever the law preserves the theory:
 
   * ``quotient_commute_check``: unfolding terms without a theory and
     normal forms under the quotient law gives the same outputs and
     congruent states.  Each distinct (plain state, quotient state, depth
-    left) triple is checked, each start term extended, each plain subterm
-    stepped and folded and each quotient state stepped once; states
-    compare by folded value, and the memos last for one check;
+    left) triple is checked, each plain subterm stepped and folded and
+    each quotient state stepped once, under the check's model; states
+    compare by folded value;
 
   * ``induced_algebra_check``: the behaviour of a composite state equals
     the semantic composition of its leaves' behaviours, computed by
@@ -120,11 +122,10 @@ class CorecSystem:
                 )
 
 
-def operational_model(sys: CorecSystem, term: Term,
-                      memo: dict | None = None) -> Step:
-    """The unique extension of the system's observations to terms;
-    ``memo`` is an ``extend_lambda`` memo for this system."""
-    _, step = extend_lambda(sys.law, term, sys.leaves, memo)
+def operational_model(sys: CorecSystem, term: Term) -> Step:
+    """The unique extension of the system's observations to terms, at one
+    term and with no memo; runs extend through their model's memo."""
+    _, step = extend_lambda(sys.law, term, sys.leaves)
     return step
 
 
@@ -143,7 +144,7 @@ def unfold(sys: CorecSystem, term: Term, word: Iterable[str]):
     After the first step the state is a normal form, and the final state
     is returned as its representative."""
     quotient = model(sys)
-    step, state = quotient.normalized(operational_model(sys, term)), None
+    step, state = quotient.normalized(quotient.extend(term)), None
     for letter in word:
         state = step.next(letter)
         step = quotient.step(state)
@@ -155,7 +156,7 @@ def _table(sys: CorecSystem, quotient: QuotientStepper, term: Term,
            maxlen: int) -> dict[tuple[str, ...], object]:
     alg = sys.law.outputs
     table: dict[tuple[str, ...], object] = {}
-    todo = [((), quotient.normalized(operational_model(sys, term)))]
+    todo = [((), quotient.normalized(quotient.extend(term)))]
     while todo:
         word, step = todo.pop()
         table[word] = alg.concrete(step.output)
@@ -180,7 +181,7 @@ def _prefix(sys: CorecSystem, quotient: QuotientStepper, term: Term,
     if n < 1:
         return []
     letter, alg = sys.law.alphabet[0], sys.law.outputs
-    step = quotient.normalized(operational_model(sys, term))
+    step = quotient.normalized(quotient.extend(term))
     out = [alg.concrete(step.output)]
     for _ in range(n - 1):
         step = quotient.step(step.next(letter))
@@ -220,11 +221,9 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
 
     The plain side steps terms through the rule table with no theory and
     normalises them only to compare.  Its states are dags that share most
-    of their subterms with one another, so the check keeps one
-    ``extend_lambda`` memo and the quotient stepper's ``normalize`` memo,
-    both keyed by the term, for the whole walk and drops them when it
-    returns: each distinct subterm is stepped and folded once per check.
-    A start term is extended once: its quotient step is its plain step,
+    of their subterms with one another; the check's model extends and
+    normalises them under its memos, so each distinct subterm is stepped
+    and folded once.  A start term's quotient step is its plain step,
     normalised.  Below it, ``Theory.equiv`` compares the plain state with
     the quotient state's representative (a builtin theory by their folded
     values), and each quotient state is stepped once.
@@ -242,7 +241,6 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
         raise LawbenchError("quotient commutation needs a theory")
     th = sys.theory
     alg = sys.law.outputs
-    steps: dict = {}
     quotient = model(sys)
     quot: dict[NormalForm, tuple[Step, Term]] = {}
     # (plain state, quotient state, depth left) -> (nodes, violations)
@@ -251,7 +249,7 @@ def quotient_commute_check(sys: CorecSystem, max_term_size: int = 4,
     def check(node: tuple) -> tuple[tuple, tuple]:
         """The node's own violations and its children as (letter, node)."""
         state_plain, state_quot, left = node
-        step_plain = operational_model(sys, state_plain, steps)
+        step_plain = quotient.extend(state_plain)
         own: tuple = ()
         if state_quot is state_plain:  # a start term
             step_quot = quotient.normalized(step_plain)

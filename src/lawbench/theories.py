@@ -609,17 +609,6 @@ class Theory:
 
     # -- quotient monad structure ---------------------------------------------
 
-    def unit(self, name: str) -> NormalForm:
-        return self.normalize(Var(name))
-
-    def quotient_mu(self, outer: Term,
-                    leaves: Mapping[str, NormalForm]) -> NormalForm:
-        """Multiplication of the quotient monad: replace every leaf of the
-        outer term by a representative of its normal form, flatten, and
-        normalise.  The result does not depend on the representatives."""
-        reps = {token: self.representative(nf) for token, nf in leaves.items()}
-        return self.normalize(substitute(outer, reps))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Theory)
                 and self.kind == other.kind

@@ -34,6 +34,10 @@ two must agree.
 ``replay`` re-runs one recorded preservation case and compares the whole
 record with the stored one.
 
+``unit`` and ``quotient_mu`` are the quotient monad's unit and
+multiplication, which the commands never call: the monad laws and the
+quotient map's morphism property are checked against them.
+
 ``morphism_square_check`` compares, input by input, the term-level step
 followed by normalisation with the quotient law's step of the normal
 form.  ``reference_commute_check`` is ``quotient_commute_check`` without
@@ -103,6 +107,7 @@ from lawbench.theories import (
     IDEMPOTENT,
     Equiv,
     LangForm,
+    NormalForm,
     Theory,
     _match,
 )
@@ -343,6 +348,20 @@ def replay(th: Theory, law: DistLaw, check: SchemeCheck) -> bool:
         if scheme.name == check.scheme:
             return _check_case(th, law, scheme, check.branch) == check
     raise KeyError(f"theory has no scheme named {check.scheme!r}")
+
+
+def unit(th: Theory, name: str) -> NormalForm:
+    """Unit of the quotient monad: the normal form of one variable."""
+    return th.normalize(Var(name))
+
+
+def quotient_mu(th: Theory, outer: Term,
+                leaves: Mapping[str, NormalForm]) -> NormalForm:
+    """Multiplication of the quotient monad: replace every leaf of the
+    outer term by a representative of its normal form, flatten, and
+    normalise.  The result does not depend on the representatives."""
+    reps = {token: th.representative(nf) for token, nf in leaves.items()}
+    return th.normalize(substitute(outer, reps))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import pytest
 
 from lawbench import cli, gsos
 from lawbench.cli import run
+from lawbench.dsl import load, term_from_string
 
 from conftest import EXAMPLES, example
 
@@ -212,6 +213,55 @@ def test_rule_applications_per_command(capsys, monkeypatch, argv, calls):
     run([argv[0], example(argv[1]), *argv[2:]])
     capsys.readouterr()
     assert count == calls
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["stream", "--state", "ones * ones * ones", "--n", "16"], 288),
+    (["run", "--state", "ones * ones", "--word", "ttt"], 11),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_plain_unfolding_extends_each_subterm_once(capsys, monkeypatch,
+                                                   tmp_path, argv, calls):
+    # Without its theory, convolution.dsl runs on the free theory's
+    # quotient, the term path: its model extends every state through one
+    # memo for the command, so a subterm met again costs no rule
+    # application.  The answers are those of the file with its theory.
+    text = pathlib.Path(example("convolution.dsl")).read_text()
+    line = "theory commutative-semiring;\n"
+    assert line in text
+    plain = tmp_path / "plain.dsl"
+    plain.write_text(text.replace(line, ""))
+    count = 0
+    apply_rule = gsos.apply_rule
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return apply_rule(*args, **kwargs)
+
+    monkeypatch.setattr(gsos, "apply_rule", counting)
+
+    def lines(path: str) -> list[str]:
+        assert run([argv[0], path, *argv[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out.splitlines()
+
+    plain_out = lines(str(plain))
+    assert count == calls
+    quotient_out = lines(example("convolution.dsl"))
+    if argv[0] == "stream":
+        assert plain_out == quotient_out
+        return
+    # run prints the final state: a term on the plain side, a normal
+    # form's representative on the quotient, congruent under the theory.
+    assert plain_out[0] == quotient_out[0]
+    wb = load(example("convolution.dsl"))
+    plain_state, quotient_state = (
+        term_from_string(out[1].removeprefix("state "), wb.signature,
+                         wb.system.variables)
+        for out in (plain_out, quotient_out))
+    assert wb.theory.normalize(plain_state) == \
+        wb.theory.normalize(quotient_state)
 
 
 @pytest.mark.parametrize("argv", [

@@ -181,6 +181,14 @@ def test_an_undeclared_system_name_is_unknown():
              "13:29", "unknown name 'foo'")
 
 
+def test_a_name_applied_in_a_scheme_is_unknown():
+    # A scheme reads names as a system block does: a bare unknown name is
+    # a metavariable, and a name applied to arguments is never one.
+    fails_at("signature { op g/1; }\n"
+             "theory generic {\n  eq bad: foo(v) = v;\n}\n",
+             "3:11", "unknown name 'foo'")
+
+
 def test_grammar_diagnostics():
     head = ("signature { op +/2; op */2; op 0/0; op 1/0; }\n"
             "outputs bool;\nalphabet { a }\n")
@@ -307,6 +315,19 @@ def test_start_is_not_a_nonterminal():
              "1:32", "'eps' cannot be a nonterminal")
     fails_at("grammar { eps: empty=1; S -a-> S; start S }",
              "1:11", "'eps' cannot be a nonterminal")
+
+
+def test_a_start_name_must_be_a_nonterminal():
+    # The start expression may name a nonterminal first mentioned later;
+    # a name the block never declares fails at its first use.
+    wb = loads("grammar { start S + T; S -a-> T; T: empty=1 }")
+    assert wb.grammar.start == App("+", (Var("S"), Var("T")))
+    fails_at("grammar { S: empty=1; S -a-> S; start S + T }",
+             "1:43", "undeclared 'T'")
+    fails_at("grammar { S: empty=1; S -a-> S; start eps }",
+             "1:39", "undeclared 'eps'")
+    fails_at("grammar { S: empty=1; S -a-> S; start S * S(S) }",
+             "1:43", "unknown name 'S'")
 
 
 SOURCES = [(EXAMPLES / f"{name}.dsl").read_text() for name in BUNDLED]

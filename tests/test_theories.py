@@ -45,9 +45,11 @@ from lawbench.theories import (
 from oracles import (
     position_walk,
     positions,
+    quotient_mu,
     reference_convergent,
     replace_at,
     subterm_at,
+    unit,
 )
 
 # ---------------------------------------------------------------- oracles
@@ -118,8 +120,8 @@ def test_polynomial_normal_form_frozen_example():
 
 
 def test_normalize_of_variable_is_the_unit():
-    assert CTH.normalize(Var("v")) == CTH.unit("v") == PolyForm(Poly.atom("v"))
-    assert ITH.normalize(Var("v")) == ITH.unit("v") == LangForm(frozenset({("v",)}))
+    assert CTH.normalize(Var("v")) == unit(CTH, "v") == PolyForm(Poly.atom("v"))
+    assert ITH.normalize(Var("v")) == unit(ITH, "v") == LangForm(frozenset({("v",)}))
 
 
 def test_normalize_of_a_deep_right_nested_sum():
@@ -241,22 +243,22 @@ def test_quotient_map_is_a_monad_morphism():
         leaves = {x: th.normalize(t) for x, t in inner.items()}
         for outer in enumerate_terms(sig, {"p", "q"}, 4):
             flat = substitute(outer, inner)
-            assert th.quotient_mu(outer, leaves) == th.normalize(flat)
+            assert quotient_mu(th, outer, leaves) == th.normalize(flat)
 
 
 def test_quotient_mu_frozen_examples():
     concat = App("*", (Var("L1"), Var("L2")))
-    got = ITH.quotient_mu(concat, {
+    got = quotient_mu(ITH, concat, {
         "L1": LangForm(frozenset({("a",)})),
         "L2": LangForm(frozenset({("b",), ("c",)})),
     })
     assert got == LangForm(frozenset({("a", "b"), ("a", "c")}))
 
     nf = CTH.normalize(App("*", (Const("c", 2), Var("v"))))
-    assert CTH.quotient_mu(Var("leaf"), {"leaf": nf}) == nf
+    assert quotient_mu(CTH, Var("leaf"), {"leaf": nf}) == nf
 
     doubled = App("+", (Var("p"), Var("p")))
-    got = CTH.quotient_mu(doubled, {"p": nf})
+    got = quotient_mu(CTH, doubled, {"p": nf})
     assert got == PolyForm(Poly.const(4) * Poly.atom("v"))
 
 
